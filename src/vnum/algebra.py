@@ -44,6 +44,15 @@ class GBBudget:
     max_pairs: int = 200_000
     max_degree: int = 12
 
+    def __post_init__(self):
+        if self.max_pairs < 1:
+            raise GraphInputError(f"pair budget must be >= 1, got {self.max_pairs}")
+        if self.max_degree > _MAX_EXPONENT:
+            # packed exponent fields would overflow silently above the cap
+            raise GraphInputError(
+                f"degree budget {self.max_degree} exceeds the hard cap {_MAX_EXPONENT}"
+            )
+
 
 #: Default budget for plain Groebner bases.
 DEFAULT_BUDGET = GBBudget()
@@ -53,6 +62,28 @@ DEFAULT_BUDGET = GBBudget()
 ELIMINATION_BUDGET = GBBudget(max_pairs=200_000, max_degree=32)
 
 
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the primes up to 41 as bases: exact below 3.3e24,
+    a strong probable-prime test above."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 2 or any(p % q == 0 for q in bases):
+        return p in bases
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class RingSpec:
     """Polynomial ring K[x_{i,j} : i in [m], j in [n]] with the row-major
     lex order.  ``p`` is a prime modulus, or None for exact rationals."""
@@ -60,6 +91,9 @@ class RingSpec:
     def __init__(self, m: int, n: int, p: Optional[int] = 32003):
         if m < 1 or n < 1:
             raise GraphInputError(f"ring needs m, n >= 1, got {m}x{n}")
+        if p is not None and not _is_prime(p):
+            # inverses are taken as c^(p-2), which needs a prime field
+            raise GraphInputError(f"coefficient modulus {p} is not prime")
         self.m = m
         self.n = n
         self.p = p

@@ -71,6 +71,24 @@ def _parse_cutset(text: Optional[str]) -> Optional[tuple[int, ...]]:
         raise GraphInputError(f"bad --cutset {text!r}: {exc}") from exc
 
 
+def _oracle_v(m: int, G: SimpleGraph, cuts) -> int:
+    """Least exact local v-number over ``cuts``; a cut set where the oracle
+    finds no witness under its degree cap is a budget error."""
+    from .algebra import RingSpec, brute_local_v
+
+    ring = RingSpec(m, G.n)
+    values = []
+    for cut in cuts:
+        got = brute_local_v(ring, G, cut.vertices)
+        if got is None:
+            raise BudgetExceededError(
+                f"oracle found no witness under its degree cap at cut set "
+                f"{list(cut.vertices)}"
+            )
+        values.append(got[0])
+    return min(values)
+
+
 def _emit(record: dict, fmt: str, table: str) -> None:
     if fmt == "structured":
         print(json.dumps(record, indent=2, sort_keys=True))
@@ -133,15 +151,10 @@ def cmd_vnumber(args) -> int:
         record["power"] = {"k": args.k, "value": pw}
         lines.append(f"v-number of the {args.k}-th power: {pw}")
     if args.oracle:
-        from .algebra import RingSpec, brute_local_v
-
         if not G.is_connected():
             raise UnsupportedRegimeError("--oracle needs a connected graph")
-        ring = RingSpec(args.m, G.n)
-        oracle_v = min(
-            brute_local_v(ring, G, c.vertices)[0]
-            for c in enumerate_cut_sets(G, max_generic_n=args.budget_n or 16)
-        )
+        cuts = enumerate_cut_sets(G, max_generic_n=args.budget_n or 16)
+        oracle_v = _oracle_v(args.m, G, cuts)
         record["oracle_v"] = oracle_v
         record["oracle_agrees"] = oracle_v == res.value
         lines.append(f"oracle cross-check: {oracle_v} "
@@ -193,6 +206,7 @@ def cmd_verify(args) -> int:
         k=args.k if args.k is not None else 2,
         cutset=_parse_cutset(args.cutset),
         d_max=args.dmax,
+        budget_pairs=args.budget_pairs,
     )
     record = {
         "command": "verify",
@@ -237,13 +251,7 @@ def cmd_survey(args) -> int:
                 "cut_set": None if res.cut_set is None else list(res.cut_set.vertices),
             }
             if args.oracle:
-                from .algebra import RingSpec, brute_local_v
-
-                ring = RingSpec(args.m, n)
-                best = min(
-                    brute_local_v(ring, G, c.vertices)[0]
-                    for c in enumerate_cut_sets(G, closed)
-                )
+                best = _oracle_v(args.m, G, enumerate_cut_sets(G, closed))
                 row["oracle_v"] = best
                 row["agree"] = best == res.value
                 if not row["agree"]:
@@ -289,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "structured"), default="table")
         p.add_argument("--budget-n", type=int, default=None, dest="budget_n",
                        help="vertex cap for exhaustive subset searches")
-        p.add_argument("--budget-pairs", type=int, default=None, dest="budget_pairs",
-                       help="S-pair cap for basis computations")
 
     p = sub.add_parser("check-closed", help="recognize a closed labeling and extract its structure")
     common(p)
@@ -314,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="max power for the power suites")
     p.add_argument("--cutset", default=None, help="cut set for power-remark")
     p.add_argument("--dmax", type=int, default=None, help="degree cap for witness searches")
+    p.add_argument("--budget-pairs", type=int, default=None, dest="budget_pairs",
+                   help="S-pair cap for the basis computations of the power suites")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("survey", help="sweep all closed graphs up to a vertex count")

@@ -14,7 +14,7 @@ class InstanceTooLargeError(VnumError):
 
 
 class BudgetExceededError(VnumError):
-    """A Groebner-basis computation ran past its pair or degree budget.
+    """A Groebner-basis computation or a witness search ran past its budget.
 
     Budgets are never silently truncated; the failing cap is reported in
     the message.

@@ -10,7 +10,8 @@ A graph is *closed under the identity labeling* when for all i < j < k,
 {i,k} being an edge forces {i,j} and {j,k} to be edges.  Equivalently the
 maximal cliques are integer intervals [a,b].  A graph is *closed* when some
 relabeling makes it closed; closed graphs coincide with proper interval
-graphs, which is what the recognition heuristic for large n relies on.
+graphs, so the exact three-sweep LBFS recognition of proper interval
+graphs (Corneil 2004) decides closedness for every n.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .errors import GraphInputError, InstanceTooLargeError, NotACutSetError
 
 #: Largest n for which 2^n-style subset searches run by default.
 DEFAULT_SUBSET_BUDGET = 16
-
-#: Largest n for which closed-labeling search tries all n! permutations.
-BRUTE_LABELING_LIMIT = 8
 
 
 class SimpleGraph:
@@ -316,16 +314,34 @@ def _lbfs(G: SimpleGraph, start: int, tiebreak: Sequence[int]) -> list[int]:
     return visited
 
 
-def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
-    """Search for a labeling under which G is closed.
+def _lex_first_order(G: SimpleGraph, order: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically first closed labeling of the connected graph G,
+    given any closed labeling ``order``: all of them arise from one by
+    reversal and by permuting the runs of closed-neighbourhood twins
+    (Deng, Hell and Huang 1996), so sort each run and take the smaller of
+    the two directions."""
+    runs: list[list[int]] = []
+    for v in order:
+        home = G._mask[v] | 1 << v
+        if runs and home == G._mask[runs[-1][0]] | 1 << runs[-1][0]:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    forward = tuple(v for run in runs for v in sorted(run))
+    backward = tuple(v for run in reversed(runs) for v in sorted(run))
+    return min(forward, backward)
 
-    The identity labeling is tried first (it is also the lexicographically
-    first permutation, so the answer matches exhaustive search order).  Up
-    to BRUTE_LABELING_LIMIT vertices every permutation is tried; beyond
-    that a three-sweep lexicographic BFS produces a candidate proper
-    interval order, which is then validated.  Whatever the search path, the
-    returned labeling is always re-validated by check_closed_labeling, so a
-    present answer is always correct.
+
+def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
+    """The lexicographically first labeling under which G is closed, or
+    None when G is not closed.
+
+    The identity labeling is tried first, being the first permutation.
+    Otherwise three LBFS sweeps run, each after the first starting from
+    and breaking ties towards the end of the previous one; G is closed iff
+    the third sweep is a closed labeling (Corneil 2004).  That labeling is
+    turned into the lexicographically first one and re-validated by
+    check_closed_labeling, so a present answer is always correct.
     """
     if G.n == 0:
         raise GraphInputError("empty graph has no closed structure")
@@ -334,23 +350,18 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
             "closed-structure extraction needs a connected graph; "
             "split into components first"
         )
-    identity = tuple(G.vertices())
     if check_closed_labeling(G):
-        return _structure_from_identity(G, identity)
-    if G.n <= BRUTE_LABELING_LIMIT:
-        for perm in itertools.permutations(identity):
-            H = G.relabel(perm)
-            if check_closed_labeling(H):
-                return _structure_from_identity(H, perm)
-        return None
+        return _structure_from_identity(G, tuple(G.vertices()))
     sweep1 = _lbfs(G, 1, list(G.vertices()))
     sweep2 = _lbfs(G, sweep1[-1], sweep1[::-1])
     sweep3 = _lbfs(G, sweep2[-1], sweep2[::-1])
-    for cand in (sweep3, sweep2, sweep1):
-        H = G.relabel(cand)
-        if check_closed_labeling(H):
-            return _structure_from_identity(H, tuple(cand))
-    return None
+    if not check_closed_labeling(G.relabel(sweep3)):
+        return None
+    order = _lex_first_order(G, sweep3)
+    H = G.relabel(order)
+    if not check_closed_labeling(H):
+        raise AssertionError(f"twin-sorted LBFS order {order} is not closed")
+    return _structure_from_identity(H, order)
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,13 @@ class CheckResult:
 
 
 def _run(name: str, fn) -> CheckResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         ok, detail = fn()
-        return CheckResult(name, "pass" if ok else "fail", detail, time.time() - t0)
+        status = "pass" if ok else "fail"
     except BudgetExceededError as exc:
-        return CheckResult(name, "budget", str(exc), time.time() - t0)
+        status, detail = "budget", str(exc)
+    return CheckResult(name, status, detail, time.perf_counter() - t0)
 
 
 def suite_decomposition(

@@ -19,6 +19,7 @@ kind, where only the upper bound is known.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,6 +41,11 @@ from .graphs import (
 
 PROVED = "proved"
 CONJECTURED = "conjectured"
+
+#: Largest clique count of a closed component without one-vertex overlaps
+#: whose v-number is minimized over all its cut sets; their number grows
+#: exponentially with the clique count.
+MAX_CUT_T = 20
 
 
 @dataclass(frozen=True)
@@ -157,119 +163,62 @@ class VNumberResult:
 # ---------------------------------------------------------------------------
 
 
-def _block_clique_index(closed: ClosedStructure, block: tuple[int, ...]) -> int:
-    """Index i (1-based) of the connected cut set W_i equal to the block."""
-    for i, (lo, hi) in enumerate(connected_cut_blocks(closed), start=1):
-        if lo == block[0] and hi == block[-1]:
-            return i
-    raise GraphInputError(f"block {list(block)} is not a connected cut set")
-
-
-def _induced_interval_cliques(
-    closed: ClosedStructure, lo: int, hi: int
-) -> list[tuple[int, int]]:
-    """Maximal cliques of the induced (closed) subgraph on [lo, hi]."""
-    cand = []
-    for a, b in closed.cliques:
-        a2, b2 = max(a, lo), min(b, hi)
-        if a2 <= b2:
-            cand.append((a2, b2))
-    out = [
-        c
-        for c in cand
-        if not any(d != c and d[0] <= c[0] and c[1] <= d[1] for d in cand)
-    ]
-    return sorted(set(out))
-
-
 def _gap_dominating_set(closed: ClosedStructure, lo: int, hi: int) -> tuple[int, ...]:
-    """Interior of the greedy chain of the induced closed graph on [lo, hi]."""
+    """Interior of the greedy chain of the induced closed graph on [lo, hi].
+
+    The cliques meeting [lo, hi] form one slice of ``closed.cliques``, as
+    both endpoint sequences increase; clipped to [lo, hi] they cover the
+    induced graph, and the non-maximal ones never extend the chain.
+    """
     if lo >= hi:
         return ()
-    chain = _greedy_chain(_induced_interval_cliques(closed, lo, hi), lo, hi)
-    return tuple(chain[1:-1])
+    cl = closed.cliques
+    first = bisect_left(cl, lo, key=lambda c: c[1])
+    stop = bisect_right(cl, hi, key=lambda c: c[0])
+    clipped = [(max(a, lo), min(b, hi)) for a, b in cl[first:stop]]
+    return tuple(_greedy_chain(clipped, lo, hi)[1:-1])
 
 
 def build_anchor_graph(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
-    """Anchor graph of a nonempty cut set, by the construction matching the
-    graph: the spine-based variant when consecutive cliques overlap in one
-    vertex, the general interval variant otherwise.  Both agree on graphs
-    where both apply; tests exercise that equality."""
+    """Anchor graph of a nonempty cut set of a connected closed graph.
+
+    Each block of T is a connected cut set W_j = F_j cap F_{j+1} of the
+    maximal cliques F_j = [a_j, b_j], with anchor pair (a_j, b_{j+1}).
+    When b_{j+1} > a_{j'} for consecutive blocks W_j and W_{j'}, their
+    pairs share one anchor instead: the least vertex of [a_{j'}, b_{j+1}]
+    outside T.  The stretches before, between and after the anchor pairs
+    add the interiors of their greedy chains as isolated vertices.  When
+    consecutive cliques overlap in one vertex this is the spine
+    construction, which the tests keep as a reference.
+    """
     if not T.vertices:
         raise GraphInputError("the anchor graph needs a nonempty cut set")
-    if closed.is_cm:
-        return _anchor_graph_cm(closed, T)
-    return _anchor_graph_general(closed, T)
-
-
-def _anchor_graph_general(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
-    n = closed.graph.n
+    cl = closed.cliques
+    index = {w: j for j, w in enumerate(connected_cut_blocks(closed))}
+    try:
+        js = [index[blk[0], blk[-1]] for blk in T.blocks]
+    except KeyError as exc:
+        raise GraphInputError(f"block ends {exc} are not a connected cut set") from None
     Tset = set(T.vertices)
-    js = [_block_clique_index(closed, blk) for blk in T.blocks]
-    a = {i: closed.cliques[i - 1][0] for i in range(1, closed.t + 1)}
-    b = {i: closed.cliques[i - 1][1] for i in range(1, closed.t + 1)}
-    s = len(js)
-    alphas = [0] * (s + 1)
-    betas = [0] * (s + 1)
-    alphas[1] = a[js[0]]
-    betas[s] = b[js[-1] + 1]
-    for i in range(1, s):
-        ji, jn = js[i - 1], js[i]
-        if b[ji + 1] <= a[jn]:
-            betas[i] = b[ji + 1]
-            alphas[i + 1] = a[jn]
+    alphas = [cl[js[0]][0]]
+    betas = []
+    for ji, jn in zip(js, js[1:]):
+        reach, start = cl[ji + 1][1], cl[jn][0]
+        if reach <= start:
+            betas.append(reach)
+            alphas.append(start)
         else:
-            window = [v for v in range(a[jn], b[ji + 1] + 1) if v not in Tset]
+            window = [v for v in range(start, reach + 1) if v not in Tset]
             if not window:
                 raise GraphInputError("anchor window swallowed by the cut set")
-            betas[i] = alphas[i + 1] = min(window)
-    gaps = []
-    bounds = [1] + [betas[i] for i in range(1, s + 1)]
-    ends = [alphas[i] for i in range(1, s + 1)] + [n]
-    for lo, hi in zip(bounds, ends):
-        gaps.append(_gap_dominating_set(closed, lo, hi))
-    return _assemble_anchor(alphas[1:], betas[1:], gaps)
-
-
-def _anchor_graph_cm(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
-    b = closed.spine  # b[0] .. b[t]
-    t = closed.t
-    n = closed.graph.n
-    pos = {v: i for i, v in enumerate(b)}
-    js = [pos[blk[0]] for blk in T.blocks]
-    s = len(js)
-    in_T = set(T.vertices)
-    v0 = set(b) - in_T
-    if b[1] not in in_T:
-        v0.discard(b[0])
-    if b[t - 1] not in in_T:
-        v0.discard(b[t])
-    alphas = [0] * (s + 1)
-    betas = [0] * (s + 1)
-    alphas[1] = b[js[0] - 1]
-    betas[s] = b[js[-1] + 1]
-    for i in range(1, s):
-        ji, jn = js[i - 1], js[i]
-        if ji + 1 < jn:
-            betas[i] = b[ji + 1]
-            alphas[i + 1] = b[jn - 1]
-        else:
-            betas[i] = alphas[i + 1] = b[ji] + 1
-    anchor_cover = set()
-    for i in range(1, s + 1):
-        anchor_cover.update(range(alphas[i], betas[i] + 1))
-    vertices = (v0 - anchor_cover) | {alphas[i] for i in range(1, s + 1)} | {
-        betas[i] for i in range(1, s + 1)
-    }
-    isolated = sorted(vertices - {alphas[i] for i in range(1, s + 1)} - {
-        betas[i] for i in range(1, s + 1)
-    })
-    gaps = []
-    lo_bounds = [0] + [betas[i] for i in range(1, s + 1)]
-    hi_bounds = [alphas[i] for i in range(1, s + 1)] + [n + 1]
-    for lo, hi in zip(lo_bounds, hi_bounds):
-        gaps.append(tuple(v for v in isolated if lo < v < hi))
-    return _assemble_anchor(alphas[1:], betas[1:], gaps)
+            betas.append(window[0])
+            alphas.append(window[0])
+    betas.append(cl[js[-1] + 1][1])
+    gaps = [
+        _gap_dominating_set(closed, lo, hi)
+        for lo, hi in zip([1] + betas, alphas + [closed.graph.n])
+    ]
+    return _assemble_anchor(alphas, betas, gaps)
 
 
 def _assemble_anchor(
@@ -453,7 +402,6 @@ def v_number(
     m: int,
     oracle_n_limit: int = 6,
     ring_modulus: Optional[int] = 32003,
-    max_cut_t: int = 20,
 ) -> VNumberResult:
     """The v-number of the generalized binomial edge ideal of G.
 
@@ -464,9 +412,9 @@ def v_number(
     back to the exact ideal-arithmetic oracle when the component has at
     most ``oracle_n_limit`` vertices.  Components add up.
 
-    The cut-set minimization is exponential in the clique count, so it is
-    capped at ``max_cut_t`` maximal cliques; no greedy shortcut is
-    attempted beyond that.
+    The cut-set minimization is exponential in the clique count, so a
+    closed component with more than MAX_CUT_T maximal cliques and larger
+    overlaps raises InstanceTooLargeError; no greedy shortcut is attempted.
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
@@ -477,7 +425,7 @@ def v_number(
         status = PROVED
         for comp in comps:
             H, back = G.induced(comp)
-            sub = v_number(H, m, oracle_n_limit, ring_modulus, max_cut_t)
+            sub = v_number(H, m, oracle_n_limit, ring_modulus)
             parts.append(sub)
             total += sub.value
             if sub.status != PROVED:
@@ -501,7 +449,7 @@ def v_number(
             witness=None,
             parts=tuple(parts),
         )
-    return _v_number_connected(G, m, oracle_n_limit, ring_modulus, max_cut_t)
+    return _v_number_connected(G, m, oracle_n_limit, ring_modulus)
 
 
 def _v_number_connected(
@@ -509,7 +457,6 @@ def _v_number_connected(
     m: int,
     oracle_n_limit: int,
     ring_modulus: Optional[int],
-    max_cut_t: int = 20,
 ) -> VNumberResult:
     if G.is_complete():
         return VNumberResult(
@@ -521,9 +468,9 @@ def _v_number_connected(
         )
     closed = find_closed_labeling(G)
     if closed is not None and closed.is_identity():
-        return _v_number_closed(G, closed, m, max_cut_t)
+        return _v_number_closed(G, closed, m)
     if closed is not None:
-        sub = _v_number_closed(closed.graph, closed, m, max_cut_t)
+        sub = _v_number_closed(closed.graph, closed, m)
         # cut set and witness live in the closed labeling; map the cut set
         # back, drop the witness (its column order is labeling-dependent)
         cut = None
@@ -574,9 +521,7 @@ def _v_number_connected(
     )
 
 
-def _v_number_closed(
-    G: SimpleGraph, closed: ClosedStructure, m: int, max_cut_t: int = 20
-) -> VNumberResult:
+def _v_number_closed(G: SimpleGraph, closed: ClosedStructure, m: int) -> VNumberResult:
     if closed.is_cm:
         value = cm_v_formula(m, closed.t)
         cut = optimal_cut_set(closed, m)
@@ -593,10 +538,10 @@ def _v_number_closed(
             cut_set=cut,
             witness=attained.witness,
         )
-    if closed.t > max_cut_t:
+    if closed.t > MAX_CUT_T:
         raise InstanceTooLargeError(
             f"cut-set minimization over {closed.t} maximal cliques exceeds "
-            f"the budget of {max_cut_t}; no greedy shortcut is attempted"
+            f"the budget of {MAX_CUT_T}; no greedy shortcut is attempted"
         )
     best = None
     for cut in enumerate_cut_sets(G, closed):

@@ -38,14 +38,14 @@ from conftest import SPINE_27, T_42
 
 
 def report(num: int, ok: bool, started: float, limit: float, detail: str):
-    dt = time.time() - started
+    dt = time.perf_counter() - started
     print(f"{'PASS' if ok else 'FAIL'} criterion-{num:<2d} {dt:8.1f}s  {detail}")
     assert ok, f"criterion {num}: {detail}"
     assert dt < limit, f"criterion {num} exceeded its {limit}s budget ({dt:.1f}s)"
 
 
 def test_criterion_01_path_formula():
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = all(
         v_number(path_graph(n), 2).value == math.ceil(2 * (n - 2) / 3)
         for n in range(3, 31)
@@ -54,7 +54,7 @@ def test_criterion_01_path_formula():
 
 
 def test_criterion_02_worked_example_27(g27):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cs = find_closed_labeling(g27)
     ok = list(cs.spine) == SPINE_27
     cut = cut_set_from_vertices(g27, [3, 6, 9, 18, 21], cs)
@@ -67,7 +67,7 @@ def test_criterion_02_worked_example_27(g27):
 
 
 def test_criterion_03_worked_example_42(g42):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cs = find_closed_labeling(g42)
     cut = cut_set_from_vertices(g42, T_42, cs)
     L = build_anchor_graph(cs, cut)
@@ -81,7 +81,7 @@ def test_criterion_03_worked_example_42(g42):
 
 
 def test_criterion_04_oracle_equivalence_n7():
-    t0 = time.time()
+    t0 = time.perf_counter()
     pairs = 0
     disagreements = 0
     for n in range(2, 8):
@@ -103,7 +103,7 @@ def test_criterion_04_oracle_equivalence_n7():
 
 
 def test_criterion_05_colon_identities():
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
     bad = []
     for n in range(2, 6):
@@ -121,7 +121,7 @@ def test_criterion_05_colon_identities():
 
 
 def test_criterion_06_radical_decomposition():
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
     bad = []
     for n in range(2, 6):
@@ -135,7 +135,7 @@ def test_criterion_06_radical_decomposition():
 
 
 def test_criterion_07_power_identities():
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = 0
     bad = []
     for n in range(2, 7):
@@ -155,7 +155,7 @@ def test_criterion_07_power_identities():
 
 
 def test_criterion_08_power_remark():
-    t0 = time.time()
+    t0 = time.perf_counter()
     P5 = path_graph(5)
     ring = RingSpec(3, 5)
     base = brute_local_v(ring, P5, [3])
@@ -166,7 +166,7 @@ def test_criterion_08_power_remark():
 
 
 def test_criterion_09_partition_optimizer():
-    t0 = time.time()
+    t0 = time.perf_counter()
     from test_vnumbers import exhaustive_min_degree, lgraph
 
     ok = True
@@ -178,7 +178,7 @@ def test_criterion_09_partition_optimizer():
 
 
 def test_criterion_10_classification():
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = []
     for n in range(2, 6):
         for G in connected_graphs_up_to_iso(n):

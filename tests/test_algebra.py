@@ -34,6 +34,7 @@ from vnum.algebra import (
     search_power_witness,
     verify_witness,
     witness_polynomial,
+    _MAX_EXPONENT,
 )
 
 
@@ -169,6 +170,26 @@ def test_budgets_raise():
     with pytest.raises(BudgetExceededError):
         for _ in range(200):
             g = g * f
+
+
+def test_budget_rejects_degree_above_exponent_cap():
+    # packed 8-bit exponent fields would overflow silently
+    assert GBBudget(max_degree=_MAX_EXPONENT).max_degree == _MAX_EXPONENT
+    with pytest.raises(GraphInputError):
+        GBBudget(max_degree=_MAX_EXPONENT + 1)
+
+
+def test_budget_rejects_empty_pair_allowance():
+    with pytest.raises(GraphInputError):
+        GBBudget(max_pairs=0)
+
+
+def test_ring_rejects_composite_modulus():
+    for p in (2, 7, 32003, 2**61 - 1):
+        assert RingSpec(2, 3, p).p == p
+    for p in (0, 1, 4, 32001, 3215031751, (2**31 - 1) * (2**61 - 1)):
+        with pytest.raises(GraphInputError):
+            RingSpec(2, 3, p)
 
 
 # -- normal forms, membership -------------------------------------------------

@@ -143,6 +143,33 @@ def test_verify_vacuous_k3(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["summary"]["fail"] == 0
 
 
+def test_verify_budget_pairs_exits_budget(capsys, tmp_path):
+    p = tmp_path / "p4.txt"
+    p.write_text(format_graph(path_graph(4)))
+    rc, out, _ = run(capsys, "verify", str(p), "--scope", "powers", "--budget-pairs", "1",
+                     "--format", "structured")
+    assert rc == 3
+    assert json.loads(out)["summary"]["budget"] > 0
+
+
+def test_budget_pairs_only_on_verify(capsys, p5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["vnumber", p5_file, "--budget-pairs", "5"])
+    assert exc.value.code == 2
+
+
+def test_vnumber_oracle_miss_exits_budget(capsys, monkeypatch, p5_file):
+    monkeypatch.setattr("vnum.algebra.brute_local_v", lambda *args, **kw: None)
+    rc, _, err = run(capsys, "vnumber", p5_file, "--oracle")
+    assert rc == 3 and "no witness" in err
+
+
+def test_survey_oracle_miss_exits_budget(capsys, monkeypatch):
+    monkeypatch.setattr("vnum.algebra.brute_local_v", lambda *args, **kw: None)
+    rc, _, err = run(capsys, "survey", "--n-max", "3", "--oracle")
+    assert rc == 3 and "no witness" in err
+
+
 def test_survey(capsys):
     rc, out, _ = run(capsys, "survey", "--n-max", "4", "--m", "2", "--oracle",
                      "--format", "structured")

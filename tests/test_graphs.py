@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vnum.errors import GraphInputError, InstanceTooLargeError, NotACutSetError
-from vnum.enumeration import closed_graphs, connected_graphs_up_to_iso
+from vnum.enumeration import closed_graphs, closed_interval_profiles, connected_graphs_up_to_iso
 from vnum.graphs import (
     build_graph,
     check_closed_labeling,
@@ -53,12 +53,17 @@ def test_example_27_graph(g27):
 
 # -- closedness ------------------------------------------------------------
 
-def brute_force_closed(G):
-    """Reference oracle: some permutation satisfies the identity check."""
+def lex_first_closed_labeling(G):
+    """Reference oracle: the first permutation, in lexicographic order,
+    under which G passes the identity check, or None."""
     for perm in itertools.permutations(range(1, G.n + 1)):
         if check_closed_labeling(G.relabel(perm)):
-            return True
-    return False
+            return perm
+    return None
+
+
+def brute_force_closed(G):
+    return lex_first_closed_labeling(G) is not None
 
 
 def test_check_closed_labeling_examples(c4, g42):
@@ -81,6 +86,20 @@ def test_find_closed_matches_brute_force_small():
     for n in range(2, 6):
         for G in connected_graphs_up_to_iso(n):
             assert (find_closed_labeling(G) is not None) == brute_force_closed(G)
+
+
+def test_find_closed_labeling_is_lexicographically_first():
+    # seeded relabelings of every closed profile with n <= 6, and a sample
+    # at n = 7
+    rng = random.Random(17)
+    pool = [graph_from_intervals(n, p) for n in range(1, 7) for p in closed_interval_profiles(n)]
+    sevens = [graph_from_intervals(7, p) for p in closed_interval_profiles(7)]
+    pool += rng.sample(sevens, 12)
+    for G in pool:
+        order = list(G.vertices())
+        rng.shuffle(order)
+        H = G.relabel(order)
+        assert find_closed_labeling(H).order == lex_first_closed_labeling(H), (G.edges, order)
 
 
 def test_heuristic_recognizes_shuffled_large_closed(g42):

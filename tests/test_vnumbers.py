@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vnum.errors import GraphInputError, UnsupportedRegimeError
+from vnum.errors import GraphInputError, InstanceTooLargeError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
     build_graph,
@@ -19,9 +19,9 @@ from vnum.graphs import (
 from vnum.vnumbers import (
     AnchorGraph,
     CONJECTURED,
+    MAX_CUT_T,
     PROVED,
-    _anchor_graph_cm,
-    _anchor_graph_general,
+    _assemble_anchor,
     build_anchor_graph,
     classify_small_v,
     cm_v_formula,
@@ -66,17 +66,54 @@ def test_anchor_graph_p4_hand():
     assert L.isolated == ()
 
 
+def spine_anchor_graph(closed, T):
+    """Reference: the anchor graph of a closed graph whose consecutive
+    cliques overlap in one vertex, read off the spine b_0, ..., b_t.  The
+    anchors are spine vertices (or the successor of a block vertex where
+    two blocks are adjacent on the spine), and the isolated vertices are
+    the spine vertices outside T and outside every anchor stretch."""
+    b = closed.spine
+    t = closed.t
+    n = closed.graph.n
+    pos = {v: i for i, v in enumerate(b)}
+    js = [pos[blk[0]] for blk in T.blocks]
+    in_T = set(T.vertices)
+    v0 = set(b) - in_T
+    if b[1] not in in_T:
+        v0.discard(b[0])
+    if b[t - 1] not in in_T:
+        v0.discard(b[t])
+    alphas = [b[js[0] - 1]]
+    betas = []
+    for ji, jn in zip(js, js[1:]):
+        if ji + 1 < jn:
+            betas.append(b[ji + 1])
+            alphas.append(b[jn - 1])
+        else:
+            betas.append(b[ji] + 1)
+            alphas.append(b[ji] + 1)
+    betas.append(b[js[-1] + 1])
+    anchor_cover = set()
+    for lo, hi in zip(alphas, betas):
+        anchor_cover.update(range(lo, hi + 1))
+    isolated = sorted(v0 - anchor_cover)
+    gaps = [
+        tuple(v for v in isolated if lo < v < hi)
+        for lo, hi in zip([0] + betas, alphas + [n + 1])
+    ]
+    return _assemble_anchor(alphas, betas, gaps)
+
+
 def test_anchor_constructions_agree_on_overlap():
-    # both variants are defined on one-vertex-overlap closed graphs and
-    # must produce the same graph
-    for n in range(3, 8):
+    # on one-vertex-overlap closed graphs the interval construction must
+    # reproduce the spine reference at every nonempty cut set
+    for n in range(3, 11):
         for G, cs in cm_closed_graphs(n):
             for cut in enumerate_cut_sets(G, cs):
                 if not cut.vertices:
                     continue
-                a = _anchor_graph_cm(cs, cut)
-                b = _anchor_graph_general(cs, cut)
-                assert a == b, (cs.cliques, cut.vertices)
+                want = spine_anchor_graph(cs, cut)
+                assert build_anchor_graph(cs, cut) == want, (cs.cliques, cut.vertices)
 
 
 def test_anchor_graph_rejects_empty(g27):
@@ -378,13 +415,16 @@ def test_v_number_42_global(g42):
     # frozen regression value: exact minimum of the theorem-backed local
     # values over all 5760 cut sets (the per-cut-set machinery is
     # oracle-validated exhaustively at n <= 7)
-    from vnum.errors import InstanceTooLargeError
-
     res = v_number(g42, 2)
     assert res.value == 9 and res.status == PROVED
-    # the minimization is exponential in the clique count and capped
+    # the minimization is exponential in the clique count and capped: a
+    # chain of MAX_CUT_T + 1 cliques, consecutive ones sharing two vertices
+    t = MAX_CUT_T + 1
+    chain = graph_from_intervals(2 * t + 2, [(2 * i + 1, 2 * i + 4) for i in range(t)])
+    cs = find_closed_labeling(chain)
+    assert cs.t == t and not cs.is_cm
     with pytest.raises(InstanceTooLargeError):
-        v_number(g42, 2, max_cut_t=10)
+        v_number(chain, 2)
 
 
 def test_witness_spec_rejects_oversized_slice():
