@@ -75,12 +75,9 @@ from .algebra import (
     initial_ideal,
     intersect,
     intersect_many,
-    member,
     minor,
-    normal_form,
     poly_from_text,
     poly_to_text,
-    reduced_groebner_basis,
     search_power_witness,
     verify_witness,
     witness_polynomial,

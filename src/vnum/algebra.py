@@ -16,9 +16,10 @@ as long as every exponent stays below 128 (the degree budget enforces
 this long before it could overflow).
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
-order, the Gebauer-Moeller update walks candidates in index order, and
-reduced bases are returned monic and sorted by descending leading term,
-so repeated runs produce byte-identical output.
+order; the Gebauer-Moeller update walks the new candidates in ascending
+(lcm degree, lcm, index) order, so among equal lcms the smallest index
+survives; reduced bases are returned monic and sorted by descending
+leading term.  Repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(self.ring.inv(self.lc()))
+        return Polynomial(self.ring, _monic(self.ring, self.terms))
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)})"
@@ -359,18 +360,28 @@ def _mul(ring: RingSpec, a: dict, b: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _monic(ring: RingSpec, g: dict) -> dict:
+    """g scaled so that its leading coefficient is 1 (g nonzero)."""
+    inv = ring.inv(g[max(g)])
+    p = ring.p
+    if p is not None:
+        return {m: (c * inv) % p for m, c in g.items()}
+    return {m: c * inv for m, c in g.items()}
+
+
+def _reducer(ring: RingSpec, g: dict) -> tuple:
+    """The division-loop form (lt, inv(lc), tail items) of a nonzero g."""
+    lt = max(g)
+    return lt, ring.inv(g[lt]), tuple((m, c) for m, c in g.items() if m != lt)
+
+
+def _lead(reducer: tuple) -> int:
+    return reducer[0]
+
+
 def _prepare_reducers(ring: RingSpec, basis: Sequence[dict]) -> list:
-    """Sorted-by-LT list of (lt, inv(lc), tail items) for the division loop."""
-    red = []
-    for g in basis:
-        if not g:
-            continue
-        lt = max(g)
-        inv = ring.inv(g[lt])
-        tail = tuple((m, c) for m, c in g.items() if m != lt)
-        red.append((lt, inv, tail))
-    red.sort(key=lambda r: r[0])
-    return red
+    """Reducers of the nonzero elements of basis, sorted by leading term."""
+    return sorted((_reducer(ring, g) for g in basis if g), key=_lead)
 
 
 def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) -> dict:
@@ -462,80 +473,58 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int):
     (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
     """
     lcm_m = ring.mono_lcm
+    divides = ring.mono_divides
+    degree = ring.mono_degree
     lt_h = lts[new_idx]
-    cand = {}
+    cand = []
     for g in range(new_idx):
-        cand[g] = lcm_m(lts[g], lt_h)
-    # criterion M/F: keep coprime pairs and divisibility-minimal lcms
+        l = lcm_m(lts[g], lt_h)
+        cand.append((degree(l), l, g))
+    cand.sort()
+    # criterion M: keep an lcm only if no kept lcm divides it; a divisor
+    # has lower degree or is equal, so it is always walked first.  Coprime
+    # lcms are kept as dominators, and criterion B1 drops their pairs.
     kept: list[int] = []
-    order = sorted(cand)
-    for g1 in order:
-        l1 = cand[g1]
-        coprime = lts[g1] + lt_h == l1
-        if coprime:
-            kept.append(g1)
+    new_pairs = []
+    for d, l, g in cand:
+        if any(divides(k, l) for k in kept):
             continue
-        dominated = False
-        for g2 in order:
-            if g2 == g1:
-                continue
-            l2 = cand[g2]
-            if l2 == l1:
-                # equal lcms: keep only the smallest index
-                if g2 < g1:
-                    dominated = True
-                    break
-                continue
-            if ring.mono_divides(l2, l1) and (g2 in cand):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(g1)
-    # criterion B1: coprime leading terms never contribute
-    new_pairs = [g for g in kept if lts[g] + lt_h != cand[g]]
+        kept.append(l)
+        if lts[g] + lt_h != l:
+            new_pairs.append((d, l, g))
     # prune old pairs via the chain criterion
     for (i, j), l in list(pairs.items()):
         if (
-            ring.mono_divides(lt_h, l)
+            divides(lt_h, l)
             and lcm_m(lts[i], lt_h) != l
             and lcm_m(lts[j], lt_h) != l
         ):
             del pairs[(i, j)]
-    for g in new_pairs:
-        key = (g, new_idx)
-        l = cand[g]
-        pairs[key] = l
-        heapq.heappush(heap, (ring.mono_degree(l), l, g, new_idx))
+    for d, l, g in new_pairs:
+        pairs[(g, new_idx)] = l
+        heapq.heappush(heap, (d, l, g, new_idx))
 
 
 def _reduce_basis(ring: RingSpec, basis: list) -> list:
-    """Minimalize and tail-reduce a basis that is already a Groebner basis."""
-    basis = [g for g in basis if g]
-    basis.sort(key=lambda g: max(g))
-    lts = [max(g) for g in basis]
-    keep = []
-    for k, g in enumerate(basis):
-        lt = lts[k]
-        if any(
-            i != k and ring.mono_divides(lts[i], lt) and (lts[i] != lt or i < k)
-            for i in range(len(basis))
-        ):
+    """Minimalize and tail-reduce a basis that is already a Groebner basis.
+
+    One pass in increasing leading-term order: an element whose leading
+    term a kept one divides is dropped, every other one is reduced against
+    the kept ones and made monic.  An element kept later cannot reduce an
+    earlier one: its leading term is larger than every term of the earlier
+    one, and a divisor is never larger than the term it divides.
+    """
+    divides = ring.mono_divides
+    out: list = []
+    red: list = []
+    for g in sorted((g for g in basis if g), key=max):
+        lt = max(g)
+        if any(divides(r[0], lt) for r in red):
             continue
-        keep.append(g)
-    out = []
-    for k, g in enumerate(keep):
-        red = _prepare_reducers(ring, [h for i, h in enumerate(keep) if i != k])
-        r = _nf(ring, g, red)
-        if r:
-            lt = max(r)
-            inv = ring.inv(r[lt])
-            p = ring.p
-            if p is not None:
-                r = {m: (c * inv) % p for m, c in r.items()}
-            else:
-                r = {m: c * inv for m, c in r.items()}
-            out.append(r)
-    out.sort(key=lambda g: -max(g))
+        g = _monic(ring, _nf(ring, g, red))
+        out.append(g)
+        red.append(_reducer(ring, g))
+    out.reverse()
     return out
 
 
@@ -543,33 +532,25 @@ def _buchberger(
     ring: RingSpec, gens: Sequence[dict], budget: GBBudget
 ) -> list:
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    seed = []
-    prepared: list = []
-    for g in sorted(
-        (dict(g) for g in gens if g), key=lambda g: (ring.mono_degree(max(g)), max(g))
-    ):
-        r = _nf(ring, g, prepared, budget.max_degree) if prepared else g
-        if not r:
-            continue
-        lt = max(r)
-        inv = ring.inv(r[lt])
-        p = ring.p
-        if p is not None:
-            r = {m: (c * inv) % p for m, c in r.items()}
-        else:
-            r = {m: c * inv for m, c in r.items()}
-        seed.append(r)
-        insort(prepared, (lt, ring.inv(r[lt]), tuple((m, c) for m, c in r.items() if m != lt)), key=lambda t: t[0])
     basis: list = []
     lts: list[int] = []
+    red: list = []
     pairs: dict = {}
     heap: list = []
-    red: list = []
-    for g in seed:
-        basis.append(g)
-        lts.append(max(g))
-        insort(red, (lts[-1], ring.inv(g[lts[-1]]), tuple((m, c) for m, c in g.items() if m != lts[-1])), key=lambda t: t[0])
+
+    def add(r: dict):
+        r = _monic(ring, r)
+        basis.append(r)
+        lts.append(max(r))
+        insort(red, _reducer(ring, r), key=_lead)
         _gm_update(ring, lts, pairs, heap, len(basis) - 1)
+
+    for g in sorted(
+        (g for g in gens if g), key=lambda g: (ring.mono_degree(max(g)), max(g))
+    ):
+        r = _nf(ring, g, red, budget.max_degree)
+        if r:
+            add(r)
     reductions = 0
     while heap:
         deg_l, l, i, j = heapq.heappop(heap)
@@ -585,21 +566,9 @@ def _buchberger(
             raise BudgetExceededError(
                 f"S-pair count exceeded budget {budget.max_pairs}"
             )
-        s = _spoly(ring, basis[i], basis[j])
-        r = _nf(ring, s, red, budget.max_degree)
-        if not r:
-            continue
-        lt = max(r)
-        inv = ring.inv(r[lt])
-        p = ring.p
-        if p is not None:
-            r = {m: (c * inv) % p for m, c in r.items()}
-        else:
-            r = {m: c * inv for m, c in r.items()}
-        basis.append(r)
-        lts.append(lt)
-        insort(red, (lt, ring.inv(r[lt]), tuple((m, c) for m, c in r.items() if m != lt)), key=lambda t: t[0])
-        _gm_update(ring, lts, pairs, heap, len(basis) - 1)
+        r = _nf(ring, _spoly(ring, basis[i], basis[j]), red, budget.max_degree)
+        if r:
+            add(r)
     return _reduce_basis(ring, basis)
 
 
@@ -663,20 +632,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
-
-
-def reduced_groebner_basis(
-    I: Ideal, budget: GBBudget = DEFAULT_BUDGET
-) -> tuple[Polynomial, ...]:
-    return I.groebner(budget)
-
-
-def normal_form(f: Polynomial, I: Ideal, budget: GBBudget = DEFAULT_BUDGET) -> Polynomial:
-    return I.normal_form(f, budget)
-
-
-def member(f: Polynomial, I: Ideal, budget: GBBudget = DEFAULT_BUDGET) -> bool:
-    return I.contains(f, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -767,10 +722,8 @@ def cut_set_prime(ring: RingSpec, G: SimpleGraph, T: Iterable[int]) -> Ideal:
                 for a_idx in range(len(vs)):
                     for b_idx in range(a_idx + 1, len(vs)):
                         gens.append(minor(ring, (i, j), (vs[a_idx], vs[b_idx])))
-    ideal = Ideal(ring, gens)
     gb = sorted((g.monic() for g in gens), key=lambda g: -g.lt())
-    ideal._gb = tuple(gb)
-    return ideal
+    return Ideal(ring, gens, _gb=tuple(gb))
 
 
 def witness_polynomial(
@@ -810,10 +763,8 @@ def intersect(
             d[key] = (-c) % p if p is not None else -c
         gens_ext.append(d)
     gb = _buchberger(ext, gens_ext, budget)
-    kept = [g for g in gb if max(g) < ext.tag_threshold]
-    out = Ideal(ring, [Polynomial(ring, g) for g in kept])
-    out._gb = tuple(Polynomial(ring, g) for g in kept)
-    return out
+    kept = [Polynomial(ring, g) for g in gb if max(g) < ext.tag_threshold]
+    return Ideal(ring, kept, _gb=tuple(kept))
 
 
 def intersect_many(
@@ -873,10 +824,8 @@ def colon_poly(
     ring = I.ring
     meet = intersect(I, Ideal(ring, [f]), budget)
     quot = [poly_divexact(g, f) for g in meet.groebner(budget)]
-    basis = _reduce_basis(ring, [q.terms for q in quot])
-    out = Ideal(ring, [Polynomial(ring, b) for b in basis])
-    out._gb = tuple(out.gens)
-    return out
+    basis = [Polynomial(ring, b) for b in _reduce_basis(ring, [q.terms for q in quot])]
+    return Ideal(ring, basis, _gb=tuple(basis))
 
 
 def colon_ideal(
@@ -909,11 +858,8 @@ def initial_ideal(I: Ideal, budget: GBBudget = DEFAULT_BUDGET) -> Ideal:
     ring = I.ring
     lts = sorted({g.lt() for g in I.groebner(budget)})
     minimal = _minimal_monomials(ring, lts)
-    out = Ideal(
-        ring, [Polynomial(ring, {m: ring.coeff(1)}) for m in sorted(minimal, reverse=True)]
-    )
-    out._gb = out.gens
-    return out
+    gens = [Polynomial(ring, {m: ring.coeff(1)}) for m in sorted(minimal, reverse=True)]
+    return Ideal(ring, gens, _gb=tuple(gens))
 
 
 def _minimal_monomials(ring: RingSpec, monos: Iterable[int]) -> list[int]:

@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="graph file (line format or JSON)")
         p.add_argument("--m", type=int, default=2, help="row count of the variable matrix (>= 2)")
         p.add_argument("--format", choices=("table", "structured"), default="table")
-        p.add_argument("--budget-n", type=int, default=None, dest="budget_n",
-                       help="vertex cap for exhaustive subset searches")
 
     p = sub.add_parser("check-closed", help="recognize a closed labeling and extract its structure")
     common(p)
@@ -307,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="also report the k-th power (m=2, one-vertex overlaps)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the value against the exact engine")
+    p.add_argument("--budget-n", type=int, default=None, dest="budget_n",
+                   help="vertex cap of the oracle fallback (default 6) and of the "
+                        "--oracle cut-set enumeration (default 16)")
     p.set_defaults(fn=cmd_vnumber)
 
     p = sub.add_parser("local", help="local v-number at a cut set")

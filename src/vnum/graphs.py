@@ -260,20 +260,23 @@ class ClosedStructure:
 
 
 def _interval_cliques(G: SimpleGraph) -> list[tuple[int, int]]:
-    """Maximal interval cliques of a connected identity-closed graph."""
-    reach = []
+    """Maximal interval cliques of a connected identity-closed graph.
+
+    The reach of a (the largest b with [a, b] a clique) never decreases
+    with a: when b is the reach of a - 1, [a, b] lies inside the clique
+    [a - 1, b].  So each scan starts from the previous reach, and [a, b]
+    is maximal exactly when b exceeds the previous reach.
+    """
+    out = []
+    prev = 0
     for a in G.vertices():
-        b = a
+        b = max(a, prev)
         while b < G.n and G.is_interval_clique(a, b + 1):
             b += 1
-        reach.append((a, b))
-    out = []
-    for a, b in reach:
-        if any(a2 <= a and b <= b2 and (a2, b2) != (a, b) for a2, b2 in reach):
-            continue
-        if b > a or G.n == 1:
+        if b > prev and (b > a or G.n == 1):
             out.append((a, b))
-    return sorted(set(out))
+        prev = b
+    return out
 
 
 def _structure_from_identity(G: SimpleGraph, order: tuple[int, ...]) -> ClosedStructure:

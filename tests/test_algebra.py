@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vnum.errors import BudgetExceededError, GraphInputError
 from vnum.enumeration import connected_graphs_up_to_iso
-from vnum.graphs import build_graph, complete_graph, enumerate_cut_sets, path_graph
+from vnum.graphs import complete_graph, enumerate_cut_sets, path_graph
 from vnum.algebra import (
     DEFAULT_BUDGET,
     ELIMINATION_BUDGET,
@@ -24,17 +24,16 @@ from vnum.algebra import (
     initial_ideal,
     intersect,
     intersect_many,
-    member,
     minor,
     monomial_ideal_power,
     monomial_ideals_equal,
-    normal_form,
     poly_from_text,
     poly_to_text,
     search_power_witness,
     verify_witness,
     witness_polynomial,
     _MAX_EXPONENT,
+    _reduce_basis,
 )
 
 
@@ -159,9 +158,9 @@ def test_buchberger_matches_sympy_edge_ideals(c4, c5):
         assert mine == _sympy_gb(ring, J.gens)
 
 
-def test_budgets_raise():
+def test_budgets_raise(c4, c5):
     R = RingSpec(2, 4)
-    J = binomial_edge_ideal(R, build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+    J = binomial_edge_ideal(R, c4)
     with pytest.raises(BudgetExceededError):
         J.groebner(GBBudget(max_pairs=1, max_degree=12))
     R2 = RingSpec(2, 2)
@@ -170,6 +169,34 @@ def test_budgets_raise():
     with pytest.raises(BudgetExceededError):
         for _ in range(200):
             g = g * f
+    # the S-pairs that survive the pair criteria, pinned: N pairs suffice
+    # and N - 1 do not
+    for G, m, pairs in [(c4, 2, 8), (c5, 2, 20), (c4, 3, 66)]:
+        ring = RingSpec(m, G.n)
+        binomial_edge_ideal(ring, G).groebner(GBBudget(max_pairs=pairs))
+        with pytest.raises(BudgetExceededError):
+            binomial_edge_ideal(ring, G).groebner(GBBudget(max_pairs=pairs - 1))
+
+
+def test_degree_budget_covers_every_generator():
+    R = RingSpec(2, 2)
+    high = Polynomial.from_terms(R, [(13 * R.var_mono(0), 1)])
+    low = Polynomial.variable(R, 2, 2)
+    for gens in ([high], [low, high]):
+        with pytest.raises(BudgetExceededError):
+            Ideal(R, gens).groebner(GBBudget(max_degree=12))
+    assert len(Ideal(R, [low, high]).groebner(GBBudget(max_degree=13))) == 2
+
+
+def test_reduce_basis_of_redundant_groebner_basis(c4):
+    R = RingSpec(2, 4)
+    gb = binomial_edge_ideal(R, c4).groebner()
+    x = Polynomial.variable(R, 2, 3)
+    redundant = [g.scale(3) for g in gb]
+    redundant += [gb[i] + gb[i + 1].scale(5) for i in range(len(gb) - 1)]
+    redundant += [x * g for g in gb]
+    got = _reduce_basis(R, [g.terms for g in reversed(redundant)])
+    assert [Polynomial(R, g) for g in got] == list(gb)
 
 
 def test_budget_rejects_degree_above_exponent_cap():
@@ -204,11 +231,11 @@ def test_membership_examples():
     R = RingSpec(2, 3)
     J = binomial_edge_ideal(R, path_graph(3))
     skew = minor(R, (1, 2), (1, 3))
-    assert not member(skew, J)
-    assert member(Polynomial.variable(R, 1, 2) * skew, J)
-    assert normal_form(Polynomial.zero(R), J).is_zero()
+    assert not J.contains(skew)
+    assert J.contains(Polynomial.variable(R, 1, 2) * skew)
+    assert J.normal_form(Polynomial.zero(R)).is_zero()
     g = J.gens[0]
-    assert member(Polynomial.variable(R, 1, 1) * g, Ideal(R, [g]))
+    assert Ideal(R, [g]).contains(Polynomial.variable(R, 1, 1) * g)
 
 
 # -- intersections, colons, powers ---------------------------------------------

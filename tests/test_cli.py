@@ -158,6 +158,14 @@ def test_budget_pairs_only_on_verify(capsys, p5_file):
     assert exc.value.code == 2
 
 
+def test_budget_n_only_on_vnumber(capsys, p5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["local", p5_file, "--cutset", "3", "--budget-n", "1"])
+    assert exc.value.code == 2
+    rc, out, _ = run(capsys, "vnumber", p5_file, "--budget-n", "1", "--format", "structured")
+    assert rc == 0 and json.loads(out)["value"] == 2
+
+
 def test_vnumber_oracle_miss_exits_budget(capsys, monkeypatch, p5_file):
     monkeypatch.setattr("vnum.algebra.brute_local_v", lambda *args, **kw: None)
     rc, _, err = run(capsys, "vnumber", p5_file, "--oracle")
