@@ -18,8 +18,12 @@ this long before it could overflow).
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order; the Gebauer-Moeller update walks the new candidates in ascending
 (lcm degree, lcm, index) order, so among equal lcms the smallest index
-survives; reduced bases are returned monic and sorted by descending
-leading term.  Repeated runs produce byte-identical output.
+survives.  A tag elimination opens with the cached reduced basis of its
+first ideal in its stored order, and the separating element of the
+oracle is picked from the generators of P_T in a fixed order with fixed
+weights.  Neither choice can reach the output: reduced bases are unique,
+and they are returned monic and sorted by descending leading term.
+Repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -529,12 +533,26 @@ def _reduce_basis(ring: RingSpec, basis: list) -> list:
 
 
 def _buchberger(
-    ring: RingSpec, gens: Sequence[dict], budget: GBBudget
+    ring: RingSpec, gens: Sequence[dict], budget: GBBudget, known: Sequence[dict] = ()
 ) -> list:
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
-    basis: list = []
-    lts: list[int] = []
-    red: list = []
+    """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``.
+
+    ``known`` must be a Groebner basis of the ideal it generates.  Its
+    elements open the basis as they are, and no pair among them is ever
+    formed: each such S-polynomial already has a standard representation
+    over ``known``, so for criterion M and the chain criterion those pairs
+    count as treated.  Every term of every element, known or not, is held
+    to ``budget.max_degree``.
+    """
+    for g in known:
+        d = max(map(ring.mono_degree, g))
+        if d > budget.max_degree:
+            raise BudgetExceededError(
+                f"known basis element of degree {d} > budget {budget.max_degree}"
+            )
+    basis: list = list(known)
+    lts: list[int] = [max(g) for g in basis]
+    red: list = _prepare_reducers(ring, basis)
     pairs: dict = {}
     heap: list = []
 
@@ -749,12 +767,21 @@ def witness_polynomial(
 def intersect(
     I: Ideal, J: Ideal, budget: GBBudget = ELIMINATION_BUDGET
 ) -> Ideal:
-    """I cap J by tag elimination: eliminate t from t*I + (1-t)*J."""
+    """I cap J by tag elimination: eliminate t from t*I + (1-t)*J.
+
+    Warm start: the elimination opens with t*g for g in the reduced basis
+    of I (computed under ``budget`` if not cached yet).  Multiplying by t
+    keeps the leading terms' divisibility, so t*GB(I) is a Groebner basis
+    of t*I, and S(t*g_i, t*g_j) = t*S(g_i, g_j) already reduces to zero
+    over it; those pairs are never formed.  Only the (1-t)*J generators
+    go through the seed loop, reduced against everything before them.
+    The reduced basis is unique, so the result is the one a run from the
+    raw generators of t*I gives, with fewer S-pairs.
+    """
     ring = I.ring
     ext = ring.extended()
+    known = [{m + ext.tag: c for m, c in g.terms.items()} for g in I.groebner(budget)]
     gens_ext: list[dict] = []
-    for g in I.gens:
-        gens_ext.append({m + ext.tag: c for m, c in g.terms.items()})
     for h in J.gens:
         d = dict(h.terms)
         p = ring.p
@@ -762,7 +789,7 @@ def intersect(
             key = m + ext.tag
             d[key] = (-c) % p if p is not None else -c
         gens_ext.append(d)
-    gb = _buchberger(ext, gens_ext, budget)
+    gb = _buchberger(ext, gens_ext, budget, known)
     kept = [Polynomial(ring, g) for g in gb if max(g) < ext.tag_threshold]
     return Ideal(ring, kept, _gb=tuple(kept))
 
@@ -959,14 +986,30 @@ def separating_element(
     target: Ideal, others: Sequence[Ideal], attempts: int = 64
 ) -> Polynomial:
     """A homogeneous quadric inside ``target`` but outside every ideal in
-    ``others``; deterministic weighted sums of the generators are tried in
-    a fixed escalation until the membership checks pass."""
+    ``others``.
+
+    Only a few of the degree-2 generators are combined, so that the
+    eliminations this element feeds carry few terms.  ``others`` is walked
+    in order, and for each ideal that no picked generator avoids yet, the
+    first generator outside it is picked, in ``target.gens`` order (for a
+    cut-set prime the one-term variable squares come first).  For
+    pairwise incomparable primes such a generator always exists.
+    Deterministic weighted sums of the picked generators are then tried in
+    a fixed escalation until the membership checks against every ideal in
+    ``others`` pass.  brute_local_v does not depend on which element is
+    returned: (J : f0) is the intersection of the other primes for every
+    f0 in P_T outside them.
+    """
     ring = target.ring
     hs = _homogeneous_degree2_gens(target)
+    picked: list[Polynomial] = []
+    for o in others:
+        if all(o.contains(h) for h in picked):
+            picked.extend(itertools.islice((h for h in hs if not o.contains(h)), 1))
     base = ring.p if ring.p is not None else (1 << 31) - 1
     for a in range(1, attempts + 1):
         f = Polynomial.zero(ring)
-        for idx, h in enumerate(hs):
+        for idx, h in enumerate(picked):
             f = f + h.scale(pow(a + 1, idx + 1, base))
         if f.is_zero():
             continue

@@ -280,6 +280,13 @@ def cmd_survey(args) -> int:
     return EXIT_VERIFY if disagreements else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vnum",
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="also report the k-th power (m=2, one-vertex overlaps)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the value against the exact engine")
-    p.add_argument("--budget-n", type=int, default=None, dest="budget_n",
+    p.add_argument("--budget-n", type=_positive_int, default=None, dest="budget_n",
                    help="vertex cap of the oracle fallback (default 6) and of the "
                         "--oracle cut-set enumeration (default 16)")
     p.set_defaults(fn=cmd_vnumber)

@@ -403,17 +403,21 @@ class CutSet:
 
 
 def is_cut_set(G: SimpleGraph, T: Iterable[int]) -> bool:
-    """T is a cut set iff each v in T is a cut vertex of G minus (T - {v})."""
+    """T is a cut set iff each v in T is a cut vertex of G minus (T - {v}).
+
+    Putting v back into G minus T merges exactly the components it has
+    neighbours in, so v is such a cut vertex iff it touches at least two
+    components of G minus T; those are computed once.
+    """
     T = frozenset(T)
     if not T:
         return True
     if not T <= set(G.vertices()):
         return False
-    base = G.component_count(T)
-    for v in T:
-        if G.component_count(T - {v}) >= base:
-            return False
-    return True
+    comp_of = {u: i for i, comp in enumerate(G.components(T)) for u in comp}
+    return all(
+        len({comp_of[w] for w in G.neighbors(v) if w not in T}) >= 2 for v in T
+    )
 
 
 def connected_cut_blocks(closed: ClosedStructure) -> list[tuple[int, int]]:

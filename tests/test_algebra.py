@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from vnum.errors import BudgetExceededError, GraphInputError
-from vnum.enumeration import connected_graphs_up_to_iso
+from vnum.enumeration import closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import complete_graph, enumerate_cut_sets, path_graph
 from vnum.algebra import (
     DEFAULT_BUDGET,
@@ -30,9 +30,11 @@ from vnum.algebra import (
     poly_from_text,
     poly_to_text,
     search_power_witness,
+    separating_element,
     verify_witness,
     witness_polynomial,
     _MAX_EXPONENT,
+    _buchberger,
     _reduce_basis,
 )
 
@@ -186,6 +188,16 @@ def test_degree_budget_covers_every_generator():
         with pytest.raises(BudgetExceededError):
             Ideal(R, gens).groebner(GBBudget(max_degree=12))
     assert len(Ideal(R, [low, high]).groebner(GBBudget(max_degree=13))) == 2
+    # a known basis is held to the budget too: t*GB(J) has degree 3, and
+    # the zero ideal adds no generator that could hit the budget instead
+    J = binomial_edge_ideal(RingSpec(2, 3), path_graph(3))
+    known = [g.terms for g in J.groebner()]
+    with pytest.raises(BudgetExceededError):
+        _buchberger(J.ring, [], GBBudget(max_degree=1), known)
+    assert _buchberger(J.ring, [], GBBudget(max_degree=2), known) == known
+    with pytest.raises(BudgetExceededError):
+        intersect(J, Ideal(J.ring, []), GBBudget(max_degree=2))
+    assert intersect(J, Ideal(J.ring, []), GBBudget(max_degree=3)).gens == ()
 
 
 def test_reduce_basis_of_redundant_groebner_basis(c4):
@@ -254,6 +266,52 @@ def test_intersection_examples():
     assert intersect_many(primes).equals(J)
 
 
+def reference_intersect(I, J):
+    """I cap J by eliminating t from the raw generators of t*I + (1-t)*J,
+    with no basis of I known in advance."""
+    ring = I.ring
+    ext = ring.extended()
+    t = Polynomial(ext, {ext.tag: ext.coeff(1)})
+    one_minus_t = Polynomial.one(ext) - t
+    gens = [(t * Polynomial(ext, g.terms)).terms for g in I.gens]
+    gens += [(one_minus_t * Polynomial(ext, h.terms)).terms for h in J.gens]
+    gb = _buchberger(ext, gens, ELIMINATION_BUDGET)
+    return [Polynomial(ring, g) for g in gb if max(g) < ext.tag]
+
+
+def test_intersect_matches_elimination_from_raw_generators(c4, c5):
+    cases = []
+    for G in (c4, c5):
+        R = RingSpec(2, G.n)
+        J = binomial_edge_ideal(R, G)
+        primes = [cut_set_prime(R, G, c.vertices) for c in enumerate_cut_sets(G)]
+        cases += [(J, Ideal(R, [Polynomial.variable(R, 1, 2)])),
+                  (J, Ideal(R, [minor(R, (1, 2), (1, 3))])),
+                  (primes[0], primes[-1]), (primes[-1], J)]
+    R = RingSpec(2, 4)
+    J2 = ideal_power(binomial_edge_ideal(R, path_graph(4)), 2)
+    for f in (Polynomial.variable(R, 1, 2), Polynomial.variable(R, 2, 3),
+              minor(R, (1, 2), (1, 3)), minor(R, (1, 2), (2, 4))):
+        cases.append((J2, Ideal(R, [f])))
+    for I, J in cases:
+        want = reference_intersect(I, J)
+        # the warm start reads I's cached basis: with and without it cached
+        assert list(intersect(Ideal(I.ring, I.gens), J).groebner()) == want
+        assert list(intersect(I, J).groebner()) == want
+
+
+def test_colon_pair_budget_pinned():
+    # the elimination behind one colon of J^2 opens with t*GB(J^2) and forms
+    # no pair inside it; 26 pairs suffice (29 from the raw generators)
+    R = RingSpec(2, 4)
+    J2 = ideal_power(binomial_edge_ideal(R, path_graph(4)), 2)
+    J2.groebner()
+    f = minor(R, (1, 2), (2, 4))
+    colon_poly(J2, f, GBBudget(max_pairs=26, max_degree=32))
+    with pytest.raises(BudgetExceededError):
+        colon_poly(J2, f, GBBudget(max_pairs=25, max_degree=32))
+
+
 def test_colon_examples():
     R = RingSpec(2, 4)
     P4 = path_graph(4)
@@ -316,6 +374,28 @@ def test_brute_local_v_examples():
     assert brute_local_v(RingSpec(2, 5), complete_graph(5), [])[0] == 0
     with pytest.raises(Exception):
         brute_local_v(RingSpec(2, 4), path_graph(4), [2, 3])
+
+
+def test_separating_element_gives_the_other_primes():
+    # (J : f0) is the intersection of the other primes, whichever f0 is used
+    cases = [(G, 2) for n in range(2, 6) for G, _ in closed_graphs(n)]
+    cases += [(G, 3) for n in (3, 4) for G, _ in closed_graphs(n)]
+    checked = 0
+    for G, m in cases:
+        R = RingSpec(m, G.n)
+        J = binomial_edge_ideal(R, G)
+        cuts = [c.vertices for c in enumerate_cut_sets(G)]
+        primes = {T: cut_set_prime(R, G, T) for T in cuts}
+        for T in cuts:
+            others = [primes[S] for S in cuts if S != T]
+            if not others:
+                continue
+            f0 = separating_element(primes[T], others)
+            assert primes[T].contains(f0)
+            assert not any(o.contains(f0) for o in others)
+            assert colon_poly(J, f0).equals(intersect_many(others)), (G.edges, m, T)
+            checked += 1
+    assert checked == 58
 
 
 def test_brute_local_v_not_found_under_cap():

@@ -166,6 +166,14 @@ def test_budget_n_only_on_vnumber(capsys, p5_file):
     assert rc == 0 and json.loads(out)["value"] == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_n_rejects_values_below_one(capsys, p5_file, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["vnumber", p5_file, "--budget-n", value])
+    assert exc.value.code == 2
+    assert "--budget-n: must be >= 1" in capsys.readouterr().err
+
+
 def test_vnumber_oracle_miss_exits_budget(capsys, monkeypatch, p5_file):
     monkeypatch.setattr("vnum.algebra.brute_local_v", lambda *args, **kw: None)
     rc, _, err = run(capsys, "vnumber", p5_file, "--oracle")

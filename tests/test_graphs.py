@@ -135,6 +135,36 @@ def test_is_cut_set_path4():
     assert not is_cut_set(P4, [2, 3])
 
 
+def reference_is_cut_set(G, T) -> bool:
+    """The definition: each v in T is a cut vertex of G minus (T - {v})."""
+    T = frozenset(T)
+    if not T:
+        return True
+    if not T <= set(G.vertices()):
+        return False
+    base = G.component_count(T)
+    return all(G.component_count(T - {v}) < base for v in T)
+
+
+def test_is_cut_set_matches_definition():
+    graphs = [G for n in range(1, 6) for G in connected_graphs_up_to_iso(n)]
+    # every connected graph on 6 vertices is one on 5 plus a vertex joined
+    # to a nonempty set (delete a leaf of a spanning tree), so this covers
+    # all of them up to isomorphism
+    for G in connected_graphs_up_to_iso(5):
+        for size in range(1, 6):
+            for S in itertools.combinations(range(1, 6), size):
+                graphs.append(build_graph(6, sorted(G.edges) + [(v, 6) for v in S]))
+    pairs = 0
+    for G in graphs:
+        for size in range(G.n + 1):
+            for T in itertools.combinations(G.vertices(), size):
+                assert is_cut_set(G, T) == reference_is_cut_set(G, T), (G.edges, T)
+                pairs += 1
+    assert pairs == 2 + 4 + 2 * 8 + 6 * 16 + 21 * 32 + 21 * 31 * 64
+    assert not is_cut_set(path_graph(3), [2, 4])
+
+
 def test_enumerate_cut_sets_examples(g42):
     P4 = path_graph(4)
     assert [c.vertices for c in enumerate_cut_sets(P4)] == [(), (2,), (3,)]
