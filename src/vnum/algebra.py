@@ -943,31 +943,26 @@ def verify_witness(
     f: Polynomial,
     P: Ideal,
     budget: GBBudget = ELIMINATION_BUDGET,
-    assume_prime: bool = False,
 ) -> bool:
-    """Does (I : f) equal P?
+    """Does (I : f) equal the prime P?
 
-    Default route: compute the colon by tag elimination and compare
-    reduced bases.  With ``assume_prime`` (for P a known prime, e.g. any
-    cut-set prime) the necessary condition f*P in I is checked first, and
-    then the inclusion (I : f) <= P is certified by the cheapest
-    applicable argument:
+    P must be prime (every caller passes a cut-set prime).  The necessary
+    conditions I <= P and f*P <= I are checked first, and then the
+    inclusion (I : f) <= P is certified by the cheapest applicable
+    argument:
 
     * f outside P: for any h with h f in I <= P, primeness forces h in P;
     * the initial-ideal certificate of _ini_colon_certificate;
     * otherwise the exact tag-elimination colon.
-
-    The result is exact either way; assume_prime only changes the route.
     """
-    if assume_prime:
-        if not all(P.contains(g, budget) for g in I.gens):
-            return False  # (I : f) contains I, so it could never equal P
-        if not all(I.contains(f * g, budget) for g in P.gens):
-            return False
-        if not P.contains(f, budget):
-            return True
-        if _ini_colon_certificate(I, f, P, budget):
-            return True
+    if not all(P.contains(g, budget) for g in I.gens):
+        return False  # (I : f) contains I, so it could never equal P
+    if not all(I.contains(f * g, budget) for g in P.gens):
+        return False
+    if not P.contains(f, budget):
+        return True
+    if _ini_colon_certificate(I, f, P, budget):
+        return True
     return colon_poly(I, f, budget).equals(P, budget)
 
 
@@ -982,9 +977,7 @@ def _homogeneous_degree2_gens(P: Ideal) -> list[Polynomial]:
     return out
 
 
-def separating_element(
-    target: Ideal, others: Sequence[Ideal], attempts: int = 64
-) -> Polynomial:
+def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     """A homogeneous quadric inside ``target`` but outside every ideal in
     ``others``.
 
@@ -995,10 +988,10 @@ def separating_element(
     cut-set prime the one-term variable squares come first).  For
     pairwise incomparable primes such a generator always exists.
     Deterministic weighted sums of the picked generators are then tried in
-    a fixed escalation until the membership checks against every ideal in
-    ``others`` pass.  brute_local_v does not depend on which element is
-    returned: (J : f0) is the intersection of the other primes for every
-    f0 in P_T outside them.
+    a fixed escalation of 64 weightings until the membership checks
+    against every ideal in ``others`` pass.  brute_local_v does not depend
+    on which element is returned: (J : f0) is the intersection of the
+    other primes for every f0 in P_T outside them.
     """
     ring = target.ring
     hs = _homogeneous_degree2_gens(target)
@@ -1007,7 +1000,7 @@ def separating_element(
         if all(o.contains(h) for h in picked):
             picked.extend(itertools.islice((h for h in hs if not o.contains(h)), 1))
     base = ring.p if ring.p is not None else (1 << 31) - 1
-    for a in range(1, attempts + 1):
+    for a in range(1, 65):
         f = Polynomial.zero(ring)
         for idx, h in enumerate(picked):
             f = f + h.scale(pow(a + 1, idx + 1, base))
@@ -1070,7 +1063,7 @@ def brute_local_v(
     if best is None or best[0] > d_max:
         return None
     d, w = best
-    if not verify_witness(J, w, target, budget, assume_prime=True):
+    if not verify_witness(J, w, target, budget):
         raise AssertionError(
             "internal inconsistency: oracle witness failed re-verification"
         )
@@ -1100,7 +1093,8 @@ def _kernel_witness_at_degree(
     P: Ideal,
     budget: GBBudget,
 ) -> Optional[Polynomial]:
-    """Exact degree-d slice of (Jk : P) minus P via streaming elimination.
+    """A witness of degree d for (Jk : f) = P, or None, by streaming
+    elimination over the degree-d slice of (Jk : P).
 
     For each monomial u of degree d the stacked vector of normal forms
     NF(u * g, Jk) over generators g of P is reduced against previously
@@ -1109,8 +1103,6 @@ def _kernel_witness_at_degree(
     is enough to inspect each kernel basis vector as it appears.  Prime
     field coefficients only.
     """
-    if ring.p is None:
-        raise GraphInputError("the slice search needs a prime-field ring")
     p = ring.p
     pivots: dict = {}
     for u in all_monomials_of_degree(ring, d):
@@ -1148,7 +1140,7 @@ def _kernel_witness_at_degree(
             # kernel element: f * P lies in Jk by construction, but the
             # reverse inclusion (Jk : f) <= P still needs verification
             f = Polynomial(ring, dict(combo)).monic()
-            if verify_witness(Jk, f, P, budget, assume_prime=True):
+            if verify_witness(Jk, f, P, budget):
                 return f
     return None
 
@@ -1160,79 +1152,30 @@ def search_power_witness(
     k: int,
     d_max: int,
     budget: GBBudget = ELIMINATION_BUDGET,
-    extra_atoms: Sequence[Polynomial] = (),
-    exact_slices: bool = True,
 ) -> Optional[dict]:
     """Search for f of least degree <= d_max with (J^k : f) = P_T.
 
-    Stage one walks a fixed product grammar: variables, 2-minors over the
-    edges of G, top-row l x l minors over arbitrary column tuples
-    (l <= m), and any caller-supplied atoms (typically slice minors of the
-    cut set's anchor graph).  Stage two, on prime-field rings, runs an
-    exact linear-algebra sweep of each degree slice.  Either way a hit is
-    certified against the definition before being reported, and a miss is
-    reported as not-found, never as a lower bound.
+    One exact sweep over the degree slices d = 0..d_max.  J^k lies in the
+    prime P_T, so (J^k : f) = P_T holds exactly for the f in (J^k : P_T)
+    outside P_T; the degree-d part of (J^k : P_T) is the kernel of a
+    linear map (_kernel_witness_at_degree), and a homogeneous component of
+    a witness is a witness of no larger degree.  The first degree whose
+    kernel leaves P_T is therefore the least witness degree at P_T.  A hit
+    is certified by verify_witness before being reported; a miss is
+    reported as None, never as a lower bound.  The sweep needs a
+    prime-field ring; any other ring raises GraphInputError.
     """
-    Tkey = tuple(sorted(set(T)))
+    if ring.p is None:
+        raise GraphInputError("the power witness search needs a prime-field ring")
     J = binomial_edge_ideal(ring, G)
     Jk = ideal_power(J, k)
     Jk.groebner(budget)
-    P = cut_set_prime(ring, G, Tkey)
-    atoms: list[Polynomial] = []
-    for i in range(1, ring.m + 1):
-        for j in range(1, ring.n + 1):
-            atoms.append(Polynomial.variable(ring, i, j))
-    for r1 in range(1, ring.m + 1):
-        for r2 in range(r1 + 1, ring.m + 1):
-            for u, v in G.edge_list():
-                atoms.append(minor(ring, (r1, r2), (u, v)))
-    for size in range(2, ring.m + 1):
-        rows = list(range(1, size + 1))
-        for cols in itertools.combinations(range(1, ring.n + 1), size):
-            atoms.append(generalized_minor(ring, rows, list(cols)))
-    for a in extra_atoms:
-        atoms.append(a)
-    uniq = []
-    seen = set()
-    for a in sorted(atoms, key=lambda f: (f.degree(), f.lt())):
-        key = frozenset(a.terms.items())
-        if key not in seen and not a.is_zero():
-            seen.add(key)
-            uniq.append(a)
-    for d in range(1, d_max + 1):
-        for combo in _degree_combos(uniq, d):
-            f = combo[0]
-            for g in combo[1:]:
-                f = f * g
-            if f.is_zero() or Jk.contains(f):
-                continue
-            if not all(Jk.contains(f * q) for q in P.gens):
-                continue
-            if verify_witness(Jk, f, P, budget, assume_prime=True):
-                return {"degree": d, "witness": f.monic(), "via": "product-grammar"}
-        if exact_slices and ring.p is not None:
-            f = _kernel_witness_at_degree(ring, d, Jk, P, budget)
-            if f is not None:
-                return {"degree": d, "witness": f, "via": "degree-slice"}
+    P = cut_set_prime(ring, G, T)
+    for d in range(d_max + 1):
+        f = _kernel_witness_at_degree(ring, d, Jk, P, budget)
+        if f is not None:
+            return {"degree": d, "witness": f, "via": "degree-slice"}
     return None
-
-
-def _degree_combos(atoms: Sequence[Polynomial], d: int):
-    """Multisets of atoms with total degree exactly d, deterministic order."""
-
-    def rec(start: int, rest: int, acc: list):
-        if rest == 0:
-            yield tuple(acc)
-            return
-        for idx in range(start, len(atoms)):
-            dg = atoms[idx].degree()
-            if dg > rest:
-                continue
-            acc.append(atoms[idx])
-            yield from rec(idx, rest - dg, acc)
-            acc.pop()
-
-    yield from rec(0, d, [])
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,13 @@ def cmd_local(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.scope not in ("all", "power-remark"):
+        for flag, value in (("--cutset", args.cutset), ("--dmax", args.dmax)):
+            if value is not None:
+                raise GraphInputError(
+                    f"{flag} applies only to the power-remark check "
+                    f"(scope all or power-remark), not to scope {args.scope}"
+                )
     G = _load_graph(args.input)
     results = verify_mod.run_suites(
         G,
@@ -280,11 +287,19 @@ def cmd_survey(args) -> int:
     return EXIT_VERIFY if disagreements else EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,14 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, takes_m=True):
         if needs_input:
             p.add_argument("input", help="graph file (line format or JSON)")
-        p.add_argument("--m", type=int, default=2, help="row count of the variable matrix (>= 2)")
+        if takes_m:
+            p.add_argument("--m", type=_int_at_least(2), default=2,
+                           help="row count of the variable matrix (>= 2)")
         p.add_argument("--format", choices=("table", "structured"), default="table")
 
     p = sub.add_parser("check-closed", help="recognize a closed labeling and extract its structure")
-    common(p)
+    common(p, takes_m=False)
     p.set_defaults(fn=cmd_check_closed)
 
     p = sub.add_parser("vnumber", help="v-number of the edge ideal (and of its k-th power)")
@@ -312,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="also report the k-th power (m=2, one-vertex overlaps)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the value against the exact engine")
-    p.add_argument("--budget-n", type=_positive_int, default=None, dest="budget_n",
+    p.add_argument("--budget-n", type=_int_at_least(1), default=None, dest="budget_n",
                    help="vertex cap of the oracle fallback (default 6) and of the "
                         "--oracle cut-set enumeration (default 16)")
     p.set_defaults(fn=cmd_vnumber)
@@ -327,14 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", default="all", choices=("all",) + verify_mod.SCOPES)
     p.add_argument("--k", type=int, default=None, help="max power for the power suites")
     p.add_argument("--cutset", default=None, help="cut set for power-remark")
-    p.add_argument("--dmax", type=int, default=None, help="degree cap for witness searches")
+    p.add_argument("--dmax", type=_int_at_least(1), default=None,
+                   help="degree cap of the power-remark witness search")
     p.add_argument("--budget-pairs", type=int, default=None, dest="budget_pairs",
                    help="S-pair cap for the basis computations of the power suites")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("survey", help="sweep all closed graphs up to a vertex count")
     common(p, needs_input=False)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p.add_argument("--n-max", type=_int_at_least(2), required=True, dest="n_max")
     p.add_argument("--oracle", action="store_true", help="cross-check each value against the exact oracle")
     p.set_defaults(fn=cmd_survey)
     return ap

@@ -26,12 +26,12 @@ from .algebra import (
     ideal_power,
     intersect_many,
     minor,
-    monomial_ideal_colon,
     monomial_ideal_power,
     monomial_ideals_equal,
     poly_to_text,
     verify_witness,
     witness_polynomial,
+    _ini_colon_certificate,
 )
 from .errors import BudgetExceededError, VnumError
 from .graphs import (
@@ -142,13 +142,11 @@ def _nonedge_dagger(G: SimpleGraph, k: int, l: int) -> SimpleGraph:
     return SimpleGraph(G.n, list(G.edges) + extra)
 
 
-def suite_colon_nonedge(
-    G: SimpleGraph, m: int = 2, modulus: Optional[int] = 32003
-) -> list[CheckResult]:
+def suite_colon_nonedge(G: SimpleGraph, m: int = 2) -> list[CheckResult]:
     """(J : [i,j|k,l]) for a non-edge {k,l}: the edge ideal of the graph with
     both endpoint neighborhoods completed, plus one monomial per simple
     path from k to l per row assignment of its interior."""
-    ring = RingSpec(m, G.n, modulus)
+    ring = RingSpec(m, G.n)
     J = binomial_edge_ideal(ring, G)
     out = []
     nonedges = [
@@ -176,8 +174,7 @@ def suite_colon_nonedge(
 
 
 def suite_quadratic_gb(
-    G: SimpleGraph, closed: Optional[ClosedStructure], m: int,
-    modulus: Optional[int] = 32003,
+    G: SimpleGraph, closed: Optional[ClosedStructure], m: int
 ) -> list[CheckResult]:
     """For a closed-labeled graph the generating minors are the basis."""
     if closed is None or not closed.is_identity():
@@ -189,7 +186,7 @@ def suite_quadratic_gb(
                 0.0,
             )
         ]
-    ring = RingSpec(m, G.n, modulus)
+    ring = RingSpec(m, G.n)
 
     def body():
         J = binomial_edge_ideal(ring, G)
@@ -204,10 +201,7 @@ def suite_quadratic_gb(
 
 
 def suite_witness(
-    G: SimpleGraph,
-    closed: Optional[ClosedStructure],
-    m: int,
-    modulus: Optional[int] = 32003,
+    G: SimpleGraph, closed: Optional[ClosedStructure], m: int
 ) -> list[CheckResult]:
     """Every cut set's combinatorial witness satisfies (J : f) = P_T with
     the predicted degree."""
@@ -217,7 +211,7 @@ def suite_witness(
                 f"witness[m={m}]", "skip", "needs a closed-labeled input", 0.0
             )
         ]
-    ring = RingSpec(m, G.n, modulus)
+    ring = RingSpec(m, G.n)
     J = binomial_edge_ideal(ring, G)
     out = []
     for cut in enumerate_cut_sets(G, closed):
@@ -229,7 +223,7 @@ def suite_witness(
             if f.degree() != res.value:
                 return False, f"degree {f.degree()} != predicted {res.value}"
             P = cut_set_prime(ring, G, cut.vertices)
-            ok = verify_witness(J, f, P, assume_prime=True)
+            ok = verify_witness(J, f, P)
             shown = poly_to_text(f)
             if len(shown) > 90:
                 shown = shown[:87] + "..."
@@ -242,7 +236,6 @@ def suite_witness(
 def suite_brute_vs_formula(
     G: SimpleGraph,
     closed: Optional[ClosedStructure],
-    modulus: Optional[int] = 32003,
     d_max: int = 12,
 ) -> list[CheckResult]:
     """Exact oracle value equals the witness degree at every cut set, m=2."""
@@ -250,7 +243,7 @@ def suite_brute_vs_formula(
         return [
             CheckResult("brute-vs-formula", "skip", "needs a closed-labeled input", 0.0)
         ]
-    ring = RingSpec(2, G.n, modulus)
+    ring = RingSpec(2, G.n)
     out = []
     for cut in enumerate_cut_sets(G, closed):
 
@@ -269,7 +262,6 @@ def suite_powers(
     G: SimpleGraph,
     closed: Optional[ClosedStructure],
     k_max: int = 3,
-    modulus: Optional[int] = 32003,
     budget: Optional[GBBudget] = None,
 ) -> list[CheckResult]:
     """Power behavior over a one-vertex-overlap closed graph, m = 2:
@@ -278,10 +270,11 @@ def suite_powers(
     witnesses land on every cut-set prime at the predicted degree.
 
     The colon identity is certified without a tag elimination whenever the
-    monomial colon (ini J^k : ini g) collapses onto ini J^{k-1}: together
-    with g J^{k-1} inside J^k that pins both the inclusion and the initial
-    ideals, which forces equality.  If the monomial route is inconclusive
-    the exact elimination runs instead.
+    monomial colon (ini J^k : ini g) lies inside ini J^{k-1} (the
+    certificate of _ini_colon_certificate): together with g J^{k-1} inside
+    J^k that pins both the inclusion and the initial ideals, which forces
+    equality.  If the monomial route is inconclusive the exact elimination
+    runs instead.
     """
     if closed is None or not closed.is_identity() or not closed.is_cm:
         return [
@@ -293,7 +286,7 @@ def suite_powers(
             )
         ]
     budget = budget or POWER_BUDGET
-    ring = RingSpec(2, G.n, modulus)
+    ring = RingSpec(2, G.n)
     J = binomial_edge_ideal(ring, G)
     g = minor(ring, (1, 2), (1, 2))
     out = []
@@ -317,10 +310,7 @@ def suite_powers(
             prev = powers[k - 1]
             if not all(powers[k].contains(g * h, budget) for h in prev.gens):
                 return False, "inclusion g*J^(k-1) in J^k fails"
-            ini_k = [h.lt() for h in powers[k].groebner(budget)]
-            ini_prev = [h.lt() for h in prev.groebner(budget)]
-            mono = monomial_ideal_colon(ring, ini_k, g.lt())
-            if monomial_ideals_equal(ring, mono, ini_prev):
+            if _ini_colon_certificate(powers[k], g, prev, budget):
                 return True, "certified by the monomial colon"
             C = colon_poly(powers[k], g, ELIMINATION_BUDGET)
             return C.equals(prev), "checked by tag elimination"
@@ -339,7 +329,7 @@ def suite_powers(
                 if f.degree() != want_deg:
                     return False, f"degree bookkeeping off at T={list(cut.vertices)}"
                 P = cut_set_prime(ring, G, cut.vertices)
-                if not verify_witness(powers[k], f, P, budget, assume_prime=True):
+                if not verify_witness(powers[k], f, P, budget):
                     return False, f"witness fails at T={list(cut.vertices)}"
             return True, f"all {len(enumerate_cut_sets(G, closed))} cut sets"
 
@@ -354,17 +344,17 @@ def suite_power_remark(
     T: Iterable[int],
     k: int,
     d_max: Optional[int] = None,
-    modulus: Optional[int] = 32003,
 ) -> list[CheckResult]:
     """Probe the shift-by-2 upper bound against the oracle witness search."""
     if closed is None or not closed.is_identity():
         return [CheckResult("power-remark", "skip", "needs a closed-labeled input", 0.0)]
 
     def body():
-        rep = probe_power_shift(closed, m, tuple(T), k, d_max, modulus)
+        rep = probe_power_shift(closed, m, tuple(T), k, d_max)
         found = rep["witness_found"]
         if found is None:
-            return False, "no witness found up to the shift bound"
+            cap = d_max if d_max is not None else rep["upper_bound"]
+            return False, f"no witness found up to degree {cap}"
         verdict = (
             "shift formula fails" if rep.get("shift_formula_fails") else "shift attained"
         )
@@ -387,7 +377,6 @@ def run_suites(
     k: int = 2,
     cutset: Optional[tuple[int, ...]] = None,
     d_max: Optional[int] = None,
-    modulus: Optional[int] = 32003,
     budget_pairs: Optional[int] = None,
 ) -> list[CheckResult]:
     """Dispatch the named suite ('all' runs everything applicable)."""
@@ -401,19 +390,19 @@ def run_suites(
     want = SCOPES if scope == "all" else (scope,)
     for s in want:
         if s == "decomposition":
-            results += suite_decomposition(G, m, modulus)
+            results += suite_decomposition(G, m)
         elif s == "colon":
-            results += suite_colon_variable(G, m, modulus)
+            results += suite_colon_variable(G, m)
             if m == 2:
-                results += suite_colon_nonedge(G, 2, modulus)
+                results += suite_colon_nonedge(G, 2)
         elif s == "quadratic-gb":
-            results += suite_quadratic_gb(G, closed, m, modulus)
+            results += suite_quadratic_gb(G, closed, m)
         elif s == "witness":
-            results += suite_witness(G, closed, m, modulus)
+            results += suite_witness(G, closed, m)
         elif s == "brute-vs-formula":
-            results += suite_brute_vs_formula(G, closed, modulus)
+            results += suite_brute_vs_formula(G, closed)
         elif s == "powers":
-            results += suite_powers(G, closed, min(k, 3), modulus, power_budget)
+            results += suite_powers(G, closed, min(k, 3), power_budget)
         elif s == "power-remark":
             T = cutset if cutset is not None else _default_probe_cutset(G, closed)
             if T is None:
@@ -421,7 +410,7 @@ def run_suites(
                     CheckResult("power-remark", "skip", "no nonempty cut set", 0.0)
                 )
             else:
-                results += suite_power_remark(G, closed, m, T, k, d_max, modulus)
+                results += suite_power_remark(G, closed, m, T, k, d_max)
         else:
             raise VnumError(f"unknown scope {s!r}")
     return results

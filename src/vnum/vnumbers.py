@@ -401,7 +401,6 @@ def v_number(
     G: SimpleGraph,
     m: int,
     oracle_n_limit: int = 6,
-    ring_modulus: Optional[int] = 32003,
 ) -> VNumberResult:
     """The v-number of the generalized binomial edge ideal of G.
 
@@ -425,7 +424,7 @@ def v_number(
         status = PROVED
         for comp in comps:
             H, back = G.induced(comp)
-            sub = v_number(H, m, oracle_n_limit, ring_modulus)
+            sub = v_number(H, m, oracle_n_limit)
             parts.append(sub)
             total += sub.value
             if sub.status != PROVED:
@@ -449,15 +448,10 @@ def v_number(
             witness=None,
             parts=tuple(parts),
         )
-    return _v_number_connected(G, m, oracle_n_limit, ring_modulus)
+    return _v_number_connected(G, m, oracle_n_limit)
 
 
-def _v_number_connected(
-    G: SimpleGraph,
-    m: int,
-    oracle_n_limit: int,
-    ring_modulus: Optional[int],
-) -> VNumberResult:
+def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberResult:
     if G.is_complete():
         return VNumberResult(
             value=0,
@@ -502,7 +496,7 @@ def _v_number_connected(
         )
     from .algebra import RingSpec, brute_local_v
 
-    ring = RingSpec(m, G.n, ring_modulus)
+    ring = RingSpec(m, G.n)
     best = None
     for cut in enumerate_cut_sets(G):
         res = brute_local_v(ring, G, cut.vertices)
@@ -660,42 +654,19 @@ def probe_power_shift(
     T,
     k: int,
     d_max: Optional[int] = None,
-    ring_modulus: Optional[int] = 32003,
 ) -> dict:
-    """Compare the shift-by-2 upper bound for v_T(J^k) against an oracle
-    witness search, flagging cut-set/power pairs where a smaller witness
-    beats the shift."""
-    from .algebra import (
-        ELIMINATION_BUDGET,
-        RingSpec,
-        generalized_minor,
-        search_power_witness,
-    )
+    """Compare the shift-by-2 upper bound for v_T(J^k) against the exact
+    witness search of search_power_witness (over GF(32003), up to d_max,
+    by default the bound itself), flagging cut-set/power pairs where a
+    smaller witness beats the shift."""
+    from .algebra import RingSpec, search_power_witness
 
     G = closed.graph
     cut = T if isinstance(T, CutSet) else cut_set_from_vertices(G, T, closed)
     base = local_v_number(G, closed, cut, m)
     upper = base.value + 2 * (k - 1)
-    ring = RingSpec(m, G.n, ring_modulus)
-    extra = []
-    if cut.vertices:
-        L = build_anchor_graph(closed, cut)
-        for comp in L.path_components:
-            e = len(comp) - 1
-            for start in range(e):
-                for ln in range(1, min(m - 1, e - start) + 1):
-                    cols = comp[start : start + ln + 1]
-                    extra.append(
-                        generalized_minor(ring, list(range(1, ln + 2)), list(cols))
-                    )
     found = search_power_witness(
-        ring,
-        G,
-        cut.vertices,
-        k,
-        d_max if d_max is not None else upper,
-        ELIMINATION_BUDGET,
-        extra_atoms=extra,
+        RingSpec(m, G.n), G, cut.vertices, k, d_max if d_max is not None else upper
     )
     report = {
         "m": m,

@@ -419,7 +419,11 @@ def test_determinism_across_processes(tmp_path):
     src_dir = Path(__file__).resolve().parent.parent / "src"
     outs = set()
     for seed in ("0", "1", "424242"):
-        env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"}
+        env = {
+            "PYTHONHASHSEED": seed,
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
         r = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env,
             cwd=str(src_dir),
@@ -435,19 +439,32 @@ def test_verify_witness_paths_and_primes():
     J = binomial_edge_ideal(R, P4)
     fT = minor(R, (1, 2), (1, 3))
     P = cut_set_prime(R, P4, [2])
-    assert verify_witness(J, fT, P, assume_prime=True)
-    assert verify_witness(J, fT, P, assume_prime=False)
+    assert verify_witness(J, fT, P)
+    assert colon_poly(J, fT).equals(P)
     bad = minor(R, (1, 2), (1, 2))
-    assert not verify_witness(J, bad, P, assume_prime=True)
-    assert not verify_witness(J, bad, P, assume_prime=False)
+    assert not verify_witness(J, bad, P)
+    assert not colon_poly(J, bad).equals(P)
     prime = cut_set_prime(R, complete_graph(4), [])
-    assert verify_witness(prime, Polynomial.one(R), prime, assume_prime=True)
+    assert verify_witness(prime, Polynomial.one(R), prime)
 
 
 def test_search_power_witness_trivial_k1():
     R = RingSpec(2, 4)
     res = search_power_witness(R, path_graph(4), [2], 1, d_max=2)
     assert res is not None and res["degree"] == 2
+
+
+def test_search_power_witness_finds_degree_zero():
+    # on a complete graph J itself is the prime P_{}, so (J : 1) = P_{}
+    R = RingSpec(2, 3)
+    res = search_power_witness(R, complete_graph(3), [], 1, d_max=2)
+    assert res is not None and res["degree"] == 0 and res["witness"] == Polynomial.one(R)
+    assert search_power_witness(R, complete_graph(3), [], 2, d_max=0) is None
+
+
+def test_search_power_witness_rejects_rational_ring():
+    with pytest.raises(GraphInputError):
+        search_power_witness(RingSpec(2, 4, p=None), path_graph(4), [2], 1, d_max=2)
 
 
 def test_witness_polynomial_leading_term():

@@ -214,3 +214,50 @@ def test_duplicate_edge_warns(capsys, tmp_path):
     p.write_text("n 3\ne 1 2\ne 2 1\ne 2 3\n")
     rc, out, err = run(capsys, "check-closed", str(p))
     assert rc == 0 and "duplicate" in err
+
+
+@pytest.mark.parametrize("value", ["1", "0"])
+def test_survey_rejects_n_max_below_two(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--n-max", value])
+    assert exc.value.code == 2
+    assert "--n-max: must be >= 2" in capsys.readouterr().err
+
+
+def test_verify_dmax_rejects_negative(capsys, p5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", p5_file, "--scope", "power-remark", "--m", "3", "--k", "2",
+              "--cutset", "3", "--dmax", "-1"])
+    assert exc.value.code == 2
+    assert "--dmax: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--dmax", "7"], ["--cutset", "3"],
+                                   ["--dmax", "7", "--cutset", "9"]])
+def test_verify_power_remark_flags_need_that_scope(capsys, p5_file, flags):
+    rc, _, err = run(capsys, "verify", p5_file, "--scope", "decomposition", *flags)
+    assert rc == 2 and "power-remark" in err
+
+
+def test_verify_dmax_honoured_with_scope_all(capsys, p5_file):
+    rc, out, _ = run(capsys, "verify", p5_file, "--scope", "all", "--m", "3", "--dmax", "1",
+                     "--format", "structured")
+    assert rc == 4
+    remark = [c for c in json.loads(out)["checks"] if c["name"].startswith("power-remark")]
+    assert [c["status"] for c in remark] == ["fail"]
+
+
+def test_check_closed_rejects_m(capsys, p5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-closed", p5_file, "--m", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["vnumber", None], ["local", None, "--cutset", "3"],
+                                  ["verify", None], ["survey", "--n-max", "3"]])
+def test_m_rejects_values_below_two(capsys, p5_file, argv):
+    # None stands for the input file
+    with pytest.raises(SystemExit) as exc:
+        main([p5_file if a is None else a for a in argv] + ["--m", "1"])
+    assert exc.value.code == 2
+    assert "--m: must be >= 2" in capsys.readouterr().err

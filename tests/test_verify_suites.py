@@ -4,6 +4,7 @@ import random
 from vnum.algebra import (
     RingSpec,
     binomial_edge_ideal,
+    colon_poly,
     cut_set_prime,
     verify_witness,
     witness_polynomial,
@@ -31,8 +32,8 @@ def test_witness_m3_on_subpath_of_27():
     P = cut_set_prime(ring, G, cut.vertices)
     f = witness_polynomial(ring, res.witness.minor_blocks, res.witness.isolated_vars)
     assert f.degree() == res.value
-    assert verify_witness(J, f, P, assume_prime=True)
-    assert verify_witness(J, f, P, assume_prime=False)
+    assert verify_witness(J, f, P)
+    assert colon_poly(J, f).equals(P)
 
 
 def test_suites_skip_where_hypotheses_fail(c4):

@@ -5,6 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vnum.algebra import (
+    Polynomial,
+    RingSpec,
+    binomial_edge_ideal,
+    cut_set_prime,
+    generalized_minor,
+    ideal_power,
+    minor,
+    search_power_witness,
+    verify_witness,
+)
 from vnum.errors import GraphInputError, InstanceTooLargeError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
@@ -447,3 +458,84 @@ def test_probe_power_shift_cases():
     assert rep2["shift_formula_fails"] is False
     rep1 = probe_power_shift(cs5, 2, (3,), 1)
     assert rep1["witness_found"]["degree"] == rep1["upper_bound"] == 2
+
+
+def _degree_combos(atoms, d):
+    """Multisets of atoms with total degree exactly d, deterministic order."""
+
+    def rec(start, rest, acc):
+        if rest == 0:
+            yield tuple(acc)
+            return
+        for idx in range(start, len(atoms)):
+            dg = atoms[idx].degree()
+            if dg > rest:
+                continue
+            acc.append(atoms[idx])
+            yield from rec(idx, rest - dg, acc)
+            acc.pop()
+
+    yield from rec(0, d, [])
+
+
+def reference_power_witness(closed, cut, m, k, d_max):
+    """Least degree <= d_max of a product witness for (J^k : f) = P_T, or
+    None: the product grammar the power search used before the degree-slice
+    sweep became its only route, with the empty product at degree 0.  Atoms
+    are the variables, the 2-minors over the edges, the top-row minors over
+    all column tuples and the slice minors of the anchor graph of
+    ``cut``."""
+    G = closed.graph
+    ring = RingSpec(m, G.n)
+    Jk = ideal_power(binomial_edge_ideal(ring, G), k)
+    P = cut_set_prime(ring, G, cut.vertices)
+    atoms = [
+        Polynomial.variable(ring, i, j)
+        for i in range(1, m + 1)
+        for j in range(1, G.n + 1)
+    ]
+    for rows in itertools.combinations(range(1, m + 1), 2):
+        atoms.extend(minor(ring, rows, e) for e in G.edge_list())
+    for size in range(2, m + 1):
+        for cols in itertools.combinations(range(1, G.n + 1), size):
+            atoms.append(generalized_minor(ring, list(range(1, size + 1)), list(cols)))
+    if cut.vertices:
+        for comp in build_anchor_graph(closed, cut).path_components:
+            e = len(comp) - 1
+            for start in range(e):
+                for ln in range(1, min(m - 1, e - start) + 1):
+                    cols = list(comp[start : start + ln + 1])
+                    atoms.append(generalized_minor(ring, list(range(1, ln + 2)), cols))
+    uniq = {}
+    for a in sorted(atoms, key=lambda f: (f.degree(), f.lt())):
+        if not a.is_zero():
+            uniq.setdefault(frozenset(a.terms.items()), a)
+    atoms = list(uniq.values())
+    for d in range(d_max + 1):
+        for combo in _degree_combos(atoms, d):
+            f = Polynomial.one(ring)
+            for g in combo:
+                f = f * g
+            if f.is_zero() or Jk.contains(f):
+                continue
+            if not all(Jk.contains(f * q) for q in P.gens):
+                continue
+            if verify_witness(Jk, f, P):
+                return d
+    return None
+
+
+def test_power_witness_search_matches_product_grammar():
+    cases = 0
+    for n in range(2, 5):
+        for G, cs in closed_graphs(n):
+            for cut in enumerate_cut_sets(G, cs):
+                for m in (2, 3):
+                    for k in (1, 2):
+                        d_max = local_v_number(G, cs, cut, m).value + 2 * (k - 1)
+                        found = search_power_witness(RingSpec(m, G.n), G, cut.vertices, k, d_max)
+                        got = None if found is None else found["degree"]
+                        want = reference_power_witness(cs, cut, m, k, d_max)
+                        assert got == want, (cs.cliques, cut.vertices, m, k)
+                        cases += 1
+    assert cases > 0
