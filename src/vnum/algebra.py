@@ -1017,12 +1017,11 @@ def brute_local_v(
     ring: RingSpec,
     G: SimpleGraph,
     T: Iterable[int],
-    d_max: int = 12,
     budget: GBBudget = ELIMINATION_BUDGET,
-) -> Optional[tuple[int, Polynomial]]:
+) -> tuple[int, Polynomial]:
     """Exact local v-number of the edge ideal of G at the cut set T, by
-    ideal arithmetic alone.  Returns (degree, witness) or None when no
-    witness of degree <= d_max exists.
+    ideal arithmetic alone.  Returns (degree, witness); there is no degree
+    cap, and the Groebner budget is the only bound on the work.
 
     Method.  The edge ideal J is radical with minimal primes P_{T'} over
     the cut sets T', pairwise incomparable.  For f in P_T outside every
@@ -1037,10 +1036,11 @@ def brute_local_v(
     basis element of degree <= d lies in P_T then so does every element of
     A of degree <= d, each being a combination of monomial multiples of
     basis elements of no larger degree.  So the answer is the least degree
-    of a reduced-basis element of A outside P_T.
-
-    The returned witness is re-verified against the definition
-    ((J : witness) = P_T via the prime membership test) before returning.
+    of a reduced-basis element of A outside P_T.  Such an element exists
+    by prime avoidance, as A is not inside P_T; finding none, like a
+    witness failing its re-verification against the definition
+    ((J : witness) = P_T via the prime membership test), is an internal
+    inconsistency and raises AssertionError.
     """
     Tkey = tuple(sorted(set(T)))
     cut_sets = [c.vertices for c in enumerate_cut_sets(G)]
@@ -1055,19 +1055,17 @@ def brute_local_v(
         return (0, Polynomial.one(ring))
     f0 = separating_element(target, others)
     A = colon_poly(J, f0, budget)
-    best = None
-    for g in sorted(A.groebner(budget), key=lambda g: (g.degree(), g.lt())):
-        if not target.contains(g):
-            best = (g.degree(), g.monic())
-            break
-    if best is None or best[0] > d_max:
-        return None
-    d, w = best
-    if not verify_witness(J, w, target, budget):
+    w = next(
+        (g for g in sorted(A.groebner(budget), key=lambda g: (g.degree(), g.lt()))
+         if not target.contains(g)),
+        None,
+    )
+    if w is None or not verify_witness(J, w, target, budget):
         raise AssertionError(
-            "internal inconsistency: oracle witness failed re-verification"
+            "internal inconsistency: the least reduced-basis element of A "
+            "outside P_T is missing or fails re-verification"
         )
-    return d, w
+    return w.degree(), w
 
 
 def all_monomials_of_degree(ring: RingSpec, d: int) -> list[int]:

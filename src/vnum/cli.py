@@ -32,6 +32,7 @@ from .graphs import (
     parse_graph,
 )
 from .vnumbers import (
+    _least_oracle_value,
     build_anchor_graph,
     local_v_number,
     minimal_slice_partition,
@@ -69,24 +70,6 @@ def _parse_cutset(text: Optional[str]) -> Optional[tuple[int, ...]]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise GraphInputError(f"bad --cutset {text!r}: {exc}") from exc
-
-
-def _oracle_v(m: int, G: SimpleGraph, cuts) -> int:
-    """Least exact local v-number over ``cuts``; a cut set where the oracle
-    finds no witness under its degree cap is a budget error."""
-    from .algebra import RingSpec, brute_local_v
-
-    ring = RingSpec(m, G.n)
-    values = []
-    for cut in cuts:
-        got = brute_local_v(ring, G, cut.vertices)
-        if got is None:
-            raise BudgetExceededError(
-                f"oracle found no witness under its degree cap at cut set "
-                f"{list(cut.vertices)}"
-            )
-        values.append(got[0])
-    return min(values)
 
 
 def _emit(record: dict, fmt: str, table: str) -> None:
@@ -154,7 +137,7 @@ def cmd_vnumber(args) -> int:
         if not G.is_connected():
             raise UnsupportedRegimeError("--oracle needs a connected graph")
         cuts = enumerate_cut_sets(G, max_generic_n=args.budget_n or 16)
-        oracle_v = _oracle_v(args.m, G, cuts)
+        oracle_v, _ = _least_oracle_value(G, args.m, cuts)
         record["oracle_v"] = oracle_v
         record["oracle_agrees"] = oracle_v == res.value
         lines.append(f"oracle cross-check: {oracle_v} "
@@ -210,7 +193,7 @@ def cmd_verify(args) -> int:
         G,
         m=args.m,
         scope=args.scope,
-        k=args.k if args.k is not None else 2,
+        k=args.k,
         cutset=_parse_cutset(args.cutset),
         d_max=args.dmax,
         budget_pairs=args.budget_pairs,
@@ -258,7 +241,7 @@ def cmd_survey(args) -> int:
                 "cut_set": None if res.cut_set is None else list(res.cut_set.vertices),
             }
             if args.oracle:
-                best = _oracle_v(args.m, G, enumerate_cut_sets(G, closed))
+                best, _ = _least_oracle_value(G, args.m, enumerate_cut_sets(G, closed))
                 row["oracle_v"] = best
                 row["agree"] = best == res.value
                 if not row["agree"]:
@@ -342,11 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run oracle certificate suites")
     common(p)
     p.add_argument("--scope", default="all", choices=("all",) + verify_mod.SCOPES)
-    p.add_argument("--k", type=int, default=None, help="max power for the power suites")
+    p.add_argument("--k", type=_int_at_least(1), default=2,
+                   help="max power of the powers check (2 or 3) and the power of the "
+                        "power-remark check (default 2)")
     p.add_argument("--cutset", default=None, help="cut set for power-remark")
     p.add_argument("--dmax", type=_int_at_least(1), default=None,
                    help="degree cap of the power-remark witness search")
-    p.add_argument("--budget-pairs", type=int, default=None, dest="budget_pairs",
+    p.add_argument("--budget-pairs", type=_int_at_least(1), default=None, dest="budget_pairs",
                    help="S-pair cap for the basis computations of the power suites")
     p.set_defaults(fn=cmd_verify)
 

@@ -119,13 +119,6 @@ class SimpleGraph:
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
 
-    def is_clique(self, vs: Iterable[int]) -> bool:
-        vs = list(vs)
-        bits = 0
-        for v in vs:
-            bits |= 1 << v
-        return all(self._mask[v] & bits == bits & ~(1 << v) for v in vs)
-
     def is_interval_clique(self, a: int, b: int) -> bool:
         """True iff the vertex interval [a,b] induces a clique."""
         want = ((1 << (b + 1)) - 1) & ~((1 << a) - 1)
@@ -390,9 +383,6 @@ class CutSet:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.vertices)
 
     def to_record(self) -> dict:
         return {
@@ -677,8 +667,9 @@ def parse_graph(text: str) -> tuple[SimpleGraph, list[str]]:
     """Parse either the line format ('n <count>' then 'e <u> <v>') or a JSON
     object {"n": ..., "edges": [[u,v], ...]}.
 
-    Returns the graph and a list of warnings (duplicate edges); loops and
-    malformed lines raise GraphInputError.
+    Returns the graph and a list of warnings (duplicate edges); loops,
+    malformed lines and non-integer counts or vertices raise
+    GraphInputError.
     """
     warnings: list[str] = []
     stripped = text.lstrip()
@@ -689,10 +680,14 @@ def parse_graph(text: str) -> tuple[SimpleGraph, list[str]]:
             raise GraphInputError(f"bad JSON graph: {exc}") from exc
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise GraphInputError("JSON graph needs fields 'n' and 'edges'")
-        n = obj["n"]
-        raw = [tuple(e) for e in obj["edges"]]
-        if any(len(e) != 2 for e in raw):
-            raise GraphInputError("each edge must be a 2-element list")
+        n, edges = obj["n"], obj["edges"]
+        if not isinstance(edges, list) or any(
+            not isinstance(e, list) or len(e) != 2 for e in edges
+        ):
+            raise GraphInputError("'edges' must be a list of 2-element lists")
+        if any(type(x) is not int for x in [n, *itertools.chain(*edges)]):
+            raise GraphInputError("'n' and the edge endpoints must be integers")
+        raw = [tuple(e) for e in edges]
     else:
         n = None
         raw = []
@@ -701,16 +696,20 @@ def parse_graph(text: str) -> tuple[SimpleGraph, list[str]]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "n" and len(parts) == 2:
+            if (parts[0], len(parts)) not in (("n", 2), ("e", 3)):
+                raise GraphInputError(f"line {lineno}: unrecognized line {line!r}")
+            try:
+                nums = tuple(int(x) for x in parts[1:])
+            except ValueError:
+                raise GraphInputError(f"line {lineno}: non-integer in {line!r}") from None
+            if parts[0] == "n":
                 if n is not None:
                     raise GraphInputError(f"line {lineno}: duplicate 'n' line")
-                n = int(parts[1])
-            elif parts[0] == "e" and len(parts) == 3:
+                n = nums[0]
+            else:
                 if n is None:
                     raise GraphInputError(f"line {lineno}: 'e' before 'n'")
-                raw.append((int(parts[1]), int(parts[2])))
-            else:
-                raise GraphInputError(f"line {lineno}: unrecognized line {line!r}")
+                raw.append(nums)
         if n is None:
             raise GraphInputError("missing 'n <count>' line")
     seen = set()

@@ -33,7 +33,7 @@ from .algebra import (
     witness_polynomial,
     _ini_colon_certificate,
 )
-from .errors import BudgetExceededError, VnumError
+from .errors import BudgetExceededError, GraphInputError, VnumError
 from .graphs import (
     ClosedStructure,
     SimpleGraph,
@@ -236,7 +236,6 @@ def suite_witness(
 def suite_brute_vs_formula(
     G: SimpleGraph,
     closed: Optional[ClosedStructure],
-    d_max: int = 12,
 ) -> list[CheckResult]:
     """Exact oracle value equals the witness degree at every cut set, m=2."""
     if closed is None or not closed.is_identity():
@@ -249,10 +248,8 @@ def suite_brute_vs_formula(
 
         def body(cut=cut):
             expect = local_v_number(G, closed, cut, 2).value
-            got = brute_local_v(ring, G, cut.vertices, d_max)
-            if got is None:
-                return False, f"oracle found nothing under degree {d_max}"
-            return got[0] == expect, f"T={list(cut.vertices)}: oracle {got[0]}, formula {expect}"
+            got = brute_local_v(ring, G, cut.vertices)[0]
+            return got == expect, f"T={list(cut.vertices)}: oracle {got}, formula {expect}"
 
         out.append(_run(f"brute-vs-formula[T={list(cut.vertices)}]", body))
     return out
@@ -379,7 +376,12 @@ def run_suites(
     d_max: Optional[int] = None,
     budget_pairs: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Dispatch the named suite ('all' runs everything applicable)."""
+    """Dispatch the named suite ('all' runs everything applicable).
+
+    ``k`` is the largest power of the power suites, 2 or 3, and the power
+    of the power-remark check, any k >= 1."""
+    if scope in ("all", "powers") and not 2 <= k <= 3:
+        raise GraphInputError(f"scope {scope} checks the powers k = 2..3, got k={k}")
     power_budget = (
         POWER_BUDGET
         if budget_pairs is None
@@ -402,7 +404,7 @@ def run_suites(
         elif s == "brute-vs-formula":
             results += suite_brute_vs_formula(G, closed)
         elif s == "powers":
-            results += suite_powers(G, closed, min(k, 3), power_budget)
+            results += suite_powers(G, closed, k, power_budget)
         elif s == "power-remark":
             T = cutset if cutset is not None else _default_probe_cutset(G, closed)
             if T is None:

@@ -69,10 +69,6 @@ class AnchorGraph:
     def edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a, b in zip(self.alphas, self.betas)]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.alphas)
-
     def vertices(self) -> list[int]:
         out = set(self.isolated)
         for comp in self.path_components:
@@ -422,6 +418,7 @@ def v_number(
         parts = []
         total = 0
         status = PROVED
+        union = []
         for comp in comps:
             H, back = G.induced(comp)
             sub = v_number(H, m, oracle_n_limit)
@@ -429,17 +426,8 @@ def v_number(
             total += sub.value
             if sub.status != PROVED:
                 status = CONJECTURED
-        union = []
-        feasible = True
-        for comp, sub in zip(comps, parts):
-            _, back = G.induced(comp)
-            if sub.cut_set is None:
-                feasible = False
-                break
             union.extend(back[v] for v in sub.cut_set.vertices)
-        cut = None
-        if feasible and is_cut_set(G, union):
-            cut = cut_set_from_vertices(G, union)
+        cut = cut_set_from_vertices(G, union) if is_cut_set(G, union) else None
         return VNumberResult(
             value=total,
             status=status,
@@ -467,16 +455,13 @@ def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberR
         sub = _v_number_closed(closed.graph, closed, m)
         # cut set and witness live in the closed labeling; map the cut set
         # back, drop the witness (its column order is labeling-dependent)
-        cut = None
-        if sub.cut_set is not None:
-            cut = cut_set_from_vertices(
-                G, [closed.to_original(v) for v in sub.cut_set.vertices]
-            )
         return VNumberResult(
             value=sub.value,
             status=sub.status,
             regime=sub.regime + "-relabeled",
-            cut_set=cut,
+            cut_set=cut_set_from_vertices(
+                G, [closed.to_original(v) for v in sub.cut_set.vertices]
+            ),
             witness=None,
         )
     cone = is_cone(G)
@@ -494,24 +479,29 @@ def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberR
             f"component with {G.n} vertices is neither closed nor a cone; "
             f"the exact oracle is limited to {oracle_n_limit} vertices"
         )
+    value, cut = _least_oracle_value(G, m, enumerate_cut_sets(G))
+    return VNumberResult(
+        value=value,
+        status=PROVED,
+        regime="generic-oracle",
+        cut_set=cut,
+        witness=None,
+    )
+
+
+def _least_oracle_value(
+    G: SimpleGraph, m: int, cuts: Sequence[CutSet]
+) -> tuple[int, CutSet]:
+    """Least exact local v-number over ``cuts`` and a cut set attaining it,
+    the least (value, vertices) as in _v_number_closed.  Every cut set gets
+    its exact oracle value; a Groebner budget overrun raises
+    BudgetExceededError."""
     from .algebra import RingSpec, brute_local_v
 
     ring = RingSpec(m, G.n)
-    best = None
-    for cut in enumerate_cut_sets(G):
-        res = brute_local_v(ring, G, cut.vertices)
-        if res is None:
-            continue
-        if best is None or res[0] < best[0]:
-            best = (res[0], cut)
-    if best is None:
-        raise UnsupportedRegimeError("oracle found no witness within its budget")
-    return VNumberResult(
-        value=best[0],
-        status=PROVED,
-        regime="generic-oracle",
-        cut_set=best[1],
-        witness=None,
+    return min(
+        ((brute_local_v(ring, G, cut.vertices)[0], cut) for cut in cuts),
+        key=lambda vc: (vc[0], vc[1].vertices),
     )
 
 
@@ -537,12 +527,10 @@ def _v_number_closed(G: SimpleGraph, closed: ClosedStructure, m: int) -> VNumber
             f"cut-set minimization over {closed.t} maximal cliques exceeds "
             f"the budget of {MAX_CUT_T}; no greedy shortcut is attempted"
         )
-    best = None
-    for cut in enumerate_cut_sets(G, closed):
-        res = local_v_number(G, closed, cut, m)
-        if best is None or (res.value, cut.vertices) < (best.value, best.cut_set.vertices):
-            best = res
-    return best
+    return min(
+        (local_v_number(G, closed, cut, m) for cut in enumerate_cut_sets(G, closed)),
+        key=lambda res: (res.value, res.cut_set.vertices),
+    )
 
 
 def classify_small_v(

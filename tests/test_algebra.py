@@ -398,8 +398,23 @@ def test_separating_element_gives_the_other_primes():
     assert checked == 58
 
 
-def test_brute_local_v_not_found_under_cap():
-    assert brute_local_v(RingSpec(2, 4), path_graph(4), [2], d_max=1) is None
+def test_brute_local_v_returns_the_exact_degree():
+    R, P4 = RingSpec(2, 4), path_graph(4)
+    d, w = brute_local_v(R, P4, [2])
+    assert d == w.degree() == 2
+    assert verify_witness(binomial_edge_ideal(R, P4), w, cut_set_prime(R, P4, [2]))
+
+
+def test_brute_local_v_without_witness_is_an_inconsistency(monkeypatch):
+    # if (J : f0) fell inside P_T no reduced-basis element could be a
+    # witness; prime avoidance rules that out, so the oracle raises
+    import vnum.algebra as algebra
+
+    P4 = path_graph(4)
+    R = RingSpec(2, 4)
+    monkeypatch.setattr(algebra, "colon_poly", lambda J, f, budget: cut_set_prime(R, P4, [2]))
+    with pytest.raises(AssertionError, match="internal inconsistency"):
+        brute_local_v(R, P4, [2])
 
 
 def test_determinism_across_processes(tmp_path):

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from vnum.algebra import RingSpec, brute_local_v
 from vnum.cli import main
-from vnum.graphs import format_graph, graph_from_intervals, path_graph
+from vnum.errors import BudgetExceededError
+from vnum.graphs import enumerate_cut_sets, format_graph, graph_from_intervals, path_graph
+from vnum.vnumbers import v_number
 from conftest import SPINE_27
 
 
@@ -174,16 +177,35 @@ def test_budget_n_rejects_values_below_one(capsys, p5_file, value):
     assert "--budget-n: must be >= 1" in capsys.readouterr().err
 
 
+def _oracle_over_budget(*args, **kw):
+    raise BudgetExceededError("S-pair budget of 1 exceeded")
+
+
 def test_vnumber_oracle_miss_exits_budget(capsys, monkeypatch, p5_file):
-    monkeypatch.setattr("vnum.algebra.brute_local_v", lambda *args, **kw: None)
+    monkeypatch.setattr("vnum.algebra.brute_local_v", _oracle_over_budget)
     rc, _, err = run(capsys, "vnumber", p5_file, "--oracle")
-    assert rc == 3 and "no witness" in err
+    assert rc == 3 and "S-pair budget" in err
 
 
 def test_survey_oracle_miss_exits_budget(capsys, monkeypatch):
-    monkeypatch.setattr("vnum.algebra.brute_local_v", lambda *args, **kw: None)
+    monkeypatch.setattr("vnum.algebra.brute_local_v", _oracle_over_budget)
     rc, _, err = run(capsys, "survey", "--n-max", "3", "--oracle")
-    assert rc == 3 and "no witness" in err
+    assert rc == 3 and "S-pair budget" in err
+
+
+def test_generic_value_is_the_least_oracle_answer(capsys, tmp_path, c5):
+    # c5 is neither closed nor a cone, so v_number takes the oracle route;
+    # its cut set is the least (value, vertices) over the oracle's answers
+    p = tmp_path / "c5.txt"
+    p.write_text(format_graph(c5))
+    rc, out, _ = run(capsys, "vnumber", str(p), "--oracle", "--format", "structured")
+    rec = json.loads(out)
+    assert rc == 0 and rec["regime"] == "generic-oracle"
+    assert rec["oracle_v"] == rec["value"] == v_number(c5, 2).value
+    ring = RingSpec(2, 5)
+    answers = [(brute_local_v(ring, c5, c.vertices)[0], c.vertices)
+               for c in enumerate_cut_sets(c5)]
+    assert (rec["value"], tuple(rec["cut_set"])) == min(answers)
 
 
 def test_survey(capsys):
@@ -207,6 +229,20 @@ def test_loop_edge_rejected(capsys, tmp_path):
     p.write_text("n 3\ne 1 1\n")
     rc, _, err = run(capsys, "check-closed", str(p))
     assert rc == 2 and "loop" in err
+
+
+@pytest.mark.parametrize("text", [
+    "n five\n",
+    "n 3\ne 1 x\n",
+    '{"n": "3", "edges": [[1, 2]]}',
+    '{"n": 3, "edges": [[1, "a"]]}',
+    '{"n": 3, "edges": 5}',
+])
+def test_malformed_graph_file_exits_input(capsys, tmp_path, text):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    rc, out, err = run(capsys, "check-closed", str(p))
+    assert rc == 2 and out == "" and err.startswith("error: ")
 
 
 def test_duplicate_edge_warns(capsys, tmp_path):
@@ -245,6 +281,38 @@ def test_verify_dmax_honoured_with_scope_all(capsys, p5_file):
     assert rc == 4
     remark = [c for c in json.loads(out)["checks"] if c["name"].startswith("power-remark")]
     assert [c["status"] for c in remark] == ["fail"]
+
+
+@pytest.mark.parametrize("scope,k", [("powers", "1"), ("powers", "4"), ("all", "1"),
+                                     ("all", "5")])
+def test_verify_power_suites_reject_k_outside_two_to_three(capsys, p5_file, scope, k):
+    rc, out, err = run(capsys, "verify", p5_file, "--scope", scope, "--k", k)
+    assert rc == 2 and out == "" and "k = 2..3" in err
+
+
+def test_verify_powers_honours_k_three(capsys, p5_file):
+    rc, out, _ = run(capsys, "verify", p5_file, "--scope", "powers", "--k", "3",
+                     "--format", "structured")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert rc == 0 and "power-initial[k=3]" in names
+
+
+def test_verify_power_remark_takes_k_one(capsys, p5_file):
+    rc, out, _ = run(capsys, "verify", p5_file, "--scope", "power-remark", "--k", "1",
+                     "--format", "structured")
+    checks = json.loads(out)["checks"]
+    assert rc == 0 and [(c["name"], c["status"]) for c in checks] == [
+        ("power-remark[m=2,k=1,T=[2]]", "pass")
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--k", "--budget-pairs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_k_and_budget_pairs_reject_values_below_one(capsys, p5_file, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", p5_file, flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
 
 def test_check_closed_rejects_m(capsys, p5_file):
