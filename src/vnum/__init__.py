@@ -72,11 +72,9 @@ from .algebra import (
     cut_set_prime,
     generalized_minor,
     ideal_power,
-    initial_ideal,
     intersect,
     intersect_many,
     minor,
-    poly_from_text,
     poly_to_text,
     search_power_witness,
     verify_witness,

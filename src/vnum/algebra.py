@@ -13,7 +13,18 @@ x[1,1] in the most significant field.  Packing makes the lex comparison a
 plain integer comparison and turns multiplication into integer addition;
 divisibility, lcm and gcd use the usual SWAR borrow trick, which is valid
 as long as every exponent stays below 128 (the degree budget enforces
-this long before it could overflow).
+this long before it could overflow).  With ``top`` the mask of every
+field's high bit, a divides b exactly when ((b | top) - a) & top == top.
+The hot loops (the reducer scan of _nf, both scans of _gm_update and the
+leading-term check of _reduce_basis) inline that test with b | top formed
+once per term, and _gm_update inlines the lcm; the RingSpec methods serve
+the cold callers.  Inside _buchberger the total degree of a packed
+monomial is m % 255: as 256 = 1 (mod 255) this is the byte sum, exact
+while the degree is below 255.  Every monomial a run sees has degree at
+most 2 * max_degree <= 2 * _MAX_EXPONENT = 240, because every term of its
+input is checked exactly at entry, an S-pair's lcm is checked before its
+S-polynomial is formed, and a term is checked before it is reduced.
+RingSpec.mono_degree stays exact for every input.
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order; the Gebauer-Moeller update walks the new candidates in ascending
@@ -40,6 +51,8 @@ from .graphs import CutSet, SimpleGraph, enumerate_cut_sets
 
 _FIELD_BITS = 8
 _MAX_EXPONENT = 120  # hard SWAR safety cap, far above any configured budget
+# _buchberger reads degrees as m % 255, exact below 255 (module docstring)
+assert 2 * _MAX_EXPONENT < 255
 
 
 @dataclass(frozen=True)
@@ -395,13 +408,14 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) ->
     term either reduces against the first reducer whose leading term
     divides it or moves to the remainder.  A term whose degree exceeds
     ``max_degree`` raises BudgetExceededError (possible only for
-    inhomogeneous input, e.g. tag eliminations).
+    inhomogeneous input, e.g. tag eliminations).  Only _buchberger passes
+    ``max_degree``, and the degree is read as m % 255, which is exact under
+    its degree invariant (module docstring).
     """
     if not f:
         return {}
     p = ring.p
-    divides = ring.mono_divides
-    degree = ring.mono_degree
+    top = ring._top
     work = dict(f)
     out: dict = {}
     heap = [-m for m in work]
@@ -412,16 +426,18 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) ->
         if not c:
             continue
         del work[m]
-        if max_degree is not None and degree(m) > max_degree:
+        if max_degree is not None and m % 255 > max_degree:
             raise BudgetExceededError(
-                f"normal form hit degree {degree(m)} > budget {max_degree}"
+                f"normal form hit degree {m % 255} > budget {max_degree}"
             )
         hit = None
-        for lt, inv, tail in red:
+        mt = m | top
+        for r in red:
+            lt = r[0]
             if lt > m:
                 break
-            if divides(lt, m):
-                hit = (lt, inv, tail)
+            if (mt - lt) & top == top:
+                hit = r
                 break
         if hit is None:
             out[m] = c
@@ -447,20 +463,16 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) ->
 
 
 def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
+    """S-polynomial of two monic f and g: their leading terms cancel
+    without any coefficient arithmetic."""
     p = ring.p
     ltf, ltg = max(f), max(g)
     lcm = ring.mono_lcm(ltf, ltg)
     uf, ug = lcm - ltf, lcm - ltg
-    cf, cg = ring.inv(f[ltf]), ring.inv(g[ltg])
-    out: dict = {}
-    for m, c in f.items():
-        v = c * cf
-        if p is not None:
-            v %= p
-        out[m + uf] = v
+    out = {m + uf: c for m, c in f.items()}
     for m, c in g.items():
         key = m + ug
-        v = out.get(key, 0) - c * cg
+        v = out.get(key, 0) - c
         if p is not None:
             v %= p
         if v:
@@ -475,33 +487,36 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int):
 
     ``pairs`` maps alive (i, j) -> lcm; ``heap`` holds
     (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
+    Called by _buchberger only: lcm degrees are read as l % 255.
     """
-    lcm_m = ring.mono_lcm
-    divides = ring.mono_divides
-    degree = ring.mono_degree
+    top = ring._top
+    low = (top >> 7) * 0x7F
     lt_h = lts[new_idx]
-    cand = []
-    for g in range(new_idx):
-        l = lcm_m(lts[g], lt_h)
-        cand.append((degree(l), l, g))
-    cand.sort()
+    lcms = []
+    for a in lts[:new_idx]:
+        d = (a | top) - lt_h
+        lcms.append(lt_h + (d & ((d & top) >> 7) * 0xFF & low))
+    cand = sorted((l % 255, l, g) for g, l in enumerate(lcms))
     # criterion M: keep an lcm only if no kept lcm divides it; a divisor
     # has lower degree or is equal, so it is always walked first.  Coprime
     # lcms are kept as dominators, and criterion B1 drops their pairs.
     kept: list[int] = []
     new_pairs = []
     for d, l, g in cand:
-        if any(divides(k, l) for k in kept):
-            continue
-        kept.append(l)
-        if lts[g] + lt_h != l:
-            new_pairs.append((d, l, g))
+        lt_ = l | top
+        for k in kept:
+            if (lt_ - k) & top == top:
+                break
+        else:
+            kept.append(l)
+            if lts[g] + lt_h != l:
+                new_pairs.append((d, l, g))
     # prune old pairs via the chain criterion
     for (i, j), l in list(pairs.items()):
         if (
-            divides(lt_h, l)
-            and lcm_m(lts[i], lt_h) != l
-            and lcm_m(lts[j], lt_h) != l
+            ((l | top) - lt_h) & top == top
+            and lcms[i] != l
+            and lcms[j] != l
         ):
             del pairs[(i, j)]
     for d, l, g in new_pairs:
@@ -518,12 +533,12 @@ def _reduce_basis(ring: RingSpec, basis: list) -> list:
     earlier one: its leading term is larger than every term of the earlier
     one, and a divisor is never larger than the term it divides.
     """
-    divides = ring.mono_divides
+    top = ring._top
     out: list = []
     red: list = []
     for g in sorted((g for g in basis if g), key=max):
-        lt = max(g)
-        if any(divides(r[0], lt) for r in red):
+        lt_ = max(g) | top
+        if any((lt_ - r[0]) & top == top for r in red):
             continue
         g = _monic(ring, _nf(ring, g, red))
         out.append(g)
@@ -537,18 +552,25 @@ def _buchberger(
 ) -> list:
     """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``.
 
-    ``known`` must be a Groebner basis of the ideal it generates.  Its
-    elements open the basis as they are, and no pair among them is ever
-    formed: each such S-polynomial already has a standard representation
-    over ``known``, so for criterion M and the chain criterion those pairs
-    count as treated.  Every term of every element, known or not, is held
-    to ``budget.max_degree``.
+    ``known`` must be a monic Groebner basis of the ideal it generates.
+    Its elements open the basis as they are, and no pair among them is
+    ever formed: each such S-polynomial already has a standard
+    representation over ``known``, so for criterion M and the chain
+    criterion those pairs count as treated.  Every other basis element is
+    made monic when it is added, so _spoly sees monic elements only.
+
+    Every term of every generator and every known element is checked
+    against ``budget.max_degree`` exactly at entry, even a term a later
+    reduction would cancel; an S-pair's lcm is checked before its
+    S-polynomial is formed, and a term before it is reduced.  So every
+    monomial of the run has degree at most 2 * max_degree < 255, and its
+    degree is read as m % 255 (module docstring).
     """
-    for g in known:
-        d = max(map(ring.mono_degree, g))
+    for g in itertools.chain(known, gens):
+        d = max(map(ring.mono_degree, g), default=0)
         if d > budget.max_degree:
             raise BudgetExceededError(
-                f"known basis element of degree {d} > budget {budget.max_degree}"
+                f"input element of degree {d} > budget {budget.max_degree}"
             )
     basis: list = list(known)
     lts: list[int] = [max(g) for g in basis]
@@ -563,9 +585,7 @@ def _buchberger(
         insort(red, _reducer(ring, r), key=_lead)
         _gm_update(ring, lts, pairs, heap, len(basis) - 1)
 
-    for g in sorted(
-        (g for g in gens if g), key=lambda g: (ring.mono_degree(max(g)), max(g))
-    ):
+    for g in sorted((g for g in gens if g), key=lambda g: (max(g) % 255, max(g))):
         r = _nf(ring, g, red, budget.max_degree)
         if r:
             add(r)
@@ -880,15 +900,6 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
     return Ideal(I.ring, gens)
 
 
-def initial_ideal(I: Ideal, budget: GBBudget = DEFAULT_BUDGET) -> Ideal:
-    """Monomial ideal of the leading terms of the reduced basis."""
-    ring = I.ring
-    lts = sorted({g.lt() for g in I.groebner(budget)})
-    minimal = _minimal_monomials(ring, lts)
-    gens = [Polynomial(ring, {m: ring.coeff(1)}) for m in sorted(minimal, reverse=True)]
-    return Ideal(ring, gens, _gb=tuple(gens))
-
-
 def _minimal_monomials(ring: RingSpec, monos: Iterable[int]) -> list[int]:
     monos = sorted(set(monos), key=lambda m: (ring.mono_degree(m), m))
     out: list[int] = []
@@ -1192,27 +1203,3 @@ def poly_to_text(f: Polynomial) -> str:
         body = f.ring.mono_text(m)
         parts.append(f"{c}*{body}" if body else str(c))
     return " + ".join(parts)
-
-
-def poly_from_text(ring: RingSpec, text: str) -> Polynomial:
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero(ring)
-    items = []
-    for chunk in text.split(" + "):
-        factors = chunk.split("*")
-        if "[" in factors[0]:
-            coeff = 1
-            vars_part = factors
-        else:
-            coeff = Fraction(factors[0]) if "/" in factors[0] else int(factors[0])
-            vars_part = factors[1:]
-        mono = 0
-        for fac in vars_part:
-            name, _, exp = fac.partition("^")
-            e = int(exp) if exp else 1
-            inner = name[name.index("[") + 1 : name.index("]")]
-            i, j = (int(x) for x in inner.split(","))
-            mono += e * ring.var_mono(ring.var_index(i, j))
-        items.append((mono, coeff))
-    return Polynomial.from_terms(ring, items)

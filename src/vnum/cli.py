@@ -136,12 +136,18 @@ def cmd_vnumber(args) -> int:
     if args.oracle:
         if not G.is_connected():
             raise UnsupportedRegimeError("--oracle needs a connected graph")
-        cuts = enumerate_cut_sets(G, max_generic_n=args.budget_n or 16)
-        oracle_v, _ = _least_oracle_value(G, args.m, cuts)
+        own = res.regime == "generic-oracle"
+        if own:
+            # v_number already took the least oracle value over every cut set
+            oracle_v, verdict = res.value, "the value is the oracle's own"
+        else:
+            cuts = enumerate_cut_sets(G, max_generic_n=args.budget_n or 16)
+            oracle_v, _ = _least_oracle_value(G, args.m, cuts)
+            verdict = "agrees" if oracle_v == res.value else "DISAGREES"
         record["oracle_v"] = oracle_v
         record["oracle_agrees"] = oracle_v == res.value
-        lines.append(f"oracle cross-check: {oracle_v} "
-                     f"({'agrees' if oracle_v == res.value else 'DISAGREES'})")
+        record["oracle_is_value"] = own
+        lines.append(f"oracle cross-check: {oracle_v} ({verdict})")
         if oracle_v != res.value:
             _emit(record, args.format, "\n".join(lines))
             return EXIT_VERIFY

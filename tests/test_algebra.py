@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,13 +22,11 @@ from vnum.algebra import (
     cut_set_prime,
     generalized_minor,
     ideal_power,
-    initial_ideal,
     intersect,
     intersect_many,
     minor,
     monomial_ideal_power,
     monomial_ideals_equal,
-    poly_from_text,
     poly_to_text,
     search_power_witness,
     separating_element,
@@ -35,6 +34,7 @@ from vnum.algebra import (
     witness_polynomial,
     _MAX_EXPONENT,
     _buchberger,
+    _minimal_monomials,
     _reduce_basis,
 )
 
@@ -188,6 +188,13 @@ def test_degree_budget_covers_every_generator():
         with pytest.raises(BudgetExceededError):
             Ideal(R, gens).groebner(GBBudget(max_degree=12))
     assert len(Ideal(R, [low, high]).groebner(GBBudget(max_degree=13))) == 2
+    # every term counts, even one that a reduction cancels before it is
+    # reached: g = x[1,2] * r cancels its degree-13 term against r's tail
+    r = Polynomial.variable(R, 1, 1) - Polynomial.from_terms(R, [(12 * R.var_mono(3), 1)])
+    g = Polynomial.variable(R, 1, 2) * r
+    assert g.degree() == 13 and len(Ideal(R, [r]).groebner(GBBudget(max_degree=12))) == 1
+    with pytest.raises(BudgetExceededError):
+        Ideal(R, [r, g]).groebner(GBBudget(max_degree=12))
     # a known basis is held to the budget too: t*GB(J) has degree 3, and
     # the zero ideal adds no generator that could hit the budget instead
     J = binomial_edge_ideal(RingSpec(2, 3), path_graph(3))
@@ -198,6 +205,21 @@ def test_degree_budget_covers_every_generator():
     with pytest.raises(BudgetExceededError):
         intersect(J, Ideal(J.ring, []), GBBudget(max_degree=2))
     assert intersect(J, Ideal(J.ring, []), GBBudget(max_degree=3)).gens == ()
+
+
+def test_degree_budget_is_exact_at_and_above_255():
+    # inside _buchberger degrees are read as m % 255, so the entry check
+    # must be exact: 260 = 5 and 255 = 0 (mod 255) both fit a budget of 12
+    R = RingSpec(2, 2)
+    budget = GBBudget(max_degree=12)
+    x = [R.var_mono(k) for k in range(R.nvars)]
+    for last in (60, 55):
+        g = Polynomial.from_terms(R, [(100 * x[0] + 100 * x[1] + last * x[2], 1)])
+        assert R.mono_degree(g.lt()) == 200 + last
+        with pytest.raises(BudgetExceededError):
+            Ideal(R, [g]).groebner(budget)
+        with pytest.raises(BudgetExceededError):
+            _buchberger(R, [], budget, [g.terms])
 
 
 def test_reduce_basis_of_redundant_groebner_basis(c4):
@@ -341,6 +363,15 @@ def test_colon_ideal_peels_one_prime():
         assert got.equals(intersect_many(others)), T
 
 
+def initial_ideal(I, budget=DEFAULT_BUDGET):
+    """Monomial ideal of the leading terms of the reduced basis."""
+    ring = I.ring
+    lts = sorted({g.lt() for g in I.groebner(budget)})
+    minimal = _minimal_monomials(ring, lts)
+    gens = [Polynomial(ring, {m: ring.coeff(1)}) for m in sorted(minimal, reverse=True)]
+    return Ideal(ring, gens, _gb=tuple(gens))
+
+
 def test_power_and_initial():
     R = RingSpec(2, 4)
     J = binomial_edge_ideal(R, path_graph(4))
@@ -415,6 +446,29 @@ def test_brute_local_v_without_witness_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(algebra, "colon_poly", lambda J, f, budget: cut_set_prime(R, P4, [2]))
     with pytest.raises(AssertionError, match="internal inconsistency"):
         brute_local_v(R, P4, [2])
+
+
+def test_oracle_outputs_pinned(c4, c5):
+    # sha256 over the oracle's (degree, witness) at every (closed graph,
+    # cut set) with n <= 5 at m = 2, and the reduced bases of J for C4 and
+    # C5 at m = 2, 3; any change to an output moves it
+    h = hashlib.sha256()
+    pairs = 0
+    for n in range(1, 6):
+        ring = RingSpec(2, n)
+        for G, closed in closed_graphs(n):
+            for cut in enumerate_cut_sets(G):
+                d, w = brute_local_v(ring, G, cut.vertices)
+                h.update(repr((closed.cliques, cut.vertices, d, poly_to_text(w))).encode())
+                pairs += 1
+    for G in (c4, c5):
+        for m in (2, 3):
+            basis = binomial_edge_ideal(RingSpec(m, G.n), G).groebner()
+            h.update(repr((G.n, m, [poly_to_text(g) for g in basis])).encode())
+    assert pairs == 52
+    assert h.hexdigest() == (
+        "b78d8d338563e5530e919f2fb8e0d67553a707bda79677fbb9815aaed7f2bb99"
+    )
 
 
 def test_determinism_across_processes(tmp_path):
@@ -536,6 +590,31 @@ def test_golden_basis_text():
     rec = J.to_record(include_gb=True)
     assert rec["reduced_gb"] == GOLDEN_GB_P3
     assert rec["ring"]["field"] == "GF(32003)"
+
+
+def poly_from_text(ring, text):
+    """Inverse of poly_to_text."""
+    text = text.strip()
+    if text == "0":
+        return Polynomial.zero(ring)
+    items = []
+    for chunk in text.split(" + "):
+        factors = chunk.split("*")
+        if "[" in factors[0]:
+            coeff = 1
+            vars_part = factors
+        else:
+            coeff = Fraction(factors[0]) if "/" in factors[0] else int(factors[0])
+            vars_part = factors[1:]
+        mono = 0
+        for fac in vars_part:
+            name, _, exp = fac.partition("^")
+            e = int(exp) if exp else 1
+            inner = name[name.index("[") + 1 : name.index("]")]
+            i, j = (int(x) for x in inner.split(","))
+            mono += e * ring.var_mono(ring.var_index(i, j))
+        items.append((mono, coeff))
+    return Polynomial.from_terms(ring, items)
 
 
 @settings(max_examples=50, deadline=None)

@@ -208,6 +208,34 @@ def test_generic_value_is_the_least_oracle_answer(capsys, tmp_path, c5):
     assert (rec["value"], tuple(rec["cut_set"])) == min(answers)
 
 
+def test_vnumber_oracle_reuses_the_generic_value(capsys, monkeypatch, tmp_path, c5,
+                                                  p5_file):
+    # c5 has 6 cut sets; the generic branch already asks the oracle once
+    # for each, and the cross-check must not ask again
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[2])
+        return brute_local_v(*args, **kw)
+
+    monkeypatch.setattr("vnum.algebra.brute_local_v", counting)
+    p = tmp_path / "c5.txt"
+    p.write_text(format_graph(c5))
+    rc, out, _ = run(capsys, "vnumber", str(p), "--oracle", "--format", "structured")
+    rec = json.loads(out)
+    assert rc == 0 and rec["oracle_is_value"] is True and rec["oracle_agrees"] is True
+    assert len(enumerate_cut_sets(c5)) == len(calls) == 6
+    rc, out, _ = run(capsys, "vnumber", str(p), "--oracle")
+    assert "(the value is the oracle's own)" in out
+    # a closed graph's value comes from the formulas, so the oracle runs
+    # once per cut set for a real cross-check
+    calls.clear()
+    rc, out, _ = run(capsys, "vnumber", p5_file, "--oracle", "--format", "structured")
+    rec = json.loads(out)
+    assert rc == 0 and rec["oracle_is_value"] is False and rec["oracle_agrees"] is True
+    assert len(calls) == len(enumerate_cut_sets(path_graph(5)))
+
+
 def test_survey(capsys):
     rc, out, _ = run(capsys, "survey", "--n-max", "4", "--m", "2", "--oracle",
                      "--format", "structured")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from vnum.errors import GraphInputError, InstanceTooLargeError, NotACutSetError
 from vnum.enumeration import closed_graphs, closed_interval_profiles, connected_graphs_up_to_iso
 from vnum.graphs import (
+    SimpleGraph,
     build_graph,
     check_closed_labeling,
     complete_graph,
@@ -275,6 +276,43 @@ def test_is_cone():
     assert is_cone(path_graph(3)) == (2, False)
     assert is_cone(complete_graph(4)) == (1, True)
     assert is_cone(path_graph(4)) is None
+
+
+# -- enumeration ------------------------------------------------------------
+
+def reference_connected_graphs_up_to_iso(n):
+    """The canonical form as the minimum over all n! relabelings."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    perms = list(itertools.permutations(range(1, n + 1)))
+    seen = set()
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
+        G = SimpleGraph(n, edges)
+        if not G.is_connected():
+            continue
+        canon = min(
+            tuple(
+                sorted(
+                    (min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])) for u, v in edges
+                )
+            )
+            for p in perms
+        )
+        if canon in seen:
+            continue
+        seen.add(canon)
+        yield G
+
+
+def test_connected_graph_counts_match_a001349():
+    counts = [sum(1 for _ in connected_graphs_up_to_iso(n)) for n in range(1, 7)]
+    assert counts == [1, 1, 2, 6, 21, 112]
+
+
+def test_connected_graphs_match_all_permutations_reference():
+    for n in range(1, 6):
+        got = [G.edge_list() for G in connected_graphs_up_to_iso(n)]
+        assert got == [G.edge_list() for G in reference_connected_graphs_up_to_iso(n)], n
 
 
 # -- file format --------------------------------------------------------------
