@@ -25,7 +25,6 @@ from .graphs import (
     check_closed_labeling,
     complete_graph,
     completion_graph,
-    completion_graph_set,
     cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
@@ -34,8 +33,6 @@ from .graphs import (
     is_cone,
     is_cut_set,
     is_reduced_connected_dominating_set,
-    maximal_cliques,
-    min_completion_number,
     parse_graph,
     path_graph,
     reduced_connected_domination_number,

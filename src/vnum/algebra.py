@@ -386,19 +386,25 @@ def _monic(ring: RingSpec, g: dict) -> dict:
     return {m: c * inv for m, c in g.items()}
 
 
-def _reducer(ring: RingSpec, g: dict) -> tuple:
-    """The division-loop form (lt, inv(lc), tail items) of a nonzero g."""
+def _reducer(g: dict) -> tuple:
+    """The division-loop form (lt, tail items) of a nonzero monic g.
+
+    Every reducer is built from a monic element: a new basis element, a
+    reduced basis or a known monic Groebner basis.  So no inverse of the
+    leading coefficient is needed.
+    """
     lt = max(g)
-    return lt, ring.inv(g[lt]), tuple((m, c) for m, c in g.items() if m != lt)
+    return lt, tuple((m, c) for m, c in g.items() if m != lt)
 
 
 def _lead(reducer: tuple) -> int:
     return reducer[0]
 
 
-def _prepare_reducers(ring: RingSpec, basis: Sequence[dict]) -> list:
-    """Reducers of the nonzero elements of basis, sorted by leading term."""
-    return sorted((_reducer(ring, g) for g in basis if g), key=_lead)
+def _prepare_reducers(basis: Sequence[dict]) -> list:
+    """Reducers of the nonzero elements of a monic basis, sorted by
+    leading term."""
+    return sorted((_reducer(g) for g in basis if g), key=_lead)
 
 
 def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) -> dict:
@@ -442,15 +448,12 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) ->
         if hit is None:
             out[m] = c
             continue
-        lt, inv, tail = hit
+        lt, tail = hit
         q = m - lt
-        factor = c * inv
-        if p is not None:
-            factor %= p
         for tm, tc in tail:
             key = tm + q
             prev = work.get(key)
-            v = (prev or 0) - factor * tc
+            v = (prev or 0) - c * tc
             if p is not None:
                 v %= p
             if v:
@@ -542,7 +545,7 @@ def _reduce_basis(ring: RingSpec, basis: list) -> list:
             continue
         g = _monic(ring, _nf(ring, g, red))
         out.append(g)
-        red.append(_reducer(ring, g))
+        red.append(_reducer(g))
     out.reverse()
     return out
 
@@ -574,7 +577,7 @@ def _buchberger(
             )
     basis: list = list(known)
     lts: list[int] = [max(g) for g in basis]
-    red: list = _prepare_reducers(ring, basis)
+    red: list = _prepare_reducers(basis)
     pairs: dict = {}
     heap: list = []
 
@@ -582,7 +585,7 @@ def _buchberger(
         r = _monic(ring, r)
         basis.append(r)
         lts.append(max(r))
-        insort(red, _reducer(ring, r), key=_lead)
+        insort(red, _reducer(r), key=_lead)
         _gm_update(ring, lts, pairs, heap, len(basis) - 1)
 
     for g in sorted((g for g in gens if g), key=lambda g: (max(g) % 255, max(g))):
@@ -638,9 +641,7 @@ class Ideal:
 
     def _reducers(self, budget: GBBudget = DEFAULT_BUDGET):
         if self._red is None:
-            self._red = _prepare_reducers(
-                self.ring, [g.terms for g in self.groebner(budget)]
-            )
+            self._red = _prepare_reducers([g.terms for g in self.groebner(budget)])
         return self._red
 
     def normal_form(self, f: Polynomial, budget: GBBudget = DEFAULT_BUDGET) -> Polynomial:

@@ -2,9 +2,8 @@
 
 Everything here is immutable after construction, so values can be shared
 freely across threads.  Exhaustive searches (generic cut-set enumeration,
-minimum completion sets, connected domination on arbitrary graphs) are
-guarded by an explicit vertex budget and raise InstanceTooLargeError when
-asked to go beyond it.
+connected domination on arbitrary graphs) are guarded by an explicit
+vertex budget and raise InstanceTooLargeError when asked to go beyond it.
 
 A graph is *closed under the identity labeling* when for all i < j < k,
 {i,k} being an edge forces {i,j} and {j,k} to be edges.  Equivalently the
@@ -193,23 +192,6 @@ def check_closed_labeling(G: SimpleGraph) -> bool:
     return True
 
 
-def maximal_cliques(G: SimpleGraph) -> list[frozenset]:
-    """Generic Bron-Kerbosch maximal-clique enumeration (pivotless; small n)."""
-    out = []
-
-    def extend(r: set, p: set, x: set):
-        if not p and not x:
-            out.append(frozenset(r))
-            return
-        for v in sorted(p):
-            extend(r | {v}, p & G.neighbors(v), x & G.neighbors(v))
-            p = p - {v}
-            x = x | {v}
-
-    extend(set(), set(G.vertices()), set())
-    return sorted(out, key=lambda c: (min(c), -len(c)))
-
-
 @dataclass(frozen=True)
 class ClosedStructure:
     """Certificate that a connected graph is closed.
@@ -219,6 +201,8 @@ class ClosedStructure:
     intervals in ``cliques``.  ``spine`` is the endpoint chain
     (a_1, b_1, ..., b_t) and ``cut_vertices`` its interior.  ``is_cm`` marks
     the case where consecutive cliques overlap in exactly one vertex.
+    ``reach[v]`` is the largest neighbour of v, or v itself when it has no
+    larger one (``reach[0]`` is unused).
     """
 
     graph: SimpleGraph
@@ -227,6 +211,7 @@ class ClosedStructure:
     spine: tuple[int, ...]
     cut_vertices: tuple[int, ...]
     is_cm: bool
+    reach: tuple[int, ...]
 
     @property
     def t(self) -> int:
@@ -252,8 +237,9 @@ class ClosedStructure:
         }
 
 
-def _interval_cliques(G: SimpleGraph) -> list[tuple[int, int]]:
-    """Maximal interval cliques of a connected identity-closed graph.
+def _interval_cliques(G: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """Maximal interval cliques of a connected identity-closed graph, and
+    the reach of every vertex.
 
     The reach of a (the largest b with [a, b] a clique) never decreases
     with a: when b is the reach of a - 1, [a, b] lies inside the clique
@@ -261,6 +247,7 @@ def _interval_cliques(G: SimpleGraph) -> list[tuple[int, int]]:
     is maximal exactly when b exceeds the previous reach.
     """
     out = []
+    reach = [0]
     prev = 0
     for a in G.vertices():
         b = max(a, prev)
@@ -268,12 +255,13 @@ def _interval_cliques(G: SimpleGraph) -> list[tuple[int, int]]:
             b += 1
         if b > prev and (b > a or G.n == 1):
             out.append((a, b))
+        reach.append(b)
         prev = b
-    return out
+    return out, tuple(reach)
 
 
 def _structure_from_identity(G: SimpleGraph, order: tuple[int, ...]) -> ClosedStructure:
-    cliques = _interval_cliques(G)
+    cliques, reach = _interval_cliques(G)
     t = len(cliques)
     if cliques[0][0] != 1 or cliques[-1][1] != G.n:
         raise GraphInputError("interval cliques do not cover 1..n; graph disconnected?")
@@ -289,6 +277,7 @@ def _structure_from_identity(G: SimpleGraph, order: tuple[int, ...]) -> ClosedSt
         spine=spine,
         cut_vertices=spine[1:-1],
         is_cm=is_cm,
+        reach=reach,
     )
 
 
@@ -480,9 +469,12 @@ def enumerate_cut_sets(
 
     With a ClosedStructure the list is generated directly from the
     connected cut sets W_i under the gap condition
-    max(W_{j_i}) + 1 < min(W_{j_{i+1}}); otherwise every vertex subset is
-    filtered through is_cut_set, which is exponential and therefore
-    capped at ``max_generic_n`` vertices.
+    max(W_{j_i}) + 1 < min(W_{j_{i+1}}); G minus such a cut set has one
+    component more than the cut set has blocks, since what lies before,
+    between and after the blocks is a nonempty interval of vertices, and
+    so connected.  Otherwise every vertex subset is filtered through
+    is_cut_set, which is exponential and therefore capped at
+    ``max_generic_n`` vertices.
     """
     out = [CutSet(vertices=(), blocks=(), component_count=G.component_count())]
     if closed is not None:
@@ -504,7 +496,7 @@ def enumerate_cut_sets(
                             tuple(range(blocks[idx][0], blocks[idx][1] + 1))
                             for idx in chosen
                         ),
-                        component_count=G.component_count(frozenset(vs)),
+                        component_count=len(chosen) + 1,
                     )
                 )
                 rec(j + 1)
@@ -538,39 +530,6 @@ def completion_graph(G: SimpleGraph, v: int) -> SimpleGraph:
     return SimpleGraph(G.n, list(G.edges) + extra)
 
 
-def completion_graph_set(G: SimpleGraph, vs: Iterable[int]) -> SimpleGraph:
-    """Iterated completion; the result does not depend on the order of vs."""
-    H = G
-    for v in vs:
-        H = completion_graph(H, v)
-    return H
-
-
-def is_cluster(G: SimpleGraph) -> bool:
-    """Is G a disjoint union of complete graphs?"""
-    for comp in G.components():
-        k = len(comp)
-        if sum(1 for (u, v) in G.edges if u in comp) != k * (k - 1) // 2:
-            return False
-    return True
-
-
-def min_completion_number(
-    G: SimpleGraph, max_n: int = DEFAULT_SUBSET_BUDGET
-) -> int:
-    """Smallest |W| with the iterated completion along W a union of cliques."""
-    if G.n > max_n:
-        raise InstanceTooLargeError(
-            f"minimum-completion search needs n <= {max_n}, got {G.n}"
-        )
-    verts = list(G.vertices())
-    for size in range(G.n + 1):
-        for sub in itertools.combinations(verts, size):
-            if is_cluster(completion_graph_set(G, sub)):
-                return size
-    raise AssertionError("unreachable: the full vertex set always completes")
-
-
 def is_reduced_connected_dominating_set(G: SimpleGraph, D: Iterable[int]) -> bool:
     """D induces a connected subgraph through which all outside traffic can
     be routed.
@@ -599,14 +558,21 @@ def spine_chain(closed: ClosedStructure) -> list[int]:
     endpoint; the interior of the chain is a minimum reduced connected
     dominating set of the graph.
     """
-    return _greedy_chain(closed.cliques, 1, closed.graph.n)
+    return _greedy_chain(closed, 1, closed.graph.n)
 
 
-def _greedy_chain(cliques: Sequence[tuple[int, int]], lo: int, hi: int) -> list[int]:
+def _greedy_chain(closed: ClosedStructure, lo: int, hi: int) -> list[int]:
+    """Greedy chain from lo to hi in the closed graph induced on [lo, hi].
+
+    In a closed labeling the clique containing v that reaches furthest
+    ends at v's largest neighbour, so each step goes from v to its reach,
+    clipped at hi.
+    """
+    reach = closed.reach
     chain = [lo]
     cur = lo
     while cur < hi:
-        nxt = max(b for a, b in cliques if a <= cur <= b)
+        nxt = min(reach[cur], hi)
         if nxt <= cur:
             raise GraphInputError("interval cliques do not reach the last vertex")
         cur = nxt

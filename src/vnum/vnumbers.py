@@ -10,6 +10,12 @@ count, plus one per isolated vertex, yields the degree of a witness
 polynomial; minimizing over partitions gives the local v-number in every
 proved regime and a certified upper bound elsewhere.
 
+The v-number is the least local value over all cut sets.  On a closed
+graph whose consecutive cliques overlap in one vertex a closed formula
+gives it; on other closed graphs a dynamic program over the connected
+cut sets finds it without listing the cut sets, whose number grows
+exponentially with the clique count.
+
 Results carry an explicit ``status``: 'proved' inside the regimes where
 the value is a certainty (empty cut set for any m; any cut set for m = 2; any
 cut set when consecutive maximal cliques overlap in one vertex) and
@@ -19,11 +25,10 @@ kind, where only the upper bound is known.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import GraphInputError, InstanceTooLargeError, UnsupportedRegimeError
+from .errors import GraphInputError, UnsupportedRegimeError
 from .graphs import (
     ClosedStructure,
     CutSet,
@@ -41,11 +46,6 @@ from .graphs import (
 
 PROVED = "proved"
 CONJECTURED = "conjectured"
-
-#: Largest clique count of a closed component without one-vertex overlaps
-#: whose v-number is minimized over all its cut sets; their number grows
-#: exponentially with the clique count.
-MAX_CUT_T = 20
 
 
 @dataclass(frozen=True)
@@ -160,19 +160,18 @@ class VNumberResult:
 
 
 def _gap_dominating_set(closed: ClosedStructure, lo: int, hi: int) -> tuple[int, ...]:
-    """Interior of the greedy chain of the induced closed graph on [lo, hi].
+    """Interior of the greedy chain of the induced closed graph on [lo, hi]
+    (empty when lo >= hi): a minimum reduced connected dominating set of
+    that stretch.  The chain steps from each vertex to its reach, clipped
+    at hi."""
+    return tuple(_greedy_chain(closed, lo, hi)[1:-1])
 
-    The cliques meeting [lo, hi] form one slice of ``closed.cliques``, as
-    both endpoint sequences increase; clipped to [lo, hi] they cover the
-    induced graph, and the non-maximal ones never extend the chain.
-    """
-    if lo >= hi:
-        return ()
-    cl = closed.cliques
-    first = bisect_left(cl, lo, key=lambda c: c[1])
-    stop = bisect_right(cl, hi, key=lambda c: c[0])
-    clipped = [(max(a, lo), min(b, hi)) for a, b in cl[first:stop]]
-    return tuple(_greedy_chain(clipped, lo, hi)[1:-1])
+
+def _shares_anchor(cl: Sequence[tuple[int, int]], ji: int, jn: int) -> bool:
+    """Whether the anchor pairs of consecutive chosen blocks W_ji and W_jn
+    share a vertex: the clique F_{ji+1} reaches the first clique F_jn of
+    W_jn, b_{ji+1} >= a_jn.  The anchor path then goes on through both."""
+    return cl[ji + 1][1] >= cl[jn][0]
 
 
 def build_anchor_graph(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
@@ -180,7 +179,7 @@ def build_anchor_graph(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
 
     Each block of T is a connected cut set W_j = F_j cap F_{j+1} of the
     maximal cliques F_j = [a_j, b_j], with anchor pair (a_j, b_{j+1}).
-    When b_{j+1} > a_{j'} for consecutive blocks W_j and W_{j'}, their
+    When b_{j+1} >= a_{j'} for consecutive blocks W_j and W_{j'}, their
     pairs share one anchor instead: the least vertex of [a_{j'}, b_{j+1}]
     outside T.  The stretches before, between and after the anchor pairs
     add the interiors of their greedy chains as isolated vertices.  When
@@ -200,15 +199,15 @@ def build_anchor_graph(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
     betas = []
     for ji, jn in zip(js, js[1:]):
         reach, start = cl[ji + 1][1], cl[jn][0]
-        if reach <= start:
-            betas.append(reach)
-            alphas.append(start)
-        else:
+        if _shares_anchor(cl, ji, jn):
             window = [v for v in range(start, reach + 1) if v not in Tset]
             if not window:
                 raise GraphInputError("anchor window swallowed by the cut set")
             betas.append(window[0])
             alphas.append(window[0])
+        else:
+            betas.append(reach)
+            alphas.append(start)
     betas.append(cl[js[-1] + 1][1])
     gaps = [
         _gap_dominating_set(closed, lo, hi)
@@ -401,15 +400,13 @@ def v_number(
     """The v-number of the generalized binomial edge ideal of G.
 
     Dispatch per connected component: complete -> 0; closed with
-    one-vertex overlaps -> closed formula; other closed -> minimum of the
-    local values over all cut sets (proved for m = 2, conjectured
-    otherwise); cone over a non-complete base -> 1; anything else falls
-    back to the exact ideal-arithmetic oracle when the component has at
-    most ``oracle_n_limit`` vertices.  Components add up.
-
-    The cut-set minimization is exponential in the clique count, so a
-    closed component with more than MAX_CUT_T maximal cliques and larger
-    overlaps raises InstanceTooLargeError; no greedy shortcut is attempted.
+    one-vertex overlaps -> closed formula; other closed -> least local
+    value over all cut sets, found by a dynamic program over the connected
+    cut sets in polynomial time (proved for m = 2, conjectured otherwise);
+    cone over a non-complete base -> 1; anything else falls back to the
+    exact ideal-arithmetic oracle when the component has at most
+    ``oracle_n_limit`` vertices.  Components add up, and so do their cut
+    sets: a vertex's neighbours all lie in its own component.
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
@@ -427,7 +424,7 @@ def v_number(
             if sub.status != PROVED:
                 status = CONJECTURED
             union.extend(back[v] for v in sub.cut_set.vertices)
-        cut = cut_set_from_vertices(G, union) if is_cut_set(G, union) else None
+        cut = cut_set_from_vertices(G, union)
         return VNumberResult(
             value=total,
             status=status,
@@ -505,7 +502,81 @@ def _least_oracle_value(
     )
 
 
+def _least_cut_set(closed: ClosedStructure, m: int) -> tuple[int, tuple[int, ...]]:
+    """The least (local value, vertices) over all cut sets of a connected
+    closed graph, by a dynamic program over its connected cut sets.
+
+    A nonempty cut set chooses blocks W_j = [a_{j+1}, b_j] far enough apart,
+    and its value adds up along them: the greedy-chain gap before the first
+    block, one anchor edge per block, the gap after the last block, and
+    between consecutive blocks W_j, W_k either a shared anchor
+    (_shares_anchor: the path goes on) or the gap from b_{j+1} to a_k.  An
+    edge costs 1, plus 1 when it opens a slice: when the path it extends
+    has a multiple of m-1 edges, none for a new path.  So right to left,
+    best[j][r] is the least value from W_j on when W_j's edge extends a
+    path of r (mod m-1) edges, and r < j+1.  One reach walk from b_{j+1}
+    gives every gap that starts there.  The whole run takes O(t^2 m) steps.
+
+    Cut sets compare by vertices as their block index sequences do (block
+    ends increase), a sequence before its extensions.  So the empty cut
+    set, of value gamma, is tried first, then the first blocks in
+    increasing order; at each block, stopping there is tried first, then
+    the next blocks in increasing order.  Only a strictly smaller value
+    replaces the best, which makes the result the least (value, vertices)
+    over all cut sets.
+    """
+    cl = closed.cliques
+    n = closed.graph.n
+    step = m - 1
+    nblocks = len(cl) - 1
+    best: list[list[int]] = [[] for _ in range(nblocks)]
+    succ: list[list[Optional[int]]] = [[] for _ in range(nblocks)]
+    for j in range(nblocks - 1, -1, -1):
+        walk = _greedy_chain(closed, cl[j + 1][1], n)
+        states = min(step, j + 1)
+        # stopping at W_j leaves the gap from b_{j+1} to n
+        vals = [max(len(walk) - 2, 0)] * states
+        nxt: list[Optional[int]] = [None] * states
+        at = 0
+        for k in range(j + 1, nblocks):
+            if cl[j][1] + 1 >= cl[k + 1][0]:
+                continue
+            if _shares_anchor(cl, j, k):
+                options = [best[k][(r + 1) % step] for r in range(states)]
+            else:
+                while walk[at] < cl[k][0]:
+                    at += 1
+                options = [at - 1 + best[k][0]] * states
+            for r, v in enumerate(options):
+                if v < vals[r]:
+                    vals[r], nxt[r] = v, k
+        best[j] = [v + 1 + (r == 0) for r, v in enumerate(vals)]
+        succ[j] = nxt
+    spine = _greedy_chain(closed, 1, n)
+    value, first = max(len(spine) - 2, 0), None
+    at = 0
+    for j in range(nblocks):
+        while spine[at] < cl[j][0]:
+            at += 1
+        v = max(at - 1, 0) + best[j][0]
+        if v < value:
+            value, first = v, j
+    vertices: list[int] = []
+    j, r = first, 0
+    while j is not None:
+        vertices.extend(range(cl[j + 1][0], cl[j][1] + 1))
+        k = succ[j][r]
+        if k is not None:
+            r = (r + 1) % step if _shares_anchor(cl, j, k) else 0
+        j = k
+    return value, tuple(vertices)
+
+
 def _v_number_closed(G: SimpleGraph, closed: ClosedStructure, m: int) -> VNumberResult:
+    """Least local value over the cut sets of a connected closed graph:
+    the closed formula at its constructed cut set for one-vertex overlaps,
+    else _least_cut_set.  Either way local_v_number at the cut set found
+    must give the same value."""
     if closed.is_cm:
         value = cm_v_formula(m, closed.t)
         cut = optimal_cut_set(closed, m)
@@ -522,15 +593,14 @@ def _v_number_closed(G: SimpleGraph, closed: ClosedStructure, m: int) -> VNumber
             cut_set=cut,
             witness=attained.witness,
         )
-    if closed.t > MAX_CUT_T:
-        raise InstanceTooLargeError(
-            f"cut-set minimization over {closed.t} maximal cliques exceeds "
-            f"the budget of {MAX_CUT_T}; no greedy shortcut is attempted"
+    value, vertices = _least_cut_set(closed, m)
+    res = local_v_number(G, closed, cut_set_from_vertices(G, vertices, closed), m)
+    if res.value != value:
+        raise AssertionError(
+            "cut-set minimization and the local value disagree; "
+            f"{value} vs {res.value}"
         )
-    return min(
-        (local_v_number(G, closed, cut, m) for cut in enumerate_cut_sets(G, closed)),
-        key=lambda res: (res.value, res.cut_set.vertices),
-    )
+    return res
 
 
 def classify_small_v(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from vnum.errors import GraphInputError, InstanceTooLargeError, NotACutSetError
 from vnum.enumeration import closed_graphs, closed_interval_profiles, connected_graphs_up_to_iso
 from vnum.graphs import (
+    DEFAULT_SUBSET_BUDGET,
     SimpleGraph,
     build_graph,
     check_closed_labeling,
     complete_graph,
     completion_graph,
-    completion_graph_set,
     cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
@@ -21,8 +22,6 @@ from vnum.graphs import (
     is_cone,
     is_cut_set,
     is_reduced_connected_dominating_set,
-    maximal_cliques,
-    min_completion_number,
     parse_graph,
     path_graph,
     reduced_connected_domination_number,
@@ -114,6 +113,23 @@ def test_heuristic_recognizes_shuffled_large_closed(g42):
     assert cs.t == 16
 
 
+def maximal_cliques(G: SimpleGraph) -> list[frozenset]:
+    """Generic Bron-Kerbosch maximal-clique enumeration (pivotless; small n)."""
+    out = []
+
+    def extend(r: set, p: set, x: set):
+        if not p and not x:
+            out.append(frozenset(r))
+            return
+        for v in sorted(p):
+            extend(r | {v}, p & G.neighbors(v), x & G.neighbors(v))
+            p = p - {v}
+            x = x | {v}
+
+    extend(set(), set(G.vertices()), set())
+    return sorted(out, key=lambda c: (min(c), -len(c)))
+
+
 def test_cliques_match_generic_enumerator():
     for n in range(2, 7):
         for G, cs in closed_graphs(n):
@@ -189,9 +205,11 @@ def test_cut_set_blocks_on_42(g42):
 def test_block_enumeration_equals_generic():
     for n in range(2, 8):
         for G, cs in closed_graphs(n):
-            via_blocks = {c.vertices for c in enumerate_cut_sets(G, cs)}
+            via_blocks = enumerate_cut_sets(G, cs)
             generic = {c.vertices for c in enumerate_cut_sets(G)}
-            assert via_blocks == generic
+            assert {c.vertices for c in via_blocks} == generic
+            for c in via_blocks:
+                assert c.component_count == G.component_count(frozenset(c.vertices))
 
 
 def test_generic_enumeration_budget():
@@ -200,6 +218,39 @@ def test_generic_enumeration_budget():
 
 
 # -- completions and domination ---------------------------------------------
+
+def completion_graph_set(G: SimpleGraph, vs: Iterable[int]) -> SimpleGraph:
+    """Iterated completion; the result does not depend on the order of vs."""
+    H = G
+    for v in vs:
+        H = completion_graph(H, v)
+    return H
+
+
+def is_cluster(G: SimpleGraph) -> bool:
+    """Is G a disjoint union of complete graphs?"""
+    for comp in G.components():
+        k = len(comp)
+        if sum(1 for (u, v) in G.edges if u in comp) != k * (k - 1) // 2:
+            return False
+    return True
+
+
+def min_completion_number(
+    G: SimpleGraph, max_n: int = DEFAULT_SUBSET_BUDGET
+) -> int:
+    """Smallest |W| with the iterated completion along W a union of cliques."""
+    if G.n > max_n:
+        raise InstanceTooLargeError(
+            f"minimum-completion search needs n <= {max_n}, got {G.n}"
+        )
+    verts = list(G.vertices())
+    for size in range(G.n + 1):
+        for sub in itertools.combinations(verts, size):
+            if is_cluster(completion_graph_set(G, sub)):
+                return size
+    raise AssertionError("unreachable: the full vertex set always completes")
+
 
 def test_completion_examples():
     assert completion_graph(path_graph(3), 2) == complete_graph(3)

@@ -16,7 +16,7 @@ from vnum.algebra import (
     search_power_witness,
     verify_witness,
 )
-from vnum.errors import GraphInputError, InstanceTooLargeError, UnsupportedRegimeError
+from vnum.errors import GraphInputError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
     build_graph,
@@ -30,9 +30,9 @@ from vnum.graphs import (
 from vnum.vnumbers import (
     AnchorGraph,
     CONJECTURED,
-    MAX_CUT_T,
     PROVED,
     _assemble_anchor,
+    _least_cut_set,
     build_anchor_graph,
     classify_small_v,
     cm_v_formula,
@@ -299,6 +299,34 @@ def test_min_over_cut_sets_equals_formula():
             assert attained == best
 
 
+def reference_v_number_closed(G, closed, m):
+    """Reference: local_v_number at every cut set, least (value, vertices)
+    first; the minimization _v_number_closed ran before its dynamic
+    program over the connected cut sets."""
+    return min(
+        (local_v_number(G, closed, cut, m) for cut in enumerate_cut_sets(G, closed)),
+        key=lambda res: (res.value, res.cut_set.vertices),
+    )
+
+
+def test_closed_v_number_matches_enumeration():
+    # every closed graph with n <= 9: the dynamic program finds the
+    # enumeration's least (value, vertices), and without one-vertex
+    # overlaps v_number returns the reference's whole result (value,
+    # status, regime, cut set and witness)
+    cases = 0
+    for n in range(2, 10):
+        for G, cs in closed_graphs(n):
+            for m in (2, 3, 4):
+                want = reference_v_number_closed(G, cs, m)
+                got = _least_cut_set(cs, m)
+                assert got == (want.value, want.cut_set.vertices), (cs.cliques, m)
+                if not cs.is_cm:
+                    assert v_number(G, m) == want, (cs.cliques, m)
+                cases += 1
+    assert cases == 3 * 2055
+
+
 def test_empty_cut_set_value_independent_of_m():
     for n in range(3, 7):
         for G, cs in closed_graphs(n):
@@ -428,14 +456,16 @@ def test_v_number_42_global(g42):
     # oracle-validated exhaustively at n <= 7)
     res = v_number(g42, 2)
     assert res.value == 9 and res.status == PROVED
-    # the minimization is exponential in the clique count and capped: a
-    # chain of MAX_CUT_T + 1 cliques, consecutive ones sharing two vertices
-    t = MAX_CUT_T + 1
+    # no cap on the clique count: a chain of 200 cliques, consecutive ones
+    # sharing two vertices, has a Fibonacci number of cut sets in t, and
+    # the minimization over them answers without listing them
+    t = 200
     chain = graph_from_intervals(2 * t + 2, [(2 * i + 1, 2 * i + 4) for i in range(t)])
     cs = find_closed_labeling(chain)
     assert cs.t == t and not cs.is_cm
-    with pytest.raises(InstanceTooLargeError):
-        v_number(chain, 2)
+    for m in (2, 3):
+        res = v_number(chain, m)
+        assert res.value == local_v_number(chain, cs, res.cut_set, m).value, m
 
 
 def test_witness_spec_rejects_oversized_slice():
