@@ -64,7 +64,6 @@ from .algebra import (
     RingSpec,
     binomial_edge_ideal,
     brute_local_v,
-    colon_ideal,
     colon_poly,
     cut_set_prime,
     generalized_minor,

@@ -876,16 +876,6 @@ def colon_poly(
     return Ideal(ring, basis, _gb=tuple(basis))
 
 
-def colon_ideal(
-    I: Ideal, J: Ideal, budget: GBBudget = ELIMINATION_BUDGET
-) -> Ideal:
-    """(I : J) as the intersection of (I : g) over the generators of J."""
-    parts = [colon_poly(I, g, budget) for g in J.gens]
-    if not parts:
-        raise GraphInputError("colon by the zero ideal")
-    return intersect_many(parts, budget)
-
-
 def ideal_power(I: Ideal, k: int) -> Ideal:
     """Generated by all k-fold products of generators."""
     if k < 1:

@@ -29,9 +29,10 @@ DEFAULT_SUBSET_BUDGET = 16
 class SimpleGraph:
     """Undirected simple graph on vertices 1..n, no loops, no multi-edges.
 
-    Adjacency is kept both as frozensets (friendly) and as int bitmasks
-    (fast interval/clique tests); bit v of ``mask[u]`` is set iff {u,v} is
-    an edge.
+    Adjacency is kept both as frozensets (friendly) and as int bitmasks;
+    bit v of ``mask[u]`` is set iff {u,v} is an edge.  The masks serve the
+    closed labeling: its check, its runs of twins and each vertex's
+    largest neighbour.
     """
 
     __slots__ = ("n", "edges", "_adj", "_mask")
@@ -117,11 +118,6 @@ class SimpleGraph:
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
-
-    def is_interval_clique(self, a: int, b: int) -> bool:
-        """True iff the vertex interval [a,b] induces a clique."""
-        want = ((1 << (b + 1)) - 1) & ~((1 << a) - 1)
-        return all(self._mask[v] & want == want & ~(1 << v) for v in range(a, b + 1))
 
     def induced(self, vs: Iterable[int]) -> tuple["SimpleGraph", dict[int, int]]:
         """Induced subgraph on ``vs`` relabeled to 1..k preserving order.
@@ -241,22 +237,19 @@ def _interval_cliques(G: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[int,
     """Maximal interval cliques of a connected identity-closed graph, and
     the reach of every vertex.
 
-    The reach of a (the largest b with [a, b] a clique) never decreases
-    with a: when b is the reach of a - 1, [a, b] lies inside the clique
-    [a - 1, b].  So each scan starts from the previous reach, and [a, b]
-    is maximal exactly when b exceeds the previous reach.
+    It runs only after check_closed_labeling has passed, which both
+    branches of find_closed_labeling make sure of.  Then every edge {a, b}
+    makes [a, b] a clique, so the reach of a (the largest b with [a, b] a
+    clique) is a's largest neighbour, or a itself.  Reaches never decrease
+    with a, and [a, b] is maximal exactly when b exceeds the previous reach.
     """
     out = []
     reach = [0]
-    prev = 0
     for a in G.vertices():
-        b = max(a, prev)
-        while b < G.n and G.is_interval_clique(a, b + 1):
-            b += 1
-        if b > prev and (b > a or G.n == 1):
+        b = max(a, G._mask[a].bit_length() - 1)
+        if b > reach[-1] and (b > a or G.n == 1):
             out.append((a, b))
         reach.append(b)
-        prev = b
     return out, tuple(reach)
 
 
@@ -405,59 +398,44 @@ def connected_cut_blocks(closed: ClosedStructure) -> list[tuple[int, int]]:
     return [(cl[i + 1][0], cl[i][1]) for i in range(len(cl) - 1)]
 
 
+def _check_own_structure(G: SimpleGraph, closed: ClosedStructure) -> None:
+    if closed.graph != G:
+        raise GraphInputError(
+            "the closed structure belongs to another graph; "
+            "pass closed.graph and cut sets in the same labels"
+        )
+
+
 def cut_set_from_vertices(
     G: SimpleGraph, vertices: Iterable[int], closed: Optional[ClosedStructure] = None
 ) -> CutSet:
-    """Wrap a verified cut set, recovering the block decomposition."""
+    """Wrap a verified cut set, recovering the block decomposition.
+
+    With the ClosedStructure of G, T is a cut set exactly when each maximal
+    run of consecutive vertices in T is a connected cut set W_j.  Runs are
+    at least two apart, so the gap rule of enumerate_cut_sets holds by
+    itself, and G minus T has one component more than T has blocks.
+    Otherwise is_cut_set decides, and the blocks are the components of the
+    subgraph induced on T, that is of G minus the other vertices.
+    """
     vs = tuple(sorted(set(vertices)))
-    if not is_cut_set(G, vs):
+    if closed is None:
+        if not is_cut_set(G, vs):
+            raise NotACutSetError(f"{list(vs)} is not a cut set")
+        rest = frozenset(G.vertices()).difference(vs)
+        blocks = [tuple(sorted(c)) for c in G.components(rest)]
+        return CutSet(vs, tuple(blocks), G.component_count(frozenset(vs)))
+    _check_own_structure(G, closed)
+    runs: list[list[int]] = []
+    for v in vs:
+        if runs and v == runs[-1][-1] + 1:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    wset = set(connected_cut_blocks(closed))
+    if any((run[0], run[-1]) not in wset for run in runs):
         raise NotACutSetError(f"{list(vs)} is not a cut set")
-    if closed is not None and vs:
-        blocks = []
-        run = [vs[0]]
-        for v in vs[1:]:
-            if v == run[-1] + 1:
-                run.append(v)
-            else:
-                blocks.append(tuple(run))
-                run = [v]
-        blocks.append(tuple(run))
-        wset = {(a, b) for a, b in connected_cut_blocks(closed)}
-        for blk in blocks:
-            if (blk[0], blk[-1]) not in wset:
-                raise NotACutSetError(
-                    f"block {list(blk)} is not a connected cut set of the closed graph"
-                )
-    else:
-        blocks = [
-            tuple(sorted(c))
-            for c in sorted((frozenset(x) for x in _induced_components(G, vs)), key=min)
-        ]
-    return CutSet(
-        vertices=vs,
-        blocks=tuple(blocks),
-        component_count=G.component_count(frozenset(vs)),
-    )
-
-
-def _induced_components(G: SimpleGraph, vs: Sequence[int]) -> list[set]:
-    vset = set(vs)
-    seen = set()
-    comps = []
-    for s in sorted(vset):
-        if s in seen:
-            continue
-        stack, comp = [s], {s}
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in G.neighbors(u):
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+    return CutSet(vs, tuple(tuple(run) for run in runs), len(runs) + 1)
 
 
 def enumerate_cut_sets(
@@ -467,17 +445,18 @@ def enumerate_cut_sets(
 ) -> list[CutSet]:
     """All cut sets of G, each with its block decomposition.
 
-    With a ClosedStructure the list is generated directly from the
+    With the ClosedStructure of G the list is generated directly from the
     connected cut sets W_i under the gap condition
     max(W_{j_i}) + 1 < min(W_{j_{i+1}}); G minus such a cut set has one
     component more than the cut set has blocks, since what lies before,
     between and after the blocks is a nonempty interval of vertices, and
-    so connected.  Otherwise every vertex subset is filtered through
-    is_cut_set, which is exponential and therefore capped at
-    ``max_generic_n`` vertices.
+    so connected (the empty cut set leaves the one component G).
+    Otherwise every vertex subset is filtered through is_cut_set, which is
+    exponential and therefore capped at ``max_generic_n`` vertices.
     """
-    out = [CutSet(vertices=(), blocks=(), component_count=G.component_count())]
     if closed is not None:
+        _check_own_structure(G, closed)
+        out = [CutSet(vertices=(), blocks=(), component_count=1)]
         blocks = connected_cut_blocks(closed)
         chosen: list[int] = []
 
@@ -508,6 +487,7 @@ def enumerate_cut_sets(
         raise InstanceTooLargeError(
             f"generic cut-set enumeration needs n <= {max_generic_n}, got {G.n}"
         )
+    out = [CutSet(vertices=(), blocks=(), component_count=G.component_count())]
     verts = list(G.vertices())
     for size in range(1, G.n + 1):
         for sub in itertools.combinations(verts, size):
@@ -542,11 +522,16 @@ def is_reduced_connected_dominating_set(G: SimpleGraph, D: Iterable[int]) -> boo
     antipodal vertex undominated, and the completion/colon identities that
     this invariant feeds (minimum completion number, the empty-cut-set
     local value) genuinely take the value 3 there, not 2.
+
+    D is connected when G minus the vertices outside D is; a vertex of D
+    outside 1..n raises GraphInputError.
     """
-    D = frozenset(D)
+    D, V = frozenset(D), frozenset(G.vertices())
+    if not D <= V:
+        raise GraphInputError(f"vertices {sorted(D - V)} outside 1..{G.n}")
     if not D:
         return G.is_complete()
-    if len(_induced_components(G, sorted(D))) != 1:
+    if G.component_count(V - D) != 1:
         return False
     return all(v in D or G.neighbors(v) & D for v in G.vertices())
 

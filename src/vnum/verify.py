@@ -318,7 +318,8 @@ def suite_powers(
             gk = Polynomial.one(ring)
             for _ in range(k - 1):
                 gk = gk * g
-            for cut in enumerate_cut_sets(G, closed):
+            cuts = enumerate_cut_sets(G, closed)
+            for cut in cuts:
                 res = local_v_number(G, closed, cut, 2)
                 spec = res.witness
                 f = gk * witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars)
@@ -328,7 +329,7 @@ def suite_powers(
                 P = cut_set_prime(ring, G, cut.vertices)
                 if not verify_witness(powers[k], f, P, budget):
                     return False, f"witness fails at T={list(cut.vertices)}"
-            return True, f"all {len(enumerate_cut_sets(G, closed))} cut sets"
+            return True, f"all {len(cuts)} cut sets"
 
         out.append(_run(f"power-witness[k={k}]", body_witness))
     return out
@@ -421,5 +422,5 @@ def run_suites(
 def _default_probe_cutset(G, closed) -> Optional[tuple[int, ...]]:
     if closed is None:
         return None
-    cuts = [c for c in enumerate_cut_sets(G, closed) if c.vertices]
+    cuts = [c for c in enumerate_cut_sets(closed.graph, closed) if c.vertices]
     return cuts[0].vertices if cuts else None

