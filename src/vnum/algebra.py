@@ -1086,65 +1086,6 @@ def all_monomials_of_degree(ring: RingSpec, d: int) -> list[int]:
     return out
 
 
-def _kernel_witness_at_degree(
-    ring: RingSpec,
-    d: int,
-    Jk: Ideal,
-    P: Ideal,
-    budget: GBBudget,
-) -> Optional[Polynomial]:
-    """A witness of degree d for (Jk : f) = P, or None, by streaming
-    elimination over the degree-d slice of (Jk : P).
-
-    For each monomial u of degree d the stacked vector of normal forms
-    NF(u * g, Jk) over generators g of P is reduced against previously
-    stored pivot rows; a vanishing reduction yields a kernel combination,
-    i.e. an f with f*P inside Jk.  Membership of f in P is linear, so it
-    is enough to inspect each kernel basis vector as it appears.  Prime
-    field coefficients only.
-    """
-    p = ring.p
-    pivots: dict = {}
-    for u in all_monomials_of_degree(ring, d):
-        vec: dict = {}
-        for gi, g in enumerate(P.gens):
-            prod = Polynomial(ring, {u: ring.coeff(1)}) * g
-            nf = Jk.normal_form(prod, budget)
-            for m, c in nf.terms.items():
-                vec[(gi, m)] = c
-        combo = {u: 1}
-        while vec:
-            key = max(vec)
-            if key not in pivots:
-                inv = ring.inv(vec[key])
-                vec = {kk: (vv * inv) % p for kk, vv in vec.items()}
-                combo = {kk: (vv * inv) % p for kk, vv in combo.items()}
-                pivots[key] = (vec, combo)
-                combo = None
-                break
-            pv, pc = pivots[key]
-            factor = vec[key]
-            for kk, vv in pv.items():
-                nv = (vec.get(kk, 0) - factor * vv) % p
-                if nv:
-                    vec[kk] = nv
-                elif kk in vec:
-                    del vec[kk]
-            for kk, vv in pc.items():
-                nv = (combo.get(kk, 0) - factor * vv) % p
-                if nv:
-                    combo[kk] = nv
-                elif kk in combo:
-                    del combo[kk]
-        if combo is not None and combo:
-            # kernel element: f * P lies in Jk by construction, but the
-            # reverse inclusion (Jk : f) <= P still needs verification
-            f = Polynomial(ring, dict(combo)).monic()
-            if verify_witness(Jk, f, P, budget):
-                return f
-    return None
-
-
 def search_power_witness(
     ring: RingSpec,
     G: SimpleGraph,
@@ -1153,28 +1094,71 @@ def search_power_witness(
     d_max: int,
     budget: GBBudget = ELIMINATION_BUDGET,
 ) -> Optional[dict]:
-    """Search for f of least degree <= d_max with (J^k : f) = P_T.
+    """A verified f of degree <= d_max with (J^k : f) = P_T, or None.
 
-    One exact sweep over the degree slices d = 0..d_max.  J^k lies in the
-    prime P_T, so (J^k : f) = P_T holds exactly for the f in (J^k : P_T)
-    outside P_T; the degree-d part of (J^k : P_T) is the kernel of a
-    linear map (_kernel_witness_at_degree), and a homogeneous component of
-    a witness is a witness of no larger degree.  The first degree whose
-    kernel leaves P_T is therefore the least witness degree at P_T.  A hit
-    is certified by verify_witness before being reported; a miss is
-    reported as None, never as a lower bound.  The sweep needs a
-    prime-field ring; any other ring raises GraphInputError.
+    One exact sweep over the degree slices d = 0..d_max of (J^k : P_T).
+    For each monomial u of degree d the stacked vector of normal forms
+    NF(u * g, J^k) over generators g of P_T is reduced against the stored
+    pivot rows; a vanishing reduction yields a kernel combination f, so
+    f * P_T lies in J^k, and f is reported once verify_witness certifies
+    (J^k : f) = P_T.  The rows of degree d - 1 are reused: with x the
+    largest variable dividing u = x * u', NF(u * g) = NF(x * NF(u' * g)),
+    as normal forms against a Groebner basis are unique.
+
+    A hit is a verified witness, so its degree is a certified upper bound
+    and nothing more.  For k >= 2 no witness lies outside P_T (localize at
+    P_T: P_T R_P <= P_T^k R_P contradicts Nakayama), and a slice whose
+    witnesses are only combinations of kernel basis vectors is passed
+    over.  A miss is reported as None, never as a lower bound.  The sweep
+    needs a prime-field ring; any other ring raises GraphInputError.
     """
     if ring.p is None:
         raise GraphInputError("the power witness search needs a prime-field ring")
+    p = ring.p
     J = binomial_edge_ideal(ring, G)
     Jk = ideal_power(J, k)
-    Jk.groebner(budget)
+    red = Jk._reducers(budget)
     P = cut_set_prime(ring, G, T)
+    rows: dict = {}
     for d in range(d_max + 1):
-        f = _kernel_witness_at_degree(ring, d, Jk, P, budget)
-        if f is not None:
-            return {"degree": d, "witness": f, "via": "degree-slice"}
+        prev, rows, pivots = rows, {}, {}
+        for u in all_monomials_of_degree(ring, d):
+            if d:
+                x = 1 << (u.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
+                rows[u] = [
+                    _nf(ring, {m + x: c for m, c in r.items()}, red) for r in prev[u - x]
+                ]
+            else:
+                rows[u] = [_nf(ring, g.terms, red) for g in P.gens]
+            vec = {(gi, m): c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
+            combo = {u: 1}
+            while vec:
+                key = max(vec)
+                if key not in pivots:
+                    inv = ring.inv(vec[key])
+                    vec = {kk: (vv * inv) % p for kk, vv in vec.items()}
+                    combo = {kk: (vv * inv) % p for kk, vv in combo.items()}
+                    pivots[key] = (vec, combo)
+                    combo = None
+                    break
+                pv, pc = pivots[key]
+                factor = vec[key]
+                for kk, vv in pv.items():
+                    nv = (vec.get(kk, 0) - factor * vv) % p
+                    if nv:
+                        vec[kk] = nv
+                    elif kk in vec:
+                        del vec[kk]
+                for kk, vv in pc.items():
+                    nv = (combo.get(kk, 0) - factor * vv) % p
+                    if nv:
+                        combo[kk] = nv
+                    elif kk in combo:
+                        del combo[kk]
+            if combo:
+                f = Polynomial(ring, dict(combo)).monic()
+                if verify_witness(Jk, f, P, budget):
+                    return {"degree": d, "witness": f, "via": "degree-slice"}
     return None
 
 

@@ -8,6 +8,7 @@ do not apply to the input, with the reason spelled out).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -255,6 +256,17 @@ def suite_brute_vs_formula(
     return out
 
 
+def _peel_certified(
+    Jj: Ideal, g: Polynomial, Jprev: Ideal, budget: GBBudget
+) -> Optional[bool]:
+    """(Jj : g) = Jprev without a tag elimination: None if g*Jprev is not
+    inside Jj, else whether _ini_colon_certificate pins the equality
+    (False: inconclusive)."""
+    if not all(Jj.contains(g * h, budget) for h in Jprev.gens):
+        return None
+    return _ini_colon_certificate(Jj, g, Jprev, budget)
+
+
 def suite_powers(
     G: SimpleGraph,
     closed: Optional[ClosedStructure],
@@ -272,6 +284,12 @@ def suite_powers(
     J^k that pins both the inclusion and the initial ideals, which forces
     equality.  If the monomial route is inconclusive the exact elimination
     runs instead.
+
+    A shifted witness g^{k-1} w goes through the peel chain: once the peels
+    (J^j : g) = J^{j-1} are certified that way for j = 2..k,
+    (J^k : g^{k-1} w) = ((J^k : g^{k-1}) : w) = (J : w), and w lies outside
+    P_T, so verify_witness(J, w, P_T) is decided by prime avoidance.  A k
+    with an uncertified peel checks (J^k : g^{k-1} w) = P_T directly.
     """
     if closed is None or not closed.is_identity() or not closed.is_cm:
         return [
@@ -291,6 +309,11 @@ def suite_powers(
     for k in range(2, k_max + 1):
         powers[k] = ideal_power(J, k)
     ini1 = [h.lt() for h in J.groebner(budget)]
+
+    @functools.cache
+    def peel(j):
+        return _peel_certified(powers[j], g, powers[j - 1], budget)
+
     for k in range(2, k_max + 1):
 
         def body_ini(k=k):
@@ -304,13 +327,13 @@ def suite_powers(
         out.append(_run(f"power-initial[k={k}]", body_ini))
 
         def body_colon(k=k):
-            prev = powers[k - 1]
-            if not all(powers[k].contains(g * h, budget) for h in prev.gens):
+            certified = peel(k)
+            if certified is None:
                 return False, "inclusion g*J^(k-1) in J^k fails"
-            if _ini_colon_certificate(powers[k], g, prev, budget):
+            if certified:
                 return True, "certified by the monomial colon"
             C = colon_poly(powers[k], g, ELIMINATION_BUDGET)
-            return C.equals(prev), "checked by tag elimination"
+            return C.equals(powers[k - 1]), "checked by tag elimination"
 
         out.append(_run(f"power-colon[k={k}]", body_colon))
 
@@ -318,16 +341,19 @@ def suite_powers(
             gk = Polynomial.one(ring)
             for _ in range(k - 1):
                 gk = gk * g
+            chain = all(peel(j) for j in range(2, k + 1))
             cuts = enumerate_cut_sets(G, closed)
             for cut in cuts:
                 res = local_v_number(G, closed, cut, 2)
                 spec = res.witness
-                f = gk * witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars)
+                w = witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars)
+                f = gk * w
                 want_deg = res.value + 2 * (k - 1)
                 if f.degree() != want_deg:
                     return False, f"degree bookkeeping off at T={list(cut.vertices)}"
                 P = cut_set_prime(ring, G, cut.vertices)
-                if not verify_witness(powers[k], f, P, budget):
+                I, h = (J, w) if chain else (powers[k], f)
+                if not verify_witness(I, h, P, budget):
                     return False, f"witness fails at T={list(cut.vertices)}"
             return True, f"all {len(cuts)} cut sets"
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vnum.errors import BudgetExceededError, GraphInputError
 from vnum.enumeration import closed_graphs, connected_graphs_up_to_iso
-from vnum.graphs import complete_graph, enumerate_cut_sets, path_graph
+from vnum.graphs import complete_graph, enumerate_cut_sets, graph_from_intervals, path_graph
 from vnum.algebra import (
     DEFAULT_BUDGET,
     ELIMINATION_BUDGET,
@@ -537,6 +537,35 @@ def test_search_power_witness_finds_degree_zero():
     res = search_power_witness(R, complete_graph(3), [], 1, d_max=2)
     assert res is not None and res["degree"] == 0 and res["witness"] == Polynomial.one(R)
     assert search_power_witness(R, complete_graph(3), [], 2, d_max=0) is None
+
+
+@pytest.mark.parametrize(
+    "G, T, degree, text",
+    [
+        (
+            path_graph(5),
+            [3],
+            3,
+            "1*x[1,2]*x[2,3]*x[3,4] + 32002*x[1,2]*x[2,4]*x[3,3] + 32002*x[1,3]*x[2,2]*x[3,4]"
+            " + 1*x[1,3]*x[2,4]*x[3,2] + 1*x[1,4]*x[2,2]*x[3,3] + 32002*x[1,4]*x[2,3]*x[3,2]",
+        ),
+        (
+            graph_from_intervals(4, [(1, 3), (2, 4)]),
+            [2, 3],
+            4,
+            "1*x[1,1]^2*x[2,2]*x[3,4] + 32002*x[1,1]^2*x[2,4]*x[3,2]"
+            " + 32002*x[1,1]*x[1,2]*x[2,1]*x[3,4] + 1*x[1,1]*x[1,2]*x[2,4]*x[3,1]"
+            " + 1*x[1,1]*x[1,4]*x[2,1]*x[3,2] + 32002*x[1,1]*x[1,4]*x[2,2]*x[3,1]",
+        ),
+    ],
+    ids=["P5-T3", "cliques-13-24-T23"],
+)
+def test_search_power_witness_pinned(G, T, degree, text):
+    # m = 3, k = 2: the sweep reuses the previous degree's normal-form rows,
+    # and must still return the witness a from-scratch sweep returns
+    res = search_power_witness(RingSpec(3, G.n), G, T, 2, d_max=4)
+    assert res["degree"] == degree
+    assert poly_to_text(res["witness"]) == text
 
 
 def test_search_power_witness_rejects_rational_ring():

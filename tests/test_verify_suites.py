@@ -1,23 +1,37 @@
 import itertools
 import random
 
+import pytest
+
+import vnum.algebra
 from vnum.algebra import (
+    Polynomial,
     RingSpec,
     binomial_edge_ideal,
     colon_poly,
     cut_set_prime,
+    ideal_power,
+    minor,
     verify_witness,
     witness_polynomial,
 )
+from vnum.enumeration import cm_closed_graphs
 from vnum.graphs import (
     build_graph,
     check_closed_labeling,
     cut_set_from_vertices,
+    enumerate_cut_sets,
     find_closed_labeling,
     graph_from_intervals,
     path_graph,
 )
-from vnum.verify import run_suites, suite_quadratic_gb, suite_powers
+from vnum.verify import (
+    POWER_BUDGET,
+    run_suites,
+    suite_powers,
+    suite_quadratic_gb,
+    _peel_certified,
+)
 from vnum.vnumbers import local_v_number
 
 
@@ -45,6 +59,69 @@ def test_suites_skip_where_hypotheses_fail(c4):
     G = graph_from_intervals(5, [(1, 3), (2, 5)])
     res = suite_powers(G, find_closed_labeling(G), 2)
     assert res[0].status == "skip"
+
+
+def test_peel_chain_matches_direct_route():
+    # (J^k : g^(k-1) w) = (J : w) once the peels (J^j : g) = J^(j-1) are
+    # certified; the direct colon by the shifted witness is the reference.
+    # Each w is tried at every cut-set prime, so both verdicts occur.
+    verdicts = set()
+    for n in range(2, 6):
+        for G, cs in cm_closed_graphs(n):
+            ring = RingSpec(2, n)
+            J = binomial_edge_ideal(ring, G)
+            g = minor(ring, (1, 2), (1, 2))
+            powers = {1: J, 2: ideal_power(J, 2), 3: ideal_power(J, 3)}
+            cuts = enumerate_cut_sets(G, cs)
+            ws = []
+            for cut in cuts:
+                spec = local_v_number(G, cs, cut, 2).witness
+                ws.append(witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars))
+            for k in (2, 3):
+                assert all(
+                    _peel_certified(powers[j], g, powers[j - 1], POWER_BUDGET)
+                    for j in range(2, k + 1)
+                ), (cs.cliques, k)
+                gk = Polynomial.one(ring)
+                for _ in range(k - 1):
+                    gk = gk * g
+                for cut in cuts:
+                    P = cut_set_prime(ring, G, cut.vertices)
+                    for w in ws:
+                        chain = verify_witness(J, w, P)
+                        direct = verify_witness(powers[k], gk * w, P, POWER_BUDGET)
+                        assert chain == direct, (cs.cliques, k, cut.vertices)
+                        verdicts.add(chain)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "edges, peel_holds",
+    [
+        ([(1, 2), (1, 4), (2, 3)], True),
+        ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], False),
+    ],
+)
+def test_peel_helper_certifies_only_what_the_monomial_colon_pins(edges, peel_holds):
+    # g lies in J, so the inclusion always holds; in the first graph the
+    # monomial certificate is inconclusive although the peel holds
+    ring = RingSpec(2, 4)
+    J = binomial_edge_ideal(ring, build_graph(4, edges))
+    J2 = ideal_power(J, 2)
+    g = minor(ring, (1, 2), (1, 2))
+    assert _peel_certified(J2, g, J, POWER_BUDGET) is False
+    assert colon_poly(J2, g).equals(J) == peel_holds
+
+
+def test_power_suite_runs_no_tag_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tag elimination in suite_powers")
+
+    monkeypatch.setattr(vnum.algebra, "intersect", refuse)
+    for n in range(2, 6):
+        for G, cs in cm_closed_graphs(n):
+            for r in suite_powers(G, cs, 3):
+                assert r.status == "pass", (cs.cliques, r.name, r.detail)
 
 
 def test_all_suites_pass_on_p5(capsys):
