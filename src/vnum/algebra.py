@@ -27,8 +27,9 @@ S-polynomial is formed, and a term is checked before it is reduced.
 RingSpec.mono_degree stays exact for every input.
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
-order; the Gebauer-Moeller update walks the new candidates in ascending
-(lcm degree, lcm, index) order, so among equal lcms the smallest index
+order, where brute_local_v's truncated elimination reads the degree
+without the tag t (x-degree); the Gebauer-Moeller update walks the new
+candidates in the same order, so among equal lcms the smallest index
 survives.  A tag elimination opens with the cached reduced basis of its
 first ideal in its stored order, and the separating element of the
 oracle is picked from the generators of P_T in a fixed order with fixed
@@ -223,7 +224,6 @@ class _TagRing(RingSpec):
         self._ext = None
         #: packed tag monomial; base monomials embed unchanged below it
         self.tag = 1 << (_FIELD_BITS * base.nvars)
-        self.tag_threshold = self.tag
 
 
 class Polynomial:
@@ -485,12 +485,12 @@ def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
     return out
 
 
-def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int):
+def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=None):
     """Gebauer-Moeller pair update for the element just appended at new_idx.
 
     ``pairs`` maps alive (i, j) -> lcm; ``heap`` holds
     (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
-    Called by _buchberger only: lcm degrees are read as l % 255.
+    Called by _buchberger only: lcm degrees are read as l % 255, or (l & mask) % 255.
     """
     top = ring._top
     low = (top >> 7) * 0x7F
@@ -499,10 +499,13 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int):
     for a in lts[:new_idx]:
         d = (a | top) - lt_h
         lcms.append(lt_h + (d & ((d & top) >> 7) * 0xFF & low))
-    cand = sorted((l % 255, l, g) for g, l in enumerate(lcms))
-    # criterion M: keep an lcm only if no kept lcm divides it; a divisor
-    # has lower degree or is equal, so it is always walked first.  Coprime
-    # lcms are kept as dominators, and criterion B1 drops their pairs.
+    if mask is None:
+        cand = sorted((l % 255, l, g) for g, l in enumerate(lcms))
+    else:
+        cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
+    # criterion M: keep an lcm only if no kept lcm divides it; a divisor has
+    # lower degree, or equal degree and a smaller value, so it is walked
+    # first.  Coprime lcms are kept as dominators, and B1 drops their pairs.
     kept: list[int] = []
     new_pairs = []
     for d, l, g in cand:
@@ -551,8 +554,9 @@ def _reduce_basis(ring: RingSpec, basis: list) -> list:
 
 
 def _buchberger(
-    ring: RingSpec, gens: Sequence[dict], budget: GBBudget, known: Sequence[dict] = ()
-) -> list:
+    ring: RingSpec, gens: Sequence[dict], budget: GBBudget, known: Sequence[dict] = (),
+    mask: Optional[int] = None, stop=None,
+):
     """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``.
 
     ``known`` must be a monic Groebner basis of the ideal it generates.
@@ -568,6 +572,10 @@ def _buchberger(
     S-polynomial is formed, and a term before it is reduced.  So every
     monomial of the run has degree at most 2 * max_degree < 255, and its
     degree is read as m % 255 (module docstring).
+
+    For brute_local_v, ``mask`` orders pairs by lcm degree in its fields
+    only (the budget reads total degree), and ``stop(basis)``, called before
+    each new degree and at the end, returns the result once it is not None.
     """
     for g in itertools.chain(known, gens):
         d = max(map(ring.mono_degree, g), default=0)
@@ -586,21 +594,26 @@ def _buchberger(
         basis.append(r)
         lts.append(max(r))
         insort(red, _reducer(r), key=_lead)
-        _gm_update(ring, lts, pairs, heap, len(basis) - 1)
+        _gm_update(ring, lts, pairs, heap, len(basis) - 1, mask)
 
     for g in sorted((g for g in gens if g), key=lambda g: (max(g) % 255, max(g))):
         r = _nf(ring, g, red, budget.max_degree)
         if r:
             add(r)
     reductions = 0
+    closed = -1
     while heap:
         deg_l, l, i, j = heapq.heappop(heap)
         if pairs.get((i, j)) != l:
             continue
+        if stop is not None and deg_l > closed:
+            closed, found = deg_l, stop(basis)
+            if found is not None:
+                return found
         del pairs[(i, j)]
-        if deg_l > budget.max_degree:
+        if l % 255 > budget.max_degree:
             raise BudgetExceededError(
-                f"S-pair lcm degree {deg_l} > budget {budget.max_degree}"
+                f"S-pair lcm degree {l % 255} > budget {budget.max_degree}"
             )
         reductions += 1
         if reductions > budget.max_pairs:
@@ -610,7 +623,7 @@ def _buchberger(
         r = _nf(ring, _spoly(ring, basis[i], basis[j]), red, budget.max_degree)
         if r:
             add(r)
-    return _reduce_basis(ring, basis)
+    return _reduce_basis(ring, basis) if stop is None else stop(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -799,20 +812,19 @@ def intersect(
     The reduced basis is unique, so the result is the one a run from the
     raw generators of t*I gives, with fewer S-pairs.
     """
-    ring = I.ring
-    ext = ring.extended()
-    known = [{m + ext.tag: c for m, c in g.terms.items()} for g in I.groebner(budget)]
-    gens_ext: list[dict] = []
-    for h in J.gens:
-        d = dict(h.terms)
-        p = ring.p
-        for m, c in h.terms.items():
-            key = m + ext.tag
-            d[key] = (-c) % p if p is not None else -c
-        gens_ext.append(d)
-    gb = _buchberger(ext, gens_ext, budget, known)
-    kept = [Polynomial(ring, g) for g in gb if max(g) < ext.tag_threshold]
-    return Ideal(ring, kept, _gb=tuple(kept))
+    ext = I.ring.extended()
+    seeds, known = _tagged(I, J.gens, budget)
+    gb = _buchberger(ext, seeds, budget, known)
+    kept = [Polynomial(I.ring, g) for g in gb if max(g) < ext.tag]
+    return Ideal(I.ring, kept, _gb=tuple(kept))
+
+
+def _tagged(I: Ideal, gens: Sequence[Polynomial], budget: GBBudget) -> tuple:
+    """Seeds (1-t)*g for g in ``gens`` and known basis t*GB(I) of t*I + (1-t)*(gens)."""
+    ring, tag = I.ring, I.ring.extended().tag
+    known = [{m + tag: c for m, c in g.terms.items()} for g in I.groebner(budget)]
+    seeds = [g.terms | {m + tag: ring.coeff(-c) for m, c in g.terms.items()} for g in gens]
+    return seeds, known
 
 
 def intersect_many(
@@ -869,11 +881,16 @@ def colon_poly(
     reduction, not a fresh Buchberger run."""
     if f.is_zero():
         raise GraphInputError("colon by the zero polynomial")
-    ring = I.ring
-    meet = intersect(I, Ideal(ring, [f]), budget)
-    quot = [poly_divexact(g, f) for g in meet.groebner(budget)]
-    basis = [Polynomial(ring, b) for b in _reduce_basis(ring, [q.terms for q in quot])]
-    return Ideal(ring, basis, _gb=tuple(basis))
+    meet = intersect(I, Ideal(I.ring, [f]), budget)
+    basis = _colon_basis(I.ring, [g.terms for g in meet.groebner(budget)], f)
+    return Ideal(I.ring, basis, _gb=tuple(basis))
+
+
+def _colon_basis(ring: RingSpec, meet: list, f: Polynomial) -> list[Polynomial]:
+    """Reduced basis of (I : f) from the reduced basis ``meet`` of I cap (f):
+    the quotients by f form a Groebner basis, which is reduced once more."""
+    quot = [poly_divexact(Polynomial(ring, g), f).terms for g in meet]
+    return [Polynomial(ring, b) for b in _reduce_basis(ring, quot)]
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -892,10 +909,14 @@ def ideal_power(I: Ideal, k: int) -> Ideal:
 
 
 def _minimal_monomials(ring: RingSpec, monos: Iterable[int]) -> list[int]:
-    monos = sorted(set(monos), key=lambda m: (ring.mono_degree(m), m))
+    top = ring._top
     out: list[int] = []
-    for m in monos:
-        if not any(ring.mono_divides(g, m) for g in out):
+    for m in sorted(set(monos), key=lambda m: (ring.mono_degree(m), m)):
+        mt = m | top
+        for g in out:
+            if (mt - g) & top == top:
+                break
+        else:
             out.append(m)
     return out
 
@@ -1043,6 +1064,20 @@ def brute_local_v(
     witness failing its re-verification against the definition
     ((J : witness) = P_T via the prime membership test), is an internal
     inconsistency and raises AssertionError.
+
+    Truncation.  A = (J cap (f0)) / f0 comes from eliminating t from
+    t*J + (1-t)*(f0), stopped at the answer.  With t of weight 0 every
+    element of the run is homogeneous in the x-degree, and pairs are
+    popped by the x-degree of their lcm.  Once a pair of x-degree D + 1 is
+    popped, Buchberger's criterion holds up to x-degree D: its rewriting
+    uses only S-pairs whose lcm divides a term of the degree at hand, and
+    needs a well-order and a grading, not a positive weight (Becker and
+    Weispfenning, Groebner Bases, 1993, sec. 10.2).  With t above every x,
+    the t-free elements form a D-truncated basis of J cap (f0); reduced,
+    divided by the quadric f0 and reduced again, they are A's reduced-basis
+    elements of degree <= D - 2, as leading terms and normal forms in
+    degree <= D see nothing above it.  So the first D with one outside P_T
+    gives the degree, and the least by (degree, lt) is the full basis's.
     """
     Tkey = tuple(sorted(set(T)))
     cut_sets = [c.vertices for c in enumerate_cut_sets(G)]
@@ -1050,18 +1085,20 @@ def brute_local_v(
         raise NotACutSetError(f"{list(Tkey)} is not a cut set of the graph")
     primes = {ts: cut_set_prime(ring, G, ts) for ts in cut_sets}
     J = binomial_edge_ideal(ring, G)
-    J.groebner(budget)
     target = primes[Tkey]
     others = [primes[ts] for ts in cut_sets if ts != Tkey]
     if not others:
         return (0, Polynomial.one(ring))
     f0 = separating_element(target, others)
-    A = colon_poly(J, f0, budget)
-    w = next(
-        (g for g in sorted(A.groebner(budget), key=lambda g: (g.degree(), g.lt()))
-         if not target.contains(g)),
-        None,
-    )
+    seeds, known = _tagged(J, [f0], budget)
+    tag = ring.extended().tag
+
+    def least_witness(basis: list) -> Optional[Polynomial]:
+        meet = _reduce_basis(ring, [g for g in basis if max(g) < tag])
+        A = sorted(_colon_basis(ring, meet, f0), key=lambda g: (g.degree(), g.lt()))
+        return next((g for g in A if not target.contains(g)), None)
+
+    w = _buchberger(ring.extended(), seeds, budget, known, tag - 1, least_witness)
     if w is None or not verify_witness(J, w, target, budget):
         raise AssertionError(
             "internal inconsistency: the least reduced-basis element of A "

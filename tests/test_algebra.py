@@ -446,14 +446,60 @@ def test_brute_local_v_returns_the_exact_degree():
 
 def test_brute_local_v_without_witness_is_an_inconsistency(monkeypatch):
     # if (J : f0) fell inside P_T no reduced-basis element could be a
-    # witness; prime avoidance rules that out, so the oracle raises
+    # witness; prime avoidance rules that out, so the oracle raises.  The
+    # truncated elimination reads A's basis from _colon_basis at every
+    # closed degree: hand back P_T's basis there instead
     import vnum.algebra as algebra
 
     P4 = path_graph(4)
     R = RingSpec(2, 4)
-    monkeypatch.setattr(algebra, "colon_poly", lambda J, f, budget: cut_set_prime(R, P4, [2]))
+    inside = list(cut_set_prime(R, P4, [2]).groebner())
+    monkeypatch.setattr(algebra, "_colon_basis", lambda ring, meet, f: inside)
     with pytest.raises(AssertionError, match="internal inconsistency"):
         brute_local_v(R, P4, [2])
+
+
+def full_elimination_local_v(ring, G, T):
+    """The oracle by the full elimination: A = colon_poly(J, f0), then the
+    least reduced-basis element of A outside P_T, by (degree, lt)."""
+    cuts = [c.vertices for c in enumerate_cut_sets(G)]
+    primes = {S: cut_set_prime(ring, G, S) for S in cuts}
+    others = [primes[S] for S in cuts if S != T]
+    if not others:
+        return 0, Polynomial.one(ring)
+    A = colon_poly(binomial_edge_ideal(ring, G), separating_element(primes[T], others))
+    w = min((g for g in A.groebner() if not primes[T].contains(g)),
+            key=lambda g: (g.degree(), g.lt()))
+    return w.degree(), w
+
+
+def test_truncated_oracle_matches_the_full_elimination():
+    # brute_local_v stops its elimination at the first closed degree with a
+    # witness; the degree and the witness text must be the full route's on
+    # the oracle workload's families: closed graphs with n <= 6 at m = 2 and
+    # n <= 5 at m = 3, and connected graphs with n <= 5 at m = 2
+    cases = [(2, G) for n in range(1, 7) for G, _ in closed_graphs(n)]
+    cases += [(3, G) for n in range(1, 6) for G, _ in closed_graphs(n)]
+    cases += [(2, G) for n in range(1, 6) for G in connected_graphs_up_to_iso(n)]
+    checked = 0
+    for m, G in cases:
+        R = RingSpec(m, G.n)
+        for cut in enumerate_cut_sets(G):
+            got = brute_local_v(R, G, cut.vertices)
+            want = full_elimination_local_v(R, G, cut.vertices)
+            assert (got[0], poly_to_text(got[1])) == (want[0], poly_to_text(want[1])), (
+                m, G.edges, cut.vertices)
+            checked += 1
+    assert checked == 329
+
+
+def test_oracle_pair_budget_pinned():
+    # every pair the truncated elimination treats counts against the budget:
+    # P5 at m = 2, T = {3} stops after 13 pairs (37 on the full elimination)
+    R, P5 = RingSpec(2, 5), path_graph(5)
+    brute_local_v(R, P5, [3], GBBudget(max_pairs=13, max_degree=32))
+    with pytest.raises(BudgetExceededError):
+        brute_local_v(R, P5, [3], GBBudget(max_pairs=12, max_degree=32))
 
 
 def test_oracle_outputs_pinned(c4, c5):
