@@ -45,7 +45,7 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceededError, GraphInputError, NotACutSetError
 from .graphs import CutSet, SimpleGraph, enumerate_cut_sets
@@ -485,12 +485,13 @@ def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
     return out
 
 
-def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=None):
+def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask: int = -1):
     """Gebauer-Moeller pair update for the element just appended at new_idx.
 
     ``pairs`` maps alive (i, j) -> lcm; ``heap`` holds
     (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
-    Called by _buchberger only: lcm degrees are read as l % 255, or (l & mask) % 255.
+    Called by _buchberger only: lcm degrees are read as (l & mask) % 255,
+    the degree in the fields ``mask`` keeps (all of them by default).
     """
     top = ring._top
     low = (top >> 7) * 0x7F
@@ -499,10 +500,7 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=None
     for a in lts[:new_idx]:
         d = (a | top) - lt_h
         lcms.append(lt_h + (d & ((d & top) >> 7) * 0xFF & low))
-    if mask is None:
-        cand = sorted((l % 255, l, g) for g, l in enumerate(lcms))
-    else:
-        cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
+    cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
     # criterion M: keep an lcm only if no kept lcm divides it; a divisor has
     # lower degree, or equal degree and a smaller value, so it is walked
     # first.  Coprime lcms are kept as dominators, and B1 drops their pairs.
@@ -555,9 +553,10 @@ def _reduce_basis(ring: RingSpec, basis: list) -> list:
 
 def _buchberger(
     ring: RingSpec, gens: Sequence[dict], budget: GBBudget, known: Sequence[dict] = (),
-    mask: Optional[int] = None, stop=None,
-):
-    """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``.
+    stop: Optional[Callable[[list], object]] = None,
+) -> list | object:
+    """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``,
+    or, when ``stop`` is given, the first non-None value ``stop`` returns.
 
     ``known`` must be a monic Groebner basis of the ideal it generates.
     Its elements open the basis as they are, and no pair among them is
@@ -573,10 +572,12 @@ def _buchberger(
     monomial of the run has degree at most 2 * max_degree < 255, and its
     degree is read as m % 255 (module docstring).
 
-    For brute_local_v, ``mask`` orders pairs by lcm degree in its fields
-    only (the budget reads total degree), and ``stop(basis)``, called before
-    each new degree and at the end, returns the result once it is not None.
+    ``stop`` is brute_local_v's truncated elimination on a _TagRing: pairs
+    are then ordered by the x-degree of their lcm (the tag t of weight 0;
+    the budget still reads total degree), and ``stop(basis)`` is called
+    before the first pair of each new x-degree and once at the end.
     """
+    mask = -1 if stop is None else ring.tag - 1
     for g in itertools.chain(known, gens):
         d = max(map(ring.mono_degree, g), default=0)
         if d > budget.max_degree:
@@ -882,14 +883,14 @@ def colon_poly(
     if f.is_zero():
         raise GraphInputError("colon by the zero polynomial")
     meet = intersect(I, Ideal(I.ring, [f]), budget)
-    basis = _colon_basis(I.ring, [g.terms for g in meet.groebner(budget)], f)
+    basis = _colon_basis(I.ring, meet.groebner(budget), f)
     return Ideal(I.ring, basis, _gb=tuple(basis))
 
 
-def _colon_basis(ring: RingSpec, meet: list, f: Polynomial) -> list[Polynomial]:
-    """Reduced basis of (I : f) from the reduced basis ``meet`` of I cap (f):
-    the quotients by f form a Groebner basis, which is reduced once more."""
-    quot = [poly_divexact(Polynomial(ring, g), f).terms for g in meet]
+def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial) -> list[Polynomial]:
+    """Reduced basis of (I : f) from the reduced basis ``meet`` (Polynomials)
+    of I cap (f): the quotients by f form a Groebner basis, reduced once more."""
+    quot = [poly_divexact(g, f).terms for g in meet]
     return [Polynomial(ring, b) for b in _reduce_basis(ring, quot)]
 
 
@@ -1095,10 +1096,11 @@ def brute_local_v(
 
     def least_witness(basis: list) -> Optional[Polynomial]:
         meet = _reduce_basis(ring, [g for g in basis if max(g) < tag])
-        A = sorted(_colon_basis(ring, meet, f0), key=lambda g: (g.degree(), g.lt()))
+        A = _colon_basis(ring, [Polynomial(ring, g) for g in meet], f0)
+        A.sort(key=lambda g: (g.degree(), g.lt()))
         return next((g for g in A if not target.contains(g)), None)
 
-    w = _buchberger(ring.extended(), seeds, budget, known, tag - 1, least_witness)
+    w = _buchberger(ring.extended(), seeds, budget, known, least_witness)
     if w is None or not verify_witness(J, w, target, budget):
         raise AssertionError(
             "internal inconsistency: the least reduced-basis element of A "
