@@ -40,6 +40,7 @@ Repeated runs produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from bisect import insort
@@ -162,11 +163,6 @@ class RingSpec:
     def mono_exponents(self, a: int) -> tuple[int, ...]:
         return tuple(a.to_bytes(self._nbytes, "big"))
 
-    def mono_from_exponents(self, exps: Sequence[int]) -> int:
-        if len(exps) != self.nvars:
-            raise GraphInputError("exponent vector length mismatch")
-        return int.from_bytes(bytes(exps), "big")
-
     def mono_text(self, a: int) -> str:
         parts = []
         for idx, e in enumerate(self.mono_exponents(a)):
@@ -274,10 +270,6 @@ class Polynomial:
         if self._lt is None and self.terms:
             self._lt = max(self.terms)
         return self._lt
-
-    def lc(self):
-        lt = self.lt()
-        return self.terms[lt] if lt is not None else 0
 
     def degree(self) -> int:
         if not self.terms:
@@ -528,7 +520,7 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask: int
         heapq.heappush(heap, (d, l, g, new_idx))
 
 
-def _reduce_basis(ring: RingSpec, basis: list) -> list:
+def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> list:
     """Minimalize and tail-reduce a basis that is already a Groebner basis.
 
     One pass in increasing leading-term order: an element whose leading
@@ -536,17 +528,22 @@ def _reduce_basis(ring: RingSpec, basis: list) -> list:
     the kept ones and made monic.  An element kept later cannot reduce an
     earlier one: its leading term is larger than every term of the earlier
     one, and a divisor is never larger than the term it divides.
+
+    With ``red``, the sorted reducers of a reduced prefix that no element
+    of ``basis`` can reduce or remove (say all of larger degree), the
+    prefix counts as kept: only the new kept elements are returned, and
+    their reducers are inserted into ``red``.
     """
     top = ring._top
     out: list = []
-    red: list = []
+    red = [] if red is None else red
     for g in sorted((g for g in basis if g), key=max):
         lt_ = max(g) | top
         if any((lt_ - r[0]) & top == top for r in red):
             continue
         g = _monic(ring, _nf(ring, g, red))
         out.append(g)
-        red.append(_reducer(g))
+        insort(red, _reducer(g), key=_lead)
     out.reverse()
     return out
 
@@ -658,9 +655,6 @@ class Ideal:
             self._red = _prepare_reducers([g.terms for g in self.groebner(budget)])
         return self._red
 
-    def normal_form(self, f: Polynomial, budget: GBBudget = DEFAULT_BUDGET) -> Polynomial:
-        return Polynomial(self.ring, _nf(self.ring, f.terms, self._reducers(budget)))
-
     def contains(self, f: Polynomial, budget: GBBudget = DEFAULT_BUDGET) -> bool:
         return not _nf(self.ring, f.terms, self._reducers(budget))
 
@@ -745,12 +739,8 @@ def binomial_edge_ideal(ring: RingSpec, G: SimpleGraph) -> Ideal:
         raise GraphInputError(
             f"ring has {ring.n} columns but the graph has {G.n} vertices"
         )
-    gens = []
-    for i in range(1, ring.m + 1):
-        for j in range(i + 1, ring.m + 1):
-            for k, l in G.edge_list():
-                gens.append(minor(ring, (i, j), (k, l)))
-    return Ideal(ring, gens)
+    rows = itertools.combinations(range(1, ring.m + 1), 2)
+    return Ideal(ring, [minor(ring, r, e) for r in rows for e in G.edge_list()])
 
 
 def cut_set_prime(ring: RingSpec, G: SimpleGraph, T: Iterable[int]) -> Ideal:
@@ -768,13 +758,10 @@ def cut_set_prime(ring: RingSpec, G: SimpleGraph, T: Iterable[int]) -> Ideal:
     for j in Tset:
         for i in range(1, ring.m + 1):
             gens.append(Polynomial.variable(ring, i, j))
+    rows = list(itertools.combinations(range(1, ring.m + 1), 2))
     for comp in G.components(frozenset(Tset)):
-        vs = sorted(comp)
-        for i in range(1, ring.m + 1):
-            for j in range(i + 1, ring.m + 1):
-                for a_idx in range(len(vs)):
-                    for b_idx in range(a_idx + 1, len(vs)):
-                        gens.append(minor(ring, (i, j), (vs[a_idx], vs[b_idx])))
+        pairs = list(itertools.combinations(sorted(comp), 2))
+        gens.extend(minor(ring, r, c) for r in rows for c in pairs)
     gb = sorted((g.monic() for g in gens), key=lambda g: -g.lt())
     return Ideal(ring, gens, _gb=tuple(gb))
 
@@ -887,11 +874,14 @@ def colon_poly(
     return Ideal(I.ring, basis, _gb=tuple(basis))
 
 
-def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial) -> list[Polynomial]:
+def _colon_basis(
+    ring: RingSpec, meet: Sequence, f: Polynomial, red: Optional[list] = None
+) -> list[Polynomial]:
     """Reduced basis of (I : f) from the reduced basis ``meet`` (Polynomials)
-    of I cap (f): the quotients by f form a Groebner basis, reduced once more."""
+    of I cap (f): the quotients by f form a Groebner basis, reduced once more
+    (growing the prefix ``red``, as in _reduce_basis)."""
     quot = [poly_divexact(g, f).terms for g in meet]
-    return [Polynomial(ring, b) for b in _reduce_basis(ring, quot)]
+    return [Polynomial(ring, b) for b in _reduce_basis(ring, quot, red)]
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -990,17 +980,6 @@ def verify_witness(
     return colon_poly(I, f, budget).equals(P, budget)
 
 
-def _homogeneous_degree2_gens(P: Ideal) -> list[Polynomial]:
-    out = []
-    for g in P.gens:
-        d = g.degree()
-        if d == 2:
-            out.append(g)
-        elif d == 1:
-            out.append(g * g)
-    return out
-
-
 def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     """A homogeneous quadric inside ``target`` but outside every ideal in
     ``others``.
@@ -1018,7 +997,7 @@ def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     other primes for every f0 in P_T outside them.
     """
     ring = target.ring
-    hs = _homogeneous_degree2_gens(target)
+    hs = [g * g if g.degree() == 1 else g for g in target.gens if g.degree() in (1, 2)]
     picked: list[Polynomial] = []
     for o in others:
         if all(o.contains(h) for h in picked):
@@ -1035,6 +1014,17 @@ def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     raise BudgetExceededError(
         "no separating element found; the prime family looks degenerate"
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_context(ring: RingSpec, G: SimpleGraph, budget: GBBudget) -> tuple:
+    """brute_local_v's per-graph part, for callers that loop over one
+    graph's cut sets: the prime of every cut set (from the generic
+    enumeration, which keeps the oracle independent of the closed block
+    route it checks) and J, their bases cached on first use.  The ring is
+    keyed by identity, and J's basis is computed under the keyed budget."""
+    primes = {c.vertices: cut_set_prime(ring, G, c.vertices) for c in enumerate_cut_sets(G)}
+    return primes, binomial_edge_ideal(ring, G)
 
 
 def brute_local_v(
@@ -1079,24 +1069,33 @@ def brute_local_v(
     elements of degree <= D - 2, as leading terms and normal forms in
     degree <= D see nothing above it.  So the first D with one outside P_T
     gives the degree, and the least by (degree, lt) is the full basis's.
+
+    A stop test's new t-free elements come from pairs of x-degree at least
+    the last closed degree, above all it saw, so they cannot reduce or
+    remove those: the reduced meet and A grow by them alone, and only A's
+    new elements need the P_T test (the earlier ones all lay in P_T).
     """
     Tkey = tuple(sorted(set(T)))
-    cut_sets = [c.vertices for c in enumerate_cut_sets(G)]
-    if Tkey not in cut_sets:
+    primes, J = _oracle_context(ring, G, budget)
+    if Tkey not in primes:
         raise NotACutSetError(f"{list(Tkey)} is not a cut set of the graph")
-    primes = {ts: cut_set_prime(ring, G, ts) for ts in cut_sets}
-    J = binomial_edge_ideal(ring, G)
     target = primes[Tkey]
-    others = [primes[ts] for ts in cut_sets if ts != Tkey]
+    others = [P for ts, P in primes.items() if ts != Tkey]
     if not others:
         return (0, Polynomial.one(ring))
     f0 = separating_element(target, others)
     seeds, known = _tagged(J, [f0], budget)
     tag = ring.extended().tag
+    meet_red: list = []  # reducers of the reduced meet found so far
+    A_red: list = []  # and of A's
+    seen = 0  # basis elements the stop test has looked at
 
     def least_witness(basis: list) -> Optional[Polynomial]:
-        meet = _reduce_basis(ring, [g for g in basis if max(g) < tag])
-        A = _colon_basis(ring, [Polynomial(ring, g) for g in meet], f0)
+        nonlocal seen
+        new = [g for g in basis[seen:] if max(g) < tag]
+        seen = len(basis)
+        meet = _reduce_basis(ring, new, meet_red)
+        A = _colon_basis(ring, [Polynomial(ring, g) for g in meet], f0, A_red)
         A.sort(key=lambda g: (g.degree(), g.lt()))
         return next((g for g in A if not target.contains(g)), None)
 

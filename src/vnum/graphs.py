@@ -602,10 +602,8 @@ def is_cone(G: SimpleGraph) -> Optional[tuple[int, bool]]:
         return (1, True)
     for v in G.vertices():
         if G.degree(v) == G.n - 1:
-            rest = [u for u in G.vertices() if u != v]
-            base_edges = sum(1 for (a, b) in G.edges if a != v and b != v)
-            k = len(rest)
-            return (v, base_edges == k * (k - 1) // 2)
+            # v meets every other vertex, so the base is complete iff G is
+            return (v, G.is_complete())
     return None
 
 

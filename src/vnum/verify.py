@@ -134,13 +134,8 @@ def _simple_paths(G: SimpleGraph, k: int, l: int) -> list[tuple[int, ...]]:
 
 
 def _nonedge_dagger(G: SimpleGraph, k: int, l: int) -> SimpleGraph:
-    extra = []
-    for center in (k, l):
-        nb = sorted(G.neighbors(center))
-        extra.extend(
-            (nb[a], nb[b]) for a in range(len(nb)) for b in range(a + 1, len(nb))
-        )
-    return SimpleGraph(G.n, list(G.edges) + extra)
+    # l is no neighbour of k, so completing at k leaves l's neighbours alone
+    return completion_graph(completion_graph(G, k), l)
 
 
 def suite_colon_nonedge(G: SimpleGraph, m: int = 2) -> list[CheckResult]:

@@ -222,19 +222,15 @@ def _assemble_anchor(
             )
         if i + 1 < s and betas[i] > alphas[i + 1]:
             raise GraphInputError("anchor pairs out of order")
-    comps = []
-    cur = None
-    for i in range(s):
-        if cur is None:
-            cur = [alphas[i], betas[i]]
+    comps: list[list[int]] = []
+    for a, b in zip(alphas, betas):
+        if comps and comps[-1][-1] == a:
+            comps[-1].append(b)
         else:
-            cur.append(betas[i])
-        if i + 1 == s or betas[i] != alphas[i + 1]:
-            comps.append(tuple(cur))
-            cur = None
+            comps.append([a, b])
     isolated = tuple(v for gap in gaps for v in gap)
     return AnchorGraph(
-        path_components=tuple(comps),
+        path_components=tuple(map(tuple, comps)),
         isolated=isolated,
         alphas=tuple(alphas),
         betas=tuple(betas),
@@ -427,6 +423,26 @@ def v_number(
     return _v_number_connected(G, m, oracle_n_limit)
 
 
+def _to_original_cut_set(closed: ClosedStructure, cut: CutSet) -> CutSet:
+    """A cut set of closed.graph in the input labels, with the generic
+    blocks: the components of the graph induced on it, each sorted and
+    ordered by least vertex.  Reaches never decrease, so two consecutive
+    blocks W_j, W_k are adjacent, and merge, exactly when the reach of the
+    last vertex of W_j is at least the first vertex of W_k."""
+    runs: list[tuple[int, ...]] = []
+    for blk in cut.blocks:
+        if runs and closed.reach[runs[-1][-1]] >= blk[0]:
+            runs[-1] += blk
+        else:
+            runs.append(blk)
+    back = closed.to_original
+    return CutSet(
+        tuple(sorted(map(back, cut.vertices))),
+        tuple(sorted(tuple(sorted(map(back, run))) for run in runs)),
+        cut.component_count,
+    )
+
+
 def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberResult:
     if G.is_complete():
         return VNumberResult(
@@ -447,9 +463,7 @@ def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberR
             value=sub.value,
             status=sub.status,
             regime=sub.regime + "-relabeled",
-            cut_set=cut_set_from_vertices(
-                G, [closed.to_original(v) for v in sub.cut_set.vertices]
-            ),
+            cut_set=_to_original_cut_set(closed, sub.cut_set),
             witness=None,
         )
     cone = is_cone(G)
@@ -635,15 +649,7 @@ def classify_small_v(
                 continue
             if any(w not in G.neighbors(v) for w in cv if w != v):
                 continue
-            rest_ok = True
-            for c in comps:
-                if c in (cu, cv):
-                    continue
-                k = len(c)
-                if sum(1 for (x, y) in G.edges if x in c and y in c) != k * (k - 1) // 2:
-                    rest_ok = False
-                    break
-            if rest_ok:
+            if all(G.induced(c)[0].is_complete() for c in comps if c not in (cu, cv)):
                 return "2"
     return ">2"
 

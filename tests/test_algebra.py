@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from vnum.errors import BudgetExceededError, GraphInputError
 from vnum.enumeration import closed_graphs, connected_graphs_up_to_iso
-from vnum.graphs import complete_graph, enumerate_cut_sets, graph_from_intervals, path_graph
+from vnum.graphs import (
+    complete_graph,
+    enumerate_cut_sets,
+    find_closed_labeling,
+    graph_from_intervals,
+    path_graph,
+)
 from vnum.algebra import (
     DEFAULT_BUDGET,
     ELIMINATION_BUDGET,
@@ -35,8 +41,19 @@ from vnum.algebra import (
     _MAX_EXPONENT,
     _buchberger,
     _minimal_monomials,
+    _nf,
     _reduce_basis,
 )
+
+
+def mono_from_exponents(exps) -> int:
+    """The packed monomial with the given exponents, x[1,1] first."""
+    return int.from_bytes(bytes(exps), "big")
+
+
+def normal_form(I: Ideal, f: Polynomial) -> Polynomial:
+    """Full normal form of f against the reduced basis of I."""
+    return Polynomial(I.ring, _nf(I.ring, f.terms, I._reducers()))
 
 
 # -- packed monomials ---------------------------------------------------------
@@ -54,7 +71,7 @@ def test_packed_monomial_ops_match_naive():
     for _ in range(500):
         ea = tuple(rng.randrange(0, 9) for _ in range(ring.nvars))
         eb = tuple(rng.randrange(0, 9) for _ in range(ring.nvars))
-        a, b = ring.mono_from_exponents(ea), ring.mono_from_exponents(eb)
+        a, b = mono_from_exponents(ea), mono_from_exponents(eb)
         divides, lcm, gcd = naive_ops(ea, eb)
         assert ring.mono_divides(a, b) == divides
         assert ring.mono_exponents(ring.mono_lcm(a, b)) == lcm
@@ -267,7 +284,7 @@ def test_membership_examples():
     skew = minor(R, (1, 2), (1, 3))
     assert not J.contains(skew)
     assert J.contains(Polynomial.variable(R, 1, 2) * skew)
-    assert J.normal_form(Polynomial.zero(R)).is_zero()
+    assert normal_form(J, Polynomial.zero(R)).is_zero()
     g = J.gens[0]
     assert Ideal(R, [g]).contains(Polynomial.variable(R, 1, 1) * g)
 
@@ -447,14 +464,14 @@ def test_brute_local_v_returns_the_exact_degree():
 def test_brute_local_v_without_witness_is_an_inconsistency(monkeypatch):
     # if (J : f0) fell inside P_T no reduced-basis element could be a
     # witness; prime avoidance rules that out, so the oracle raises.  The
-    # truncated elimination reads A's basis from _colon_basis at every
-    # closed degree: hand back P_T's basis there instead
+    # truncated elimination reads A's new basis elements from _colon_basis
+    # at every closed degree: hand back P_T's basis there instead
     import vnum.algebra as algebra
 
     P4 = path_graph(4)
     R = RingSpec(2, 4)
     inside = list(cut_set_prime(R, P4, [2]).groebner())
-    monkeypatch.setattr(algebra, "_colon_basis", lambda ring, meet, f: inside)
+    monkeypatch.setattr(algebra, "_colon_basis", lambda ring, meet, f, red: inside)
     with pytest.raises(AssertionError, match="internal inconsistency"):
         brute_local_v(R, P4, [2])
 
@@ -491,6 +508,82 @@ def test_truncated_oracle_matches_the_full_elimination():
                 m, G.edges, cut.vertices)
             checked += 1
     assert checked == 329
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for each name so that calls are counted."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_oracle_builds_each_graph_once(monkeypatch, c5):
+    # brute_local_v keeps one context per (ring, graph, budget), so a loop
+    # over one graph's cut sets lists them and builds J once, not per call
+    import vnum.algebra as algebra
+    from vnum.vnumbers import _least_oracle_value, local_v_number
+
+    calls = _count_calls(monkeypatch, algebra, ("enumerate_cut_sets", "binomial_edge_ideal"))
+    value, cut = _least_oracle_value(c5, 2, enumerate_cut_sets(c5))
+    assert (value, len(enumerate_cut_sets(c5))) == (3, 6)
+    assert calls == {"enumerate_cut_sets": 1, "binomial_edge_ideal": 1}
+    G = graph_from_intervals(6, [(1, 2), (2, 4), (3, 5), (5, 6)])
+    closed = find_closed_labeling(G)
+    ring = RingSpec(2, 6)
+    cuts = enumerate_cut_sets(G, closed)
+    for cut in cuts:
+        assert brute_local_v(ring, G, cut.vertices)[0] == local_v_number(G, closed, cut, 2).value
+    assert len(cuts) == 5
+    assert calls == {"enumerate_cut_sets": 2, "binomial_edge_ideal": 2}
+
+
+def test_oracle_context_follows_ring_graph_and_budget(monkeypatch):
+    # one slot keyed by the ring object, the graph and the budget
+    import vnum.algebra as algebra
+
+    built = _count_calls(monkeypatch, algebra, ("binomial_edge_ideal",))
+    P4, P5 = path_graph(4), path_graph(5)
+    R4, R5, S5 = RingSpec(2, 4), RingSpec(2, 5), RingSpec(2, 5)
+    values = [brute_local_v(R, G, T)[0] for R, G, T in
+              ((R4, P4, [2]), (R5, P5, [3]), (R4, P4, [2]), (R4, P4, [3]))]
+    assert values == [2, 2, 2, 2]
+    assert built["binomial_edge_ideal"] == 3  # A, B, A again, then A kept
+    # an equal ring object of its own gets a context of its own, and the
+    # witness lives in the caller's ring; an equal graph value reuses it
+    d, w = brute_local_v(S5, P5, [3])
+    assert (d, built["binomial_edge_ideal"]) == (2, 4) and w.ring is S5
+    assert brute_local_v(S5, path_graph(5), [2, 4])[1].ring is S5
+    assert built["binomial_edge_ideal"] == 4
+    # a smaller budget is its own key: J's cached basis and the default
+    # budget's context do not let the 12-pair run through
+    with pytest.raises(BudgetExceededError):
+        brute_local_v(S5, P5, [3], GBBudget(max_pairs=12, max_degree=32))
+    assert brute_local_v(S5, P5, [3], GBBudget(max_pairs=13, max_degree=32))[0] == 2
+    assert brute_local_v(S5, P5, [3])[0] == 2
+
+
+def test_power_sweep_at_k1_matches_the_oracle():
+    # J is radical, so at k = 1 its witnesses at T are A minus P_T and the
+    # degree-slice sweep is exact; it shares no tag elimination with
+    # brute_local_v, and the two must agree at every cut set
+    checked = 0
+    for m in (2, 3):
+        for n in range(2, 6):
+            R = RingSpec(m, n)
+            for G, closed in closed_graphs(n):
+                for cut in enumerate_cut_sets(G, closed):
+                    d, _ = brute_local_v(R, G, cut.vertices)
+                    hit = search_power_witness(R, G, cut.vertices, 1, d)
+                    assert hit is not None and hit["degree"] == d, (m, G.edges, cut.vertices)
+                    checked += 1
+    assert checked == 102
 
 
 def test_oracle_pair_budget_pinned():
@@ -655,7 +748,7 @@ def test_rational_field_mode():
     assert brute_local_v(R, P3, [])[0] == 1
     assert brute_local_v(R, P3, [2])[0] == 2
     gb = J.groebner()
-    assert all(g.lc() == Fraction(1) for g in gb)
+    assert all(g.terms[g.lt()] == Fraction(1) for g in gb)
 
 
 # -- serialization ---------------------------------------------------------------

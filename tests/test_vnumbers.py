@@ -33,6 +33,7 @@ from vnum.vnumbers import (
     PROVED,
     _assemble_anchor,
     _least_cut_set,
+    _to_original_cut_set,
     build_anchor_graph,
     classify_small_v,
     cm_v_formula,
@@ -384,6 +385,37 @@ def test_v_number_relabeled_closed():
     res = v_number(H, 2)
     assert res.value == 2
     assert res.regime.endswith("relabeled")
+
+
+
+def test_relabeled_cut_set_matches_the_generic_route():
+    # the -relabeled branch maps the closed structure's cut set back to the
+    # input labels with no graph search; vertices, blocks (the components
+    # of the induced subgraph) and component count must be the generic
+    # route's, for every cut set and for v_number's answer
+    rng = random.Random(12)
+    mapped = merged = answers = 0
+    for n in range(3, 7):
+        for G, _ in closed_graphs(n):
+            order = list(G.vertices())
+            while order == sorted(order):
+                rng.shuffle(order)
+            H = G.relabel(order)
+            closed = find_closed_labeling(H)
+            if closed.is_identity():
+                continue
+            for cut in enumerate_cut_sets(closed.graph, closed):
+                got = _to_original_cut_set(closed, cut)
+                assert got == cut_set_from_vertices(H, got.vertices), (order, cut)
+                mapped += 1
+                # adjacent blocks, e.g. {2} and {4} under cliques [1,2],[2,4],[4,5]
+                merged += len(got.blocks) < len(cut.blocks)
+            for m in (2, 3):
+                res = v_number(H, m)
+                assert res.regime.endswith("-relabeled")
+                assert res.cut_set == cut_set_from_vertices(H, res.cut_set.vertices)
+                answers += 1
+    assert (mapped, merged, answers) == (183, 10, 112)
 
 
 # -- classification -----------------------------------------------------------------
