@@ -997,7 +997,7 @@ def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     other primes for every f0 in P_T outside them.
     """
     ring = target.ring
-    hs = [g * g if g.degree() == 1 else g for g in target.gens if g.degree() in (1, 2)]
+    hs = [g * g if d == 1 else g for g in target.gens if (d := g.degree()) in (1, 2)]
     picked: list[Polynomial] = []
     for o in others:
         if all(o.contains(h) for h in picked):

@@ -531,7 +531,7 @@ def test_oracle_builds_each_graph_once(monkeypatch, c5):
     from vnum.vnumbers import _least_oracle_value, local_v_number
 
     calls = _count_calls(monkeypatch, algebra, ("enumerate_cut_sets", "binomial_edge_ideal"))
-    value, cut = _least_oracle_value(c5, 2, enumerate_cut_sets(c5))
+    value, _ = _least_oracle_value(c5, 2, enumerate_cut_sets(c5))
     assert (value, len(enumerate_cut_sets(c5))) == (3, 6)
     assert calls == {"enumerate_cut_sets": 1, "binomial_edge_ideal": 1}
     G = graph_from_intervals(6, [(1, 2), (2, 4), (3, 5), (5, 6)])

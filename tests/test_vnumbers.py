@@ -387,7 +387,6 @@ def test_v_number_relabeled_closed():
     assert res.regime.endswith("relabeled")
 
 
-
 def test_relabeled_cut_set_matches_the_generic_route():
     # the -relabeled branch maps the closed structure's cut set back to the
     # input labels with no graph search; vertices, blocks (the components
