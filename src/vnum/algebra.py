@@ -543,7 +543,10 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> li
             continue
         g = _monic(ring, _nf(ring, g, red))
         out.append(g)
-        insort(red, _reducer(g), key=_lead)
+        if red and red[-1][0] > max(g):  # only a grown prefix can lie above g
+            insort(red, _reducer(g), key=_lead)
+        else:
+            red.append(_reducer(g))
     out.reverse()
     return out
 
@@ -874,9 +877,7 @@ def colon_poly(
     return Ideal(I.ring, basis, _gb=tuple(basis))
 
 
-def _colon_basis(
-    ring: RingSpec, meet: Sequence, f: Polynomial, red: Optional[list] = None
-) -> list[Polynomial]:
+def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial, red=None) -> list[Polynomial]:
     """Reduced basis of (I : f) from the reduced basis ``meet`` (Polynomials)
     of I cap (f): the quotients by f form a Groebner basis, reduced once more
     (growing the prefix ``red``, as in _reduce_basis)."""
