@@ -543,10 +543,11 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> li
             continue
         g = _monic(ring, _nf(ring, g, red))
         out.append(g)
-        if red and red[-1][0] > max(g):  # only a grown prefix can lie above g
-            insort(red, _reducer(g), key=_lead)
+        r = _reducer(g)
+        if red and red[-1][0] > r[0]:  # only a grown prefix can lie above g
+            insort(red, r, key=_lead)
         else:
-            red.append(_reducer(g))
+            red.append(r)
     out.reverse()
     return out
 
