@@ -530,9 +530,9 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> li
     one, and a divisor is never larger than the term it divides.
 
     With ``red``, the sorted reducers of a reduced prefix that no element
-    of ``basis`` can reduce or remove (say all of larger degree), the
-    prefix counts as kept: only the new kept elements are returned, and
-    their reducers are inserted into ``red``.
+    of ``basis`` can reduce or remove (as when all are homogeneous and the
+    new ones of larger degree), the prefix counts as kept: only the new
+    kept elements are returned, and their reducers are inserted into ``red``.
     """
     top = ring._top
     out: list = []
