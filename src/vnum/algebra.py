@@ -31,11 +31,12 @@ order, where brute_local_v's truncated elimination reads the degree
 without the tag t (x-degree); the Gebauer-Moeller update walks the new
 candidates in the same order, so among equal lcms the smallest index
 survives.  A tag elimination opens with the cached reduced basis of its
-first ideal in its stored order, and the separating element of the
-oracle is picked from the generators of P_T in a fixed order with fixed
-weights.  Neither choice can reach the output: reduced bases are unique,
-and they are returned monic and sorted by descending leading term.
-Repeated runs produce byte-identical output.
+first ideal in its stored order and pairs no element of it with a t-free
+one (quiet pairs); the oracle's separating element covers the other
+primes by generators of P_T picked greedily, ties to the first, with
+fixed weights, and is linear if all are variables.  No choice reaches
+the output: reduced bases are unique, returned monic by descending
+leading term, so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -192,14 +193,6 @@ class RingSpec:
         return (
             self.nvars == other.nvars and self.p == other.p and self.names == other.names
         )
-
-    def to_record(self) -> dict:
-        return {
-            "rows": self.m,
-            "cols": self.n,
-            "field": "QQ" if self.p is None else f"GF({self.p})",
-            "order": "lex, row-major, x[1,1] greatest",
-        }
 
     def __repr__(self):
         field = "QQ" if self.p is None else f"GF({self.p})"
@@ -477,13 +470,14 @@ def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
     return out
 
 
-def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask: int = -1):
+def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, quiet=0):
     """Gebauer-Moeller pair update for the element just appended at new_idx.
 
     ``pairs`` maps alive (i, j) -> lcm; ``heap`` holds
     (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
     Called by _buchberger only: lcm degrees are read as (l & mask) % 255,
     the degree in the fields ``mask`` keeps (all of them by default).
+    Pairs with the first ``quiet`` elements are _buchberger's quiet pairs.
     """
     top = ring._top
     low = (top >> 7) * 0x7F
@@ -495,7 +489,7 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask: int
     cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
     # criterion M: keep an lcm only if no kept lcm divides it; a divisor has
     # lower degree, or equal degree and a smaller value, so it is walked
-    # first.  Coprime lcms are kept as dominators, and B1 drops their pairs.
+    # first.  Coprime and quiet lcms stay dominators, but their pairs are dropped.
     kept: list[int] = []
     new_pairs = []
     for d, l, g in cand:
@@ -516,8 +510,9 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask: int
         ):
             del pairs[(i, j)]
     for d, l, g in new_pairs:
-        pairs[(g, new_idx)] = l
-        heapq.heappush(heap, (d, l, g, new_idx))
+        if g >= quiet:
+            pairs[(g, new_idx)] = l
+            heapq.heappush(heap, (d, l, g, new_idx))
 
 
 def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> list:
@@ -559,12 +554,21 @@ def _buchberger(
     """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``,
     or, when ``stop`` is given, the first non-None value ``stop`` returns.
 
-    ``known`` must be a monic Groebner basis of the ideal it generates.
+    ``known`` serves tag eliminations on a _TagRing: it is t*GB(I) for the
+    monic reduced basis of an ideal I, and ``gens`` are (1-t)*h for h in H.
     Its elements open the basis as they are, and no pair among them is
     ever formed: each such S-polynomial already has a standard
     representation over ``known``, so for criterion M and the chain
     criterion those pairs count as treated.  Every other basis element is
     made monic when it is added, so _spoly sees monic elements only.
+
+    Quiet pairs.  Nor is the pair of a known t*g with a new h whose leading
+    term is t-free formed: h is then t-free (t is above every x), so it
+    lies in (t*I + (1-t)*H) cap K[x] = I cap H, inside I, and t times a
+    standard representation of S(g, h) over GB(I) is one of
+    S(t*g, h) = t*S(g, h) over ``known``, in every x-degree.  Like B1's
+    coprime pairs, the pair counts as treated and its lcm stays a
+    criterion-M dominator.  A run without ``known`` has no quiet pairs.
 
     Every term of every generator and every known element is checked
     against ``budget.max_degree`` exactly at entry, even a term a later
@@ -596,7 +600,8 @@ def _buchberger(
         basis.append(r)
         lts.append(max(r))
         insort(red, _reducer(r), key=_lead)
-        _gm_update(ring, lts, pairs, heap, len(basis) - 1, mask)
+        quiet = len(known) if known and lts[-1] < ring.tag else 0
+        _gm_update(ring, lts, pairs, heap, len(basis) - 1, mask, quiet)
 
     for g in sorted((g for g in gens if g), key=lambda g: (max(g) % 255, max(g))):
         r = _nf(ring, g, red, budget.max_degree)
@@ -671,15 +676,6 @@ class Ideal:
 
     def is_known_groebner(self) -> bool:
         return self._gb is not None
-
-    def to_record(self, include_gb: bool = False) -> dict:
-        rec = {
-            "ring": self.ring.to_record(),
-            "generators": [poly_to_text(g) for g in self.gens],
-        }
-        if include_gb and self._gb is not None:
-            rec["reduced_gb"] = [poly_to_text(g) for g in self._gb]
-        return rec
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
@@ -983,31 +979,34 @@ def verify_witness(
 
 
 def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
-    """A homogeneous quadric inside ``target`` but outside every ideal in
-    ``others``.
+    """A homogeneous element of ``target`` outside every ideal in ``others``.
 
-    Only a few of the degree-2 generators are combined, so that the
-    eliminations this element feeds carry few terms.  ``others`` is walked
-    in order, and for each ideal that no picked generator avoids yet, the
-    first generator outside it is picked, in ``target.gens`` order (for a
-    cut-set prime the one-term variable squares come first).  For
-    pairwise incomparable primes such a generator always exists.
-    Deterministic weighted sums of the picked generators are then tried in
-    a fixed escalation of 64 weightings until the membership checks
-    against every ideal in ``others`` pass.  brute_local_v does not depend
-    on which element is returned: (J : f0) is the intersection of the
-    other primes for every f0 in P_T outside them.
+    Few generators of degree 1 or 2 are combined, so that the eliminations
+    it feeds carry few terms and a low degree.  Greedy cover picks them:
+    the next is the generator outside the most still unavoided ideals of
+    ``others``, the first in ``target.gens`` order on a tie, until none is
+    left (pairwise incomparable primes leave none).  The element is a
+    linear form in the picked generators if all are variables, else the
+    sum of the minors and the variables squared; weighted sums are tried
+    in a fixed escalation of 64 weightings until no ideal of ``others``
+    contains one.  brute_local_v does not depend on which is returned.
     """
     ring = target.ring
-    hs = [g * g if d == 1 else g for g in target.gens if (d := g.degree()) in (1, 2)]
-    picked: list[Polynomial] = []
-    for o in others:
-        if all(o.contains(h) for h in picked):
-            picked.extend(itertools.islice((h for h in hs if not o.contains(h)), 1))
+    cover = [(g, d, {k for k, o in enumerate(others) if not o.contains(g)})
+             for g in target.gens if (d := g.degree()) in (1, 2)]
+    left, picked = set(range(len(others))), []
+    while left and cover:
+        g, d, avoided = max(cover, key=lambda c: len(c[2] & left))  # first on ties
+        if not avoided & left:
+            break  # nothing avoids the rest, so every weighting below fails
+        picked.append((g, d))
+        left -= avoided
+    linear = all(d == 1 for _, d in picked)
+    hs = [g if linear or d == 2 else g * g for g, d in picked]
     base = ring.p if ring.p is not None else (1 << 31) - 1
     for a in range(1, 65):
         f = Polynomial.zero(ring)
-        for idx, h in enumerate(picked):
+        for idx, h in enumerate(hs):
             f = f + h.scale(pow(a + 1, idx + 1, base))
         if f.is_zero():
             continue
@@ -1067,8 +1066,8 @@ def brute_local_v(
     needs a well-order and a grading, not a positive weight (Becker and
     Weispfenning, Groebner Bases, 1993, sec. 10.2).  With t above every x,
     the t-free elements form a D-truncated basis of J cap (f0); reduced,
-    divided by the quadric f0 and reduced again, they are A's reduced-basis
-    elements of degree <= D - 2, as leading terms and normal forms in
+    divided by f0 of degree e and reduced again, they are A's reduced-basis
+    elements of degree <= D - e, as leading terms and normal forms in
     degree <= D see nothing above it.  So the first D with one outside P_T
     gives the degree, and the least by (degree, lt) is the full basis's.
 

@@ -341,14 +341,15 @@ def test_intersect_matches_elimination_from_raw_generators(c4, c5):
 
 def test_colon_pair_budget_pinned():
     # the elimination behind one colon of J^2 opens with t*GB(J^2) and forms
-    # no pair inside it; 26 pairs suffice (29 from the raw generators)
+    # no pair inside it, nor any of it with a t-free element; 19 pairs
+    # suffice (29 from the raw generators)
     R = RingSpec(2, 4)
     J2 = ideal_power(binomial_edge_ideal(R, path_graph(4)), 2)
     J2.groebner()
     f = minor(R, (1, 2), (2, 4))
-    colon_poly(J2, f, GBBudget(max_pairs=26, max_degree=32))
+    colon_poly(J2, f, GBBudget(max_pairs=19, max_degree=32))
     with pytest.raises(BudgetExceededError):
-        colon_poly(J2, f, GBBudget(max_pairs=25, max_degree=32))
+        colon_poly(J2, f, GBBudget(max_pairs=18, max_degree=32))
 
 
 def test_colon_examples():
@@ -452,6 +453,56 @@ def test_separating_element_gives_the_other_primes():
             assert colon_poly(J, f0).equals(intersect_many(others)), (G.edges, m, T)
             checked += 1
     assert checked == 58
+
+
+def picked_generators(P: Ideal, f0: Polynomial):
+    """The generators of P that f0 is a weighted sum of, read off its terms
+    (each variable squared when f0 is a quadric), or None if it is none.
+    Distinct variables and minors of a cut-set prime share no term."""
+    left = dict(f0.terms)
+    picked = []
+    for g in P.gens:
+        h = g * g if f0.degree() == 2 and g.degree() == 1 else g
+        c = left.get(h.lt())
+        if c is None:
+            continue
+        if any(left.get(m) != v for m, v in h.monic().scale(c).terms.items()):
+            return None
+        for m in h.terms:
+            del left[m]
+        picked.append(g)
+    return None if left else picked
+
+
+def test_separating_element_is_a_sparse_cover():
+    # f0 is homogeneous, in P_T and outside every other prime; it is linear
+    # exactly when every generator it combines is a variable, and a
+    # generator of P_T that alone avoids every other prime is used alone
+    cases = [(G, m) for n in range(2, 6) for G, _ in closed_graphs(n) for m in (2, 3)]
+    cases += [(G, m) for n in range(2, 5) for G in connected_graphs_up_to_iso(n)
+              for m in (2, 3)]
+    checked = linear = alone = 0
+    for G, m in cases:
+        R = RingSpec(m, G.n)
+        primes = {c.vertices: cut_set_prime(R, G, c.vertices) for c in enumerate_cut_sets(G)}
+        for T, P in primes.items():
+            others = [Q for S, Q in primes.items() if S != T]
+            if not others:
+                continue
+            f0 = separating_element(P, others)
+            where = (m, G.edges, T)
+            assert len({R.mono_degree(u) for u in f0.terms}) == 1, where
+            assert P.contains(f0) and not any(Q.contains(f0) for Q in others), where
+            picked = picked_generators(P, f0)
+            assert picked, where
+            assert (f0.degree() == 1) == all(g.degree() == 1 for g in picked), where
+            solo = [g for g in P.gens if not any(Q.contains(g) for Q in others)]
+            if solo:
+                assert picked == solo[:1], where
+                alone += 1
+            linear += f0.degree() == 1
+            checked += 1
+    assert (checked, linear, alone) == (122, 66, 108)
 
 
 def test_brute_local_v_returns_the_exact_degree():
@@ -562,10 +613,10 @@ def test_oracle_context_follows_ring_graph_and_budget(monkeypatch):
     assert brute_local_v(S5, path_graph(5), [2, 4])[1].ring is S5
     assert built["binomial_edge_ideal"] == 4
     # a smaller budget is its own key: J's cached basis and the default
-    # budget's context do not let the 12-pair run through
+    # budget's context do not let the 6-pair run through
     with pytest.raises(BudgetExceededError):
-        brute_local_v(S5, P5, [3], GBBudget(max_pairs=12, max_degree=32))
-    assert brute_local_v(S5, P5, [3], GBBudget(max_pairs=13, max_degree=32))[0] == 2
+        brute_local_v(S5, P5, [3], GBBudget(max_pairs=6, max_degree=32))
+    assert brute_local_v(S5, P5, [3], GBBudget(max_pairs=7, max_degree=32))[0] == 2
     assert brute_local_v(S5, P5, [3])[0] == 2
 
 
@@ -588,11 +639,11 @@ def test_power_sweep_at_k1_matches_the_oracle():
 
 def test_oracle_pair_budget_pinned():
     # every pair the truncated elimination treats counts against the budget:
-    # P5 at m = 2, T = {3} stops after 13 pairs (37 on the full elimination)
+    # P5 at m = 2, T = {3} stops after 7 pairs (22 on the full elimination)
     R, P5 = RingSpec(2, 5), path_graph(5)
-    brute_local_v(R, P5, [3], GBBudget(max_pairs=13, max_degree=32))
+    brute_local_v(R, P5, [3], GBBudget(max_pairs=7, max_degree=32))
     with pytest.raises(BudgetExceededError):
-        brute_local_v(R, P5, [3], GBBudget(max_pairs=12, max_degree=32))
+        brute_local_v(R, P5, [3], GBBudget(max_pairs=6, max_degree=32))
 
 
 def test_oracle_outputs_pinned(c4, c5):
@@ -759,11 +810,28 @@ GOLDEN_GB_P3 = [
 ]
 
 
+def ideal_record(I: Ideal) -> dict:
+    """The ring, the generators and the cached reduced basis of I, as text."""
+    R = I.ring
+    rec = {
+        "ring": {
+            "rows": R.m,
+            "cols": R.n,
+            "field": "QQ" if R.p is None else f"GF({R.p})",
+            "order": "lex, row-major, x[1,1] greatest",
+        },
+        "generators": [poly_to_text(g) for g in I.gens],
+    }
+    if I.is_known_groebner():
+        rec["reduced_gb"] = [poly_to_text(g) for g in I.groebner()]
+    return rec
+
+
 def test_golden_basis_text():
     R = RingSpec(2, 3)
     J = binomial_edge_ideal(R, path_graph(3))
     assert [poly_to_text(g) for g in J.groebner()] == GOLDEN_GB_P3
-    rec = J.to_record(include_gb=True)
+    rec = ideal_record(J)
     assert rec["reduced_gb"] == GOLDEN_GB_P3
     assert rec["ring"]["field"] == "GF(32003)"
 

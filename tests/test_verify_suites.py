@@ -15,7 +15,7 @@ from vnum.algebra import (
     verify_witness,
     witness_polynomial,
 )
-from vnum.enumeration import cm_closed_graphs
+from vnum.enumeration import cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
     build_graph,
     check_closed_labeling,
@@ -28,6 +28,7 @@ from vnum.graphs import (
 from vnum.verify import (
     POWER_BUDGET,
     run_suites,
+    suite_decomposition,
     suite_powers,
     suite_quadratic_gb,
     _peel_certified,
@@ -122,6 +123,25 @@ def test_power_suite_runs_no_tag_elimination(monkeypatch):
         for G, cs in cm_closed_graphs(n):
             for r in suite_powers(G, cs, 3):
                 assert r.status == "pass", (cs.cliques, r.name, r.detail)
+
+
+def test_decomposition_sweep_pair_count(monkeypatch):
+    # criterion 6's sweep, every connected graph with n <= 5 at m = 2 and 3,
+    # forms at most the 21,458 S-pairs it took before intersect's warm
+    # start; with the quiet pairs it forms 20,005
+    spoly, formed = vnum.algebra._spoly, 0
+
+    def counting(*args):
+        nonlocal formed
+        formed += 1
+        return spoly(*args)
+
+    monkeypatch.setattr(vnum.algebra, "_spoly", counting)
+    for n in range(2, 6):
+        for G in connected_graphs_up_to_iso(n):
+            for m in (2, 3):
+                assert [r.status for r in suite_decomposition(G, m)] == ["pass"]
+    assert formed <= 21_458
 
 
 def test_all_suites_pass_on_p5(capsys):
