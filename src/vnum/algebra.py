@@ -32,7 +32,11 @@ without the tag t (x-degree); the Gebauer-Moeller update walks the new
 candidates in the same order, so among equal lcms the smallest index
 survives.  A tag elimination opens with the cached reduced basis of its
 first ideal in its stored order and pairs no element of it with a t-free
-one (quiet pairs); the oracle's separating element covers the other
+one (quiet pairs).  The basis of a power from ideal_power skips the
+pairs of products that share a factor; the factor indices are kept in
+sets, which decide only whether a pair is queued, never the order in
+which queued pairs are popped, and each seed is tested in the seed
+loop's sorted order.  The oracle's separating element covers the other
 primes by generators of P_T picked greedily, ties to the first, with
 fixed weights, and is linear if all are variables.  No choice reaches
 the output: reduced bases are unique, returned monic by descending
@@ -44,7 +48,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -470,14 +474,15 @@ def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
     return out
 
 
-def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, quiet=0):
+def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, treated=()):
     """Gebauer-Moeller pair update for the element just appended at new_idx.
 
     ``pairs`` maps alive (i, j) -> lcm; ``heap`` holds
     (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
     Called by _buchberger only: lcm degrees are read as (l & mask) % 255,
     the degree in the fields ``mask`` keeps (all of them by default).
-    Pairs with the first ``quiet`` elements are _buchberger's quiet pairs.
+    Pairs of the new element with an index in ``treated`` are
+    _buchberger's treated pairs: never queued, like B1's coprime pairs.
     """
     top = ring._top
     low = (top >> 7) * 0x7F
@@ -489,7 +494,7 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
     cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
     # criterion M: keep an lcm only if no kept lcm divides it; a divisor has
     # lower degree, or equal degree and a smaller value, so it is walked
-    # first.  Coprime and quiet lcms stay dominators, but their pairs are dropped.
+    # first.  Coprime and treated lcms stay dominators, but their pairs are dropped.
     kept: list[int] = []
     new_pairs = []
     for d, l, g in cand:
@@ -510,7 +515,7 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
         ):
             del pairs[(i, j)]
     for d, l, g in new_pairs:
-        if g >= quiet:
+        if g not in treated:
             pairs[(g, new_idx)] = l
             heapq.heappush(heap, (d, l, g, new_idx))
 
@@ -550,6 +555,7 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> li
 def _buchberger(
     ring: RingSpec, gens: Sequence[dict], budget: GBBudget, known: Sequence[dict] = (),
     stop: Optional[Callable[[list], object]] = None,
+    factors: Optional[Sequence[Iterable[int]]] = None,
 ) -> list | object:
     """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``,
     or, when ``stop`` is given, the first non-None value ``stop`` returns.
@@ -562,13 +568,35 @@ def _buchberger(
     criterion those pairs count as treated.  Every other basis element is
     made monic when it is added, so _spoly sees monic elements only.
 
-    Quiet pairs.  Nor is the pair of a known t*g with a new h whose leading
-    term is t-free formed: h is then t-free (t is above every x), so it
-    lies in (t*I + (1-t)*H) cap K[x] = I cap H, inside I, and t times a
-    standard representation of S(g, h) over GB(I) is one of
-    S(t*g, h) = t*S(g, h) over ``known``, in every x-degree.  Like B1's
-    coprime pairs, the pair counts as treated and its lcm stays a
-    criterion-M dominator.  A run without ``known`` has no quiet pairs.
+    Treated pairs.  Some other pairs are never formed either, because
+    their S-polynomial has a representation over the basis strictly below
+    their lcm.  Like B1's coprime pairs, such a pair counts as treated and
+    its lcm stays a criterion-M dominator.  There are two kinds:
+
+    * Quiet pairs, of a known t*g with a new h whose leading term is t-free.
+      Then h is t-free (t is above every x), so it lies in
+      (t*I + (1-t)*H) cap K[x] = I cap H, inside I, and t times a standard
+      representation of S(g, h) over GB(I) is one of S(t*g, h) = t*S(g, h)
+      over ``known``, in every x-degree.  A run without ``known`` has none.
+    * Shared-factor pairs, given ``factors``: then ``gens`` are the k-fold
+      products F_k of the generators g_1..g_r of an ideal I,
+      ``factors[i]`` holds the indices of the factors of ``gens[i]``, and
+      the caller has certified that the (k-1)-fold products F_{k-1} are a
+      Groebner basis of I^(k-1).  Take two seeds whose leading term the
+      seed loop left unchanged, reduced from products p = g_a*b and
+      q = g_a*c that share the factor g_a, with b, c in F_{k-1}, and let
+      L be the lcm of their leading terms.  Then S(p, q) = g_a*S(b, c) (up
+      to the monic scalings), S(b, c) has a standard representation
+      sum h_i*f_i over F_{k-1}, and sum h_i*(g_a*f_i) represents S(p, q)
+      over F_k with every term below lt(g_a)*lcm(lt b, lt c) = L.  Every
+      product in F_k is a seed, and the seed loop writes it over the final
+      basis with no term above its leading term, so S(p, q) has a
+      representation over the basis below L.  The seeds themselves are
+      p and q minus multiples of earlier basis elements with leading terms
+      below lt(p) and lt(q), so their S-polynomial differs from S(p, q) by
+      such multiples times L/lt(p) and L/lt(q), all below L as well.  A
+      seed whose leading term was reduced, and every S-polynomial result,
+      carries no factors.
 
     Every term of every generator and every known element is checked
     against ``budget.max_degree`` exactly at entry, even a term a later
@@ -594,19 +622,28 @@ def _buchberger(
     red: list = _prepare_reducers(basis)
     pairs: dict = {}
     heap: list = []
+    owners: dict = {}  # factor index -> basis indices of the products with it
 
-    def add(r: dict):
+    def add(r: dict, shared=()):
         r = _monic(ring, r)
         basis.append(r)
         lts.append(max(r))
         insort(red, _reducer(r), key=_lead)
-        quiet = len(known) if known and lts[-1] < ring.tag else 0
-        _gm_update(ring, lts, pairs, heap, len(basis) - 1, mask, quiet)
+        new = len(basis) - 1
+        treated = range(len(known)) if known and lts[-1] < ring.tag else ()
+        if shared:
+            treated = {i for a in shared for i in owners.get(a, ())}
+            for a in shared:
+                owners.setdefault(a, []).append(new)
+        _gm_update(ring, lts, pairs, heap, new, mask, treated)
 
-    for g in sorted((g for g in gens if g), key=lambda g: (max(g) % 255, max(g))):
+    seeds = zip(gens, factors if factors is not None else itertools.repeat(()))
+    for g, shared in sorted(
+        ((g, s) for g, s in seeds if g), key=lambda e: (max(e[0]) % 255, max(e[0]))
+    ):
         r = _nf(ring, g, red, budget.max_degree)
         if r:
-            add(r)
+            add(r, shared if max(r) == max(g) else ())
     reductions = 0
     closed = -1
     while heap:
@@ -645,19 +682,32 @@ class Ideal:
     coincide, which is what ``equals`` checks.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_red")
+    __slots__ = ("ring", "gens", "_gb", "_red", "_power")
 
-    def __init__(self, ring: RingSpec, gens: Iterable[Polynomial], _gb=None):
+    def __init__(self, ring: RingSpec, gens: Iterable[Polynomial], _gb=None, _power=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = _gb
         self._red = None
+        self._power = _power  # ideal_power's (lower power, factor indices of each gen)
 
     def groebner(self, budget: GBBudget = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
+        """The reduced basis, computed once.  A power from ideal_power
+        skips its shared-factor pairs when the generators of the lower
+        power are certified to be a Groebner basis of it (_buchberger)."""
         if self._gb is None:
-            basis = _buchberger(self.ring, [g.terms for g in self.gens], budget)
+            factors = None
+            if self._power is not None and _gens_are_groebner(self._power[0], budget):
+                factors = [set(c) for c in self._power[1]]
+            basis = _buchberger(self.ring, [g.terms for g in self.gens], budget, factors=factors)
             self._gb = tuple(Polynomial(self.ring, g) for g in basis)
         return self._gb
+
+    @property
+    def lower_power(self) -> Optional["Ideal"]:
+        """For ideal_power(I, k) with k >= 2, the (k-1)-th power it was
+        built from (I itself at k = 2); None for any other ideal."""
+        return None if self._power is None else self._power[0]
 
     def _reducers(self, budget: GBBudget = DEFAULT_BUDGET):
         if self._red is None:
@@ -883,18 +933,36 @@ def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial, red=None) -> lis
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
-    """Generated by all k-fold products of generators."""
+    """Generated by all k-fold products of generators, in the order of
+    itertools.combinations_with_replacement(I.gens, k).
+
+    The powers are built up from I: each k-fold product is a (k-1)-fold
+    product of the previous power times one generator.  For k >= 2 the
+    result records the factor indices of each product and links down to
+    the (k-1)-th power (``lower_power``), never back up, so a chain of
+    powers holds no reference cycle; Ideal.groebner uses both for
+    _buchberger's shared-factor pairs.
+    """
     if k < 1:
         raise GraphInputError(f"power exponent must be >= 1, got {k}")
-    if k == 1:
-        return I
-    gens = []
-    for combo in itertools.combinations_with_replacement(I.gens, k):
-        f = combo[0]
-        for g in combo[1:]:
-            f = f * g
-        gens.append(f)
-    return Ideal(I.ring, gens)
+    power, combos = I, [(i,) for i in range(len(I.gens))]
+    for _ in range(k - 1):
+        gens, longer = [], []
+        for f, c in zip(power.gens, combos):
+            for j in range(c[-1], len(I.gens)):
+                gens.append(f * I.gens[j])
+                longer.append(c + (j,))
+        combos = longer
+        power = Ideal(I.ring, gens, _power=(power, tuple(combos)))
+    return power
+
+
+def _gens_are_groebner(I: Ideal, budget: GBBudget) -> bool:
+    """Do I's generators form a Groebner basis of I?  Exactly when their
+    leading terms generate ini(I), which the leading terms of I's reduced
+    basis generate."""
+    ini = [g.lt() for g in I.groebner(budget)]
+    return monomial_ideals_equal(I.ring, [g.lt() for g in I.gens], ini)
 
 
 def _minimal_monomials(ring: RingSpec, monos: Iterable[int]) -> list[int]:
@@ -978,6 +1046,17 @@ def verify_witness(
     return colon_poly(I, f, budget).equals(P, budget)
 
 
+def _contains_variable(I: Ideal, x: int) -> bool:
+    """Does I contain the variable with packed monomial x?  A lookup in its
+    reduced basis: the only leading terms dividing x are 1 and x, and an
+    element x + tail (at most one) has a tail in normal form, which is
+    the normal form of -x; so x lies in I exactly when 1 or x itself is a
+    basis element.  For a cut-set prime P_T, x[i,j] is one when j is in T."""
+    red = I._reducers()
+    i = bisect_left(red, x, key=_lead)
+    return bool(red) and (red[0] == (0, ()) or (i < len(red) and red[i] == (x, ())))
+
+
 def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     """A homogeneous element of ``target`` outside every ideal in ``others``.
 
@@ -992,8 +1071,13 @@ def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     contains one.  brute_local_v does not depend on which is returned.
     """
     ring = target.ring
-    cover = [(g, d, {k for k, o in enumerate(others) if not o.contains(g)})
-             for g in target.gens if (d := g.degree()) in (1, 2)]
+
+    def outside(g: Polynomial, d: int) -> set:
+        if d == 1 and len(g.terms) == 1:  # a variable: a lookup, no normal form
+            return {k for k, o in enumerate(others) if not _contains_variable(o, g.lt())}
+        return {k for k, o in enumerate(others) if not o.contains(g)}
+
+    cover = [(g, d, outside(g, d)) for g in target.gens if (d := g.degree()) in (1, 2)]
     left, picked = set(range(len(others))), []
     while left and cover:
         g, d, avoided = max(cover, key=lambda c: len(c[2] & left))  # first on ties

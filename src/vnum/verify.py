@@ -300,10 +300,9 @@ def suite_powers(
     J = binomial_edge_ideal(ring, G)
     g = minor(ring, (1, 2), (1, 2))
     out = []
-    powers = {1: J}
-    for k in range(2, k_max + 1):
-        powers[k] = ideal_power(J, k)
-    ini1 = [h.lt() for h in J.groebner(budget)]
+    powers = {k_max: ideal_power(J, k_max)}  # one chain: each basis computed once
+    for k in range(k_max, 1, -1):
+        powers[k - 1] = powers[k].lower_power
 
     @functools.cache
     def peel(j):
@@ -313,7 +312,7 @@ def suite_powers(
 
         def body_ini(k=k):
             ini_k = [h.lt() for h in powers[k].groebner(budget)]
-            want = monomial_ideal_power(ring, ini1, k)
+            want = monomial_ideal_power(ring, [h.lt() for h in J.groebner(budget)], k)
             return (
                 monomial_ideals_equal(ring, ini_k, want),
                 f"{len(ini_k)} monomial generators",

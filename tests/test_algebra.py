@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from vnum.algebra import (
     witness_polynomial,
     _MAX_EXPONENT,
     _buchberger,
+    _contains_variable,
     _minimal_monomials,
     _nf,
     _reduce_basis,
@@ -409,6 +411,67 @@ def test_power_and_initial():
         assert monomial_ideals_equal(R, got, monomial_ideal_power(R, iniJ, k))
 
 
+def test_ideal_power_products_and_links():
+    # each k-fold product is the (k-1)-fold one times a generator, in
+    # combinations_with_replacement order; the chain links down only
+    R = RingSpec(2, 4)
+    J = binomial_edge_ideal(R, path_graph(4))
+    J3 = ideal_power(J, 3)
+    J2 = J3.lower_power
+    assert J2.lower_power is J and J.lower_power is None
+    for Jk, k in ((J2, 2), (J3, 3)):
+        want = []
+        for combo in itertools.combinations_with_replacement(J.gens, k):
+            f = combo[0]
+            for g in combo[1:]:
+                f = f * g
+            want.append(f)
+        assert [f.terms for f in Jk.gens] == [f.terms for f in want]
+        assert all(list(a.terms) == list(b.terms) for a, b in zip(Jk.gens, want))
+
+
+def test_power_groebner_matches_the_plain_run():
+    # the shared-factor pairs are skipped only when the lower power's
+    # products are certified to be a Groebner basis; the generators of the
+    # plain reference carry no factor indices.  The connected graphs are
+    # the guard: on the 32 cases whose minors are no Groebner basis, the
+    # pairs cannot be skipped
+    cases = [(G, 2, k) for n in range(2, 6) for G, _ in closed_graphs(n) for k in (2, 3)]
+    cases += [(G, 3, 2) for n in range(2, 5) for G, _ in closed_graphs(n)]
+    cases += [(G, 2, 2) for n in range(2, 6) for G in connected_graphs_up_to_iso(n)]
+    cases += [(G, 3, 2) for n in range(2, 5) for G in connected_graphs_up_to_iso(n)]
+    uncertified = 0
+    for G, m, k in cases:
+        R = RingSpec(m, G.n)
+        Jk = ideal_power(binomial_edge_ideal(R, G), k)
+        want = Ideal(R, Jk.gens).groebner()
+        assert Jk.groebner() == want, (m, k, G.edges)
+        lower = Jk.lower_power
+        uncertified += (
+            set(_minimal_monomials(R, [g.lt() for g in lower.gens]))
+            != {g.lt() for g in lower.groebner()}
+        )
+    assert len(cases) == 91 and uncertified == 32
+
+
+def test_power_pair_budget_pinned():
+    # with J's basis cached, J^2 for P4 at m = 3 forms 9 S-pairs: the
+    # products that share a factor pair up for free (185 from the raw
+    # generators)
+    R = RingSpec(3, 4)
+    for budget, ok in ((9, True), (8, False)):
+        J = binomial_edge_ideal(R, path_graph(4))
+        J.groebner()
+        J2 = ideal_power(J, 2)
+        if ok:
+            J2.groebner(GBBudget(max_pairs=budget))
+        else:
+            with pytest.raises(BudgetExceededError):
+                J2.groebner(GBBudget(max_pairs=budget))
+    with pytest.raises(BudgetExceededError):
+        Ideal(R, J2.gens).groebner(GBBudget(max_pairs=184))
+
+
 def test_cut_set_prime_fast_path_matches_buchberger():
     for n in range(2, 5):
         for G in connected_graphs_up_to_iso(n):
@@ -453,6 +516,26 @@ def test_separating_element_gives_the_other_primes():
             assert colon_poly(J, f0).equals(intersect_many(others)), (G.edges, m, T)
             checked += 1
     assert checked == 58
+
+
+def test_contains_variable_is_the_membership_test():
+    # the lookup in the reduced basis agrees with the normal form, on
+    # cut-set primes (x[i,j] is in P_T exactly when j is in T), on J, and
+    # on ideals with a linear binomial or the unit
+    R = RingSpec(3, 4)
+    G = path_graph(4)
+    x = [[Polynomial.variable(R, i, j) for j in range(1, 5)] for i in range(1, 4)]
+    ideals = [cut_set_prime(R, G, c.vertices) for c in enumerate_cut_sets(G)]
+    ideals += [binomial_edge_ideal(R, G), Ideal(R, [x[0][0] - x[1][1], x[2][3]]),
+               Ideal(R, [x[0][0] * x[0][1] - x[2][3]]), Ideal(R, [x[1][2] + Polynomial.one(R)]),
+               Ideal(R, [Polynomial.one(R)]), Ideal(R, [])]
+    for I in ideals:
+        for row in x:
+            for v in row:
+                assert _contains_variable(I, v.lt()) == I.contains(v), (I.gens, v)
+    P = ideals[1]  # T = {2}
+    assert all(_contains_variable(P, x[i][1].lt()) for i in range(3))
+    assert not any(_contains_variable(P, x[i][j].lt()) for i in range(3) for j in (0, 2, 3))
 
 
 def picked_generators(P: Ideal, f0: Polynomial):
@@ -670,16 +753,20 @@ def test_oracle_outputs_pinned(c4, c5):
 
 
 def test_determinism_across_processes(tmp_path):
-    # reduced bases must be byte-identical regardless of hash seed
+    # reduced bases must be byte-identical regardless of hash seed, also
+    # those of powers, whose shared-factor bookkeeping uses sets (J_C4^2,
+    # and J_P4^3 where the shared-factor pairs are skipped)
     import subprocess
     import sys
 
     script = (
-        "from vnum.algebra import RingSpec, binomial_edge_ideal, poly_to_text\n"
-        "from vnum.graphs import build_graph\n"
+        "from vnum.algebra import RingSpec, binomial_edge_ideal, ideal_power, poly_to_text\n"
+        "from vnum.graphs import build_graph, path_graph\n"
         "G = build_graph(4, [(1,2),(2,3),(3,4),(1,4)])\n"
         "J = binomial_edge_ideal(RingSpec(2,4), G)\n"
-        "print('\\n'.join(poly_to_text(g) for g in J.groebner()))\n"
+        "P = binomial_edge_ideal(RingSpec(2,4), path_graph(4))\n"
+        "for I in (J, ideal_power(J, 2), ideal_power(P, 3)):\n"
+        "    print('\\n'.join(poly_to_text(g) for g in I.groebner()))\n"
     )
     from pathlib import Path
 

@@ -5,7 +5,9 @@ import pytest
 from vnum.algebra import RingSpec, brute_local_v
 from vnum.cli import main
 from vnum.errors import BudgetExceededError
-from vnum.graphs import enumerate_cut_sets, format_graph, graph_from_intervals, path_graph
+from vnum.graphs import (
+    complete_graph, enumerate_cut_sets, format_graph, graph_from_intervals, path_graph,
+)
 from vnum.vnumbers import v_number
 from conftest import SPINE_27
 
@@ -147,12 +149,16 @@ def test_verify_vacuous_k3(capsys, tmp_path):
 
 
 def test_verify_budget_pairs_exits_budget(capsys, tmp_path):
-    p = tmp_path / "p4.txt"
-    p.write_text(format_graph(path_graph(4)))
-    rc, out, _ = run(capsys, "verify", str(p), "--scope", "powers", "--budget-pairs", "1",
-                     "--format", "structured")
+    # K4's power checks at k = 2 need 8 S-pairs in one basis run, so a
+    # budget of 7 overruns and exits 3
+    p = tmp_path / "k4.txt"
+    p.write_text(format_graph(complete_graph(4)))
+    argv = ("verify", str(p), "--scope", "powers", "--k", "2", "--format", "structured")
+    rc, out, _ = run(capsys, *argv, "--budget-pairs", "7")
     assert rc == 3
     assert json.loads(out)["summary"]["budget"] > 0
+    rc, out, _ = run(capsys, *argv, "--budget-pairs", "8")
+    assert rc == 0 and json.loads(out)["summary"]["budget"] == 0
 
 
 def test_budget_pairs_only_on_verify(capsys, p5_file):
