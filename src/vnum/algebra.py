@@ -744,15 +744,7 @@ def minor(ring: RingSpec, rows: tuple[int, int], cols: tuple[int, int]) -> Polyn
         raise GraphInputError(f"row pair ({i},{j}) must be increasing within 1..{ring.m}")
     if not (1 <= k < l <= ring.n):
         raise GraphInputError(f"column pair ({k},{l}) must be increasing within 1..{ring.n}")
-    vm = ring.var_mono
-    vi = ring.var_index
-    return Polynomial.from_terms(
-        ring,
-        [
-            (vm(vi(i, k)) + vm(vi(j, l)), 1),
-            (vm(vi(i, l)) + vm(vi(j, k)), -1),
-        ],
-    )
+    return generalized_minor(ring, rows, cols)
 
 
 def generalized_minor(
@@ -761,21 +753,25 @@ def generalized_minor(
     """Determinant of the submatrix (x[r,c]) over the given rows and columns.
 
     The column order is taken as given; rows and columns must have equal
-    length.  Expansion is over permutations, fine for the small sizes used
-    here (at most m)."""
+    length.  A 2x2 determinant is written out, the hot case of edge ideals
+    and primes; larger ones expand over permutations, fine for the small
+    sizes used here (at most m)."""
     if len(rows) != len(cols):
         raise GraphInputError("determinant needs a square submatrix")
     k = len(rows)
     vm = ring.var_mono
     vi = ring.var_index
+    if k == 2:
+        (r, s), (c, d) = rows, cols
+        return Polynomial.from_terms(
+            ring, [(vm(vi(r, c)) + vm(vi(s, d)), 1), (vm(vi(r, d)) + vm(vi(s, c)), -1)]
+        )
     items = []
     for perm in itertools.permutations(range(k)):
         sign = 1
-        seen = list(perm)
-        for a in range(k):
-            for b in range(a + 1, k):
-                if seen[a] > seen[b]:
-                    sign = -sign
+        for a, b in itertools.combinations(perm, 2):
+            if a > b:
+                sign = -sign
         mono = 0
         for r_idx, c_idx in enumerate(perm):
             mono += vm(vi(rows[r_idx], cols[c_idx]))

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graphs import (
     SimpleGraph,
+    _runs,
     cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
@@ -170,7 +171,7 @@ def cmd_local(args) -> int:
     cut = cut_set_from_vertices(G, T, closed)
     res = local_v_number(G, closed, cut, args.m)
     record = {"command": "local", "m": args.m, **res.to_record()}
-    lines = [f"cut set: {list(cut.vertices)} (blocks {[list(b) for b in cut.blocks]})"]
+    lines = [f"cut set: {list(cut.vertices)} (blocks {_runs(cut.vertices)})"]
     if cut.vertices:
         L = build_anchor_graph(closed, cut)
         part = minimal_slice_partition(L, args.m)

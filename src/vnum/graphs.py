@@ -349,29 +349,16 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
 
 @dataclass(frozen=True)
 class CutSet:
-    """A cut set T with its block decomposition.
+    """A cut set T: its vertices in increasing order, and the number of
+    components of G minus T.
 
-    For a closed graph the blocks are the connected cut sets W_{j_i} in
-    increasing order, satisfying max(W_{j_i}) + 1 < min(W_{j_{i+1}}); for
-    arbitrary graphs they are the connected components of the induced
-    subgraph on T.  ``component_count`` is the number of components of
-    G minus T.
+    T alone fixes the prime P_T, so two routes to the same T build equal
+    values.  On a closed graph the maximal runs of consecutive vertices of
+    T (see _runs) are the connected cut sets W_j it is made of.
     """
 
     vertices: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
     component_count: int
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def to_record(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "blocks": [list(b) for b in self.blocks],
-            "component_count": self.component_count,
-        }
 
 
 def is_cut_set(G: SimpleGraph, T: Iterable[int]) -> bool:
@@ -398,6 +385,17 @@ def connected_cut_blocks(closed: ClosedStructure) -> list[tuple[int, int]]:
     return [(cl[i + 1][0], cl[i][1]) for i in range(len(cl) - 1)]
 
 
+def _runs(vertices: Iterable[int]) -> list[list[int]]:
+    """The maximal runs of consecutive integers in increasing ``vertices``."""
+    runs: list[list[int]] = []
+    for v in vertices:
+        if runs and v == runs[-1][-1] + 1:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    return runs
+
+
 def _check_own_structure(G: SimpleGraph, closed: ClosedStructure) -> None:
     if closed.graph != G:
         raise GraphInputError(
@@ -409,33 +407,25 @@ def _check_own_structure(G: SimpleGraph, closed: ClosedStructure) -> None:
 def cut_set_from_vertices(
     G: SimpleGraph, vertices: Iterable[int], closed: Optional[ClosedStructure] = None
 ) -> CutSet:
-    """Wrap a verified cut set, recovering the block decomposition.
+    """Wrap a verified cut set with its component count.
 
     With the ClosedStructure of G, T is a cut set exactly when each maximal
     run of consecutive vertices in T is a connected cut set W_j.  Runs are
     at least two apart, so the gap rule of enumerate_cut_sets holds by
-    itself, and G minus T has one component more than T has blocks.
-    Otherwise is_cut_set decides, and the blocks are the components of the
-    subgraph induced on T, that is of G minus the other vertices.
+    itself, and G minus T has one component more than T has runs.
+    Otherwise is_cut_set decides and the components are counted.
     """
     vs = tuple(sorted(set(vertices)))
     if closed is None:
         if not is_cut_set(G, vs):
             raise NotACutSetError(f"{list(vs)} is not a cut set")
-        rest = frozenset(G.vertices()).difference(vs)
-        blocks = [tuple(sorted(c)) for c in G.components(rest)]
-        return CutSet(vs, tuple(blocks), G.component_count(frozenset(vs)))
+        return CutSet(vs, G.component_count(frozenset(vs)))
     _check_own_structure(G, closed)
-    runs: list[list[int]] = []
-    for v in vs:
-        if runs and v == runs[-1][-1] + 1:
-            runs[-1].append(v)
-        else:
-            runs.append([v])
+    runs = _runs(vs)
     wset = set(connected_cut_blocks(closed))
     if any((run[0], run[-1]) not in wset for run in runs):
         raise NotACutSetError(f"{list(vs)} is not a cut set")
-    return CutSet(vs, tuple(tuple(run) for run in runs), len(runs) + 1)
+    return CutSet(vs, len(runs) + 1)
 
 
 def enumerate_cut_sets(
@@ -443,7 +433,7 @@ def enumerate_cut_sets(
     closed: Optional[ClosedStructure] = None,
     max_generic_n: int = DEFAULT_SUBSET_BUDGET,
 ) -> list[CutSet]:
-    """All cut sets of G, each with its block decomposition.
+    """All cut sets of G, each with its component count.
 
     With the ClosedStructure of G the list is generated directly from the
     connected cut sets W_i under the gap condition
@@ -456,7 +446,7 @@ def enumerate_cut_sets(
     """
     if closed is not None:
         _check_own_structure(G, closed)
-        out = [CutSet(vertices=(), blocks=(), component_count=1)]
+        out = [CutSet(vertices=(), component_count=1)]
         blocks = connected_cut_blocks(closed)
         chosen: list[int] = []
 
@@ -468,31 +458,22 @@ def enumerate_cut_sets(
                 vs = tuple(
                     v for idx in chosen for v in range(blocks[idx][0], blocks[idx][1] + 1)
                 )
-                out.append(
-                    CutSet(
-                        vertices=vs,
-                        blocks=tuple(
-                            tuple(range(blocks[idx][0], blocks[idx][1] + 1))
-                            for idx in chosen
-                        ),
-                        component_count=len(chosen) + 1,
-                    )
-                )
+                out.append(CutSet(vertices=vs, component_count=len(chosen) + 1))
                 rec(j + 1)
                 chosen.pop()
 
         rec(0)
-        return sorted(out, key=lambda c: (c.size, c.vertices))
+        return sorted(out, key=lambda c: (len(c.vertices), c.vertices))
     if G.n > max_generic_n:
         raise InstanceTooLargeError(
             f"generic cut-set enumeration needs n <= {max_generic_n}, got {G.n}"
         )
-    out = [CutSet(vertices=(), blocks=(), component_count=G.component_count())]
+    out = [CutSet(vertices=(), component_count=G.component_count())]
     verts = list(G.vertices())
     for size in range(1, G.n + 1):
         for sub in itertools.combinations(verts, size):
             if is_cut_set(G, sub):
-                out.append(cut_set_from_vertices(G, sub))
+                out.append(CutSet(sub, G.component_count(frozenset(sub))))
     return out
 
 

@@ -43,6 +43,7 @@ from .graphs import (
     spine_chain,
     _check_own_structure,
     _greedy_chain,
+    _runs,
 )
 
 PROVED = "proved"
@@ -170,23 +171,23 @@ def _shares_anchor(cl: Sequence[tuple[int, int]], ji: int, jn: int) -> bool:
 def build_anchor_graph(closed: ClosedStructure, T: CutSet) -> AnchorGraph:
     """Anchor graph of a nonempty cut set of a connected closed graph.
 
-    Each block of T is a connected cut set W_j = F_j cap F_{j+1} of the
-    maximal cliques F_j = [a_j, b_j], with anchor pair (a_j, b_{j+1}).
-    When b_{j+1} >= a_{j'} for consecutive blocks W_j and W_{j'}, their
-    pairs share one anchor instead: the least vertex of [a_{j'}, b_{j+1}]
-    outside T.  The stretches before, between and after the anchor pairs
-    add the interiors of their greedy chains as isolated vertices.  When
-    consecutive cliques overlap in one vertex this is the spine
-    construction, which the tests keep as a reference.
+    Each maximal run of consecutive vertices of T is a connected cut set
+    W_j = F_j cap F_{j+1} of the maximal cliques F_j = [a_j, b_j], with
+    anchor pair (a_j, b_{j+1}).  When b_{j+1} >= a_{j'} for consecutive
+    runs W_j and W_{j'}, their pairs share one anchor instead: the least
+    vertex of [a_{j'}, b_{j+1}] outside T.  The stretches before, between
+    and after the anchor pairs add the interiors of their greedy chains as
+    isolated vertices.  When consecutive cliques overlap in one vertex
+    this is the spine construction, which the tests keep as a reference.
     """
     if not T.vertices:
         raise GraphInputError("the anchor graph needs a nonempty cut set")
     cl = closed.cliques
     index = {w: j for j, w in enumerate(connected_cut_blocks(closed))}
     try:
-        js = [index[blk[0], blk[-1]] for blk in T.blocks]
+        js = [index[run[0], run[-1]] for run in _runs(T.vertices)]
     except KeyError as exc:
-        raise GraphInputError(f"block ends {exc} are not a connected cut set") from None
+        raise GraphInputError(f"run ends {exc} are not a connected cut set") from None
     Tset = set(T.vertices)
     alphas = [cl[js[0]][0]]
     betas = []
@@ -424,23 +425,9 @@ def v_number(
 
 
 def _to_original_cut_set(closed: ClosedStructure, cut: CutSet) -> CutSet:
-    """A cut set of closed.graph in the input labels, with the generic
-    blocks: the components of the graph induced on it, each sorted and
-    ordered by least vertex.  Reaches never decrease, so two consecutive
-    blocks W_j, W_k are adjacent, and merge, exactly when the reach of the
-    last vertex of W_j is at least the first vertex of W_k."""
-    runs: list[tuple[int, ...]] = []
-    for blk in cut.blocks:
-        if runs and closed.reach[runs[-1][-1]] >= blk[0]:
-            runs[-1] += blk
-        else:
-            runs.append(blk)
+    """A cut set of closed.graph in the input labels."""
     back = closed.to_original
-    return CutSet(
-        tuple(sorted(map(back, cut.vertices))),
-        tuple(sorted(tuple(sorted(map(back, run))) for run in runs)),
-        cut.component_count,
-    )
+    return CutSet(tuple(sorted(map(back, cut.vertices))), cut.component_count)
 
 
 def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberResult:

@@ -9,7 +9,7 @@ from vnum.graphs import (
     complete_graph, enumerate_cut_sets, format_graph, graph_from_intervals, path_graph,
 )
 from vnum.vnumbers import v_number
-from conftest import SPINE_27
+from conftest import SPINE_27, T_42
 
 
 @pytest.fixture
@@ -108,6 +108,17 @@ def test_local_42(capsys, tmp_path, g42):
     assert rec["anchor_graph"]["paths"] == [[1, 6, 11, 14, 19], [27, 31, 37]]
     assert sorted(rec["anchor_graph"]["isolated"]) == [21, 24, 40]
     assert rec["value"] == 15
+
+
+def test_local_42_table_lists_the_runs(capsys, tmp_path, g42):
+    p = tmp_path / "g42.txt"
+    p.write_text(format_graph(g42))
+    rc, out, _ = run(capsys, "local", str(p), "--m", "2", "--cutset", ",".join(map(str, T_42)))
+    assert rc == 0
+    assert out.splitlines()[0] == (
+        f"cut set: {T_42} "
+        "(blocks [[3, 4], [9, 10], [12, 13], [15, 16], [29, 30], [33, 34]])"
+    )
 
 
 def test_local_empty_cutset(capsys, p5_file):

@@ -10,6 +10,7 @@ from vnum.enumeration import closed_graphs, closed_interval_profiles, connected_
 from vnum.graphs import (
     DEFAULT_SUBSET_BUDGET,
     SimpleGraph,
+    _runs,
     build_graph,
     check_closed_labeling,
     complete_graph,
@@ -194,9 +195,9 @@ def test_enumerate_cut_sets_examples(g42):
 def test_cut_set_blocks_on_42(g42):
     cs42 = find_closed_labeling(g42)
     cut = cut_set_from_vertices(g42, T_42, cs42)
-    assert cut.blocks == (
-        (3, 4), (9, 10), (12, 13), (15, 16), (29, 30), (33, 34),
-    )
+    assert _runs(cut.vertices) == [
+        [3, 4], [9, 10], [12, 13], [15, 16], [29, 30], [33, 34],
+    ]
     assert cut.component_count == 7
     with pytest.raises(NotACutSetError):
         cut_set_from_vertices(g42, [3], cs42)
@@ -213,8 +214,8 @@ def test_block_enumeration_equals_generic():
 
 
 def test_closed_cut_set_check_matches_generic():
-    # the block check alone decides, counts and splits every vertex subset
-    # of every closed graph as the BFS-based generic path does
+    # the run check alone decides and counts every vertex subset of every
+    # closed graph as the BFS-based generic path does
     pairs = cuts = 0
     for n in range(1, 8):
         for G, cs in closed_graphs(n):
@@ -228,13 +229,7 @@ def test_closed_cut_set_check_matches_generic():
                     cuts += 1
                     cut = cut_set_from_vertices(G, T, cs)
                     assert cut.component_count == G.component_count(frozenset(T))
-                    runs = []  # maximal runs of consecutive vertices
-                    for v in T:
-                        if runs and v == runs[-1][-1] + 1:
-                            runs[-1].append(v)
-                        else:
-                            runs.append([v])
-                    assert [list(b) for b in cut.blocks] == runs
+                    assert cut == cut_set_from_vertices(G, T)
     assert (pairs, cuts) == (20134, 787)
 
 

@@ -19,6 +19,7 @@ from vnum.algebra import (
 from vnum.errors import GraphInputError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
+    _runs,
     build_graph,
     complete_graph,
     cut_set_from_vertices,
@@ -88,7 +89,7 @@ def spine_anchor_graph(closed, T):
     t = closed.t
     n = closed.graph.n
     pos = {v: i for i, v in enumerate(b)}
-    js = [pos[blk[0]] for blk in T.blocks]
+    js = [pos[run[0]] for run in _runs(T.vertices)]
     in_T = set(T.vertices)
     v0 = set(b) - in_T
     if b[1] not in in_T:
@@ -387,13 +388,26 @@ def test_v_number_relabeled_closed():
     assert res.regime.endswith("relabeled")
 
 
+def test_generic_cut_sets_equal_the_closed_route():
+    # under cliques [1,2],[2,4],[4,5] the cut set {2,4} induces an edge yet
+    # is made of two connected cut sets W_j, {2} and {4}; either route must
+    # give the same value and the same local v-number
+    G = graph_from_intervals(5, [(1, 2), (2, 4), (4, 5)])
+    cs = find_closed_labeling(G)
+    cuts = enumerate_cut_sets(G)
+    assert [c.vertices for c in cuts] == [(), (2,), (4,), (2, 4)]
+    for c in cuts:
+        closed_cut = cut_set_from_vertices(G, c.vertices, cs)
+        assert local_v_number(G, cs, c, 2).value == local_v_number(G, cs, closed_cut, 2).value
+        assert c == closed_cut
+
+
 def test_relabeled_cut_set_matches_the_generic_route():
     # the -relabeled branch maps the closed structure's cut set back to the
-    # input labels with no graph search; vertices, blocks (the components
-    # of the induced subgraph) and component count must be the generic
-    # route's, for every cut set and for v_number's answer
+    # input labels with no graph search; vertices and component count must
+    # be the generic route's, for every cut set and for v_number's answer
     rng = random.Random(12)
-    mapped = merged = answers = 0
+    mapped = answers = 0
     for n in range(3, 7):
         for G, _ in closed_graphs(n):
             order = list(G.vertices())
@@ -407,14 +421,12 @@ def test_relabeled_cut_set_matches_the_generic_route():
                 got = _to_original_cut_set(closed, cut)
                 assert got == cut_set_from_vertices(H, got.vertices), (order, cut)
                 mapped += 1
-                # adjacent blocks, e.g. {2} and {4} under cliques [1,2],[2,4],[4,5]
-                merged += len(got.blocks) < len(cut.blocks)
             for m in (2, 3):
                 res = v_number(H, m)
                 assert res.regime.endswith("-relabeled")
                 assert res.cut_set == cut_set_from_vertices(H, res.cut_set.vertices)
                 answers += 1
-    assert (mapped, merged, answers) == (183, 10, 112)
+    assert (mapped, answers) == (183, 112)
 
 
 # -- classification -----------------------------------------------------------------
