@@ -34,9 +34,7 @@ from .graphs import (
 )
 from .vnumbers import (
     _least_oracle_value,
-    build_anchor_graph,
     local_v_number,
-    minimal_slice_partition,
     v_number,
     v_number_of_power,
 )
@@ -173,13 +171,11 @@ def cmd_local(args) -> int:
     record = {"command": "local", "m": args.m, **res.to_record()}
     lines = [f"cut set: {list(cut.vertices)} (blocks {_runs(cut.vertices)})"]
     if cut.vertices:
-        L = build_anchor_graph(closed, cut)
-        part = minimal_slice_partition(L, args.m)
-        record["anchor_graph"] = L.to_record()
-        record["partition"] = part.to_record()
-        lines.append(f"anchor paths: {[list(c) for c in L.path_components]}")
-        lines.append(f"isolated: {list(L.isolated)}")
-        lines.append(f"optimal partition slices: {[list(s) for s in part.slices]}")
+        record["anchor_graph"] = res.anchor_graph.to_record()
+        record["partition"] = res.partition.to_record()
+        lines.append(f"anchor paths: {[list(c) for c in res.anchor_graph.path_components]}")
+        lines.append(f"isolated: {list(res.anchor_graph.isolated)}")
+        lines.append(f"optimal partition slices: {[list(s) for s in res.partition.slices]}")
     lines.append(f"local v-number: {res.value}  [{res.status}]")
     if res.witness is not None:
         lines.append(f"witness: {' * '.join(res.witness.term_list()) or '1'}")

@@ -31,8 +31,8 @@ class SimpleGraph:
 
     Adjacency is kept both as frozensets (friendly) and as int bitmasks;
     bit v of ``mask[u]`` is set iff {u,v} is an edge.  The masks serve the
-    closed labeling: its check, its runs of twins and each vertex's
-    largest neighbour.
+    closed labeling (its check, its runs of twins and each vertex's reach)
+    and connectivity.
     """
 
     __slots__ = ("n", "edges", "_adj", "_mask")
@@ -77,7 +77,7 @@ class SimpleGraph:
         return sorted(self.edges)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, SimpleGraph)
             and self.n == other.n
             and self.edges == other.edges
@@ -114,7 +114,13 @@ class SimpleGraph:
         return len(self.components(removed))
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or self.component_count() == 1
+        """Flood from vertex 1 over the adjacency masks (n <= 1: True)."""
+        seen = frontier = 2 if self.n else 0
+        while frontier:
+            low = frontier & -frontier
+            frontier = (frontier ^ low) | (self._mask[low.bit_length() - 1] & ~seen)
+            seen |= frontier
+        return seen == (1 << (self.n + 1)) - 2
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -178,14 +184,26 @@ def graph_from_intervals(n: int, intervals: Iterable[Sequence[int]]) -> SimpleGr
 def check_closed_labeling(G: SimpleGraph) -> bool:
     """Does the identity labeling witness closedness?
 
-    For every edge {i,k} with i < k the whole interval [i,k] must induce a
-    clique; with bitmask rows this is a containment test per edge.
+    It does exactly when for every i the neighbours above i are the run
+    i+1, ..., r_i, and the reach r_i never decreases.  Closed forces both:
+    an edge {i,k} makes [i,k] a clique, so i meets every vertex between;
+    for i < j < r_i the edge {i, r_i} forces {j, r_i}, so r_j >= r_i (and
+    r_j >= j >= r_i when r_i <= j).  Conversely, for i < j < k with {i,k}
+    an edge, k <= r_i gives {i,j} and r_j >= r_i >= k gives {j,k}.
     """
-    for i, k in G.edges:
-        want = ((1 << k) - 1) & ~((1 << (i + 1)) - 1)  # bits i+1 .. k-1
-        if G._mask[i] & want != want or G._mask[k] & want != want:
-            return False
-    return True
+    return _closed_reach(G) is not None
+
+
+def _closed_reach(G: SimpleGraph) -> Optional[tuple[int, ...]]:
+    """ClosedStructure.reach if the identity labeling is closed, else None."""
+    reach = [0]
+    for i in G.vertices():
+        up = G._mask[i] >> (i + 1)
+        r = i + up.bit_length()
+        if up & (up + 1) or r < reach[-1]:
+            return None
+        reach.append(r)
+    return tuple(reach)
 
 
 @dataclass(frozen=True)
@@ -233,34 +251,12 @@ class ClosedStructure:
         }
 
 
-def _interval_cliques(G: SimpleGraph) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
-    """Maximal interval cliques of a connected identity-closed graph, and
-    the reach of every vertex.
-
-    It runs only after check_closed_labeling has passed, which both
-    branches of find_closed_labeling make sure of.  Then every edge {a, b}
-    makes [a, b] a clique, so the reach of a (the largest b with [a, b] a
-    clique) is a's largest neighbour, or a itself.  Reaches never decrease
-    with a, and [a, b] is maximal exactly when b exceeds the previous reach.
-    """
-    out = []
-    reach = [0]
-    for a in G.vertices():
-        b = max(a, G._mask[a].bit_length() - 1)
-        if b > reach[-1] and (b > a or G.n == 1):
-            out.append((a, b))
-        reach.append(b)
-    return out, tuple(reach)
-
-
-def _structure_from_identity(G: SimpleGraph, order: tuple[int, ...]) -> ClosedStructure:
-    cliques, reach = _interval_cliques(G)
+def _structure_from_identity(G: SimpleGraph, order: tuple, reach: tuple) -> ClosedStructure:
+    """The structure of a connected identity-closed G from its reach: the
+    maximal cliques are the [a, r_a] where the reach grows, and each starts
+    by the previous r_a as r_i > i for i < n."""
+    cliques = [(a, reach[a]) for a in G.vertices() if reach[a] > reach[a - 1]]
     t = len(cliques)
-    if cliques[0][0] != 1 or cliques[-1][1] != G.n:
-        raise GraphInputError("interval cliques do not cover 1..n; graph disconnected?")
-    for i in range(t - 1):
-        if cliques[i + 1][0] > cliques[i][1]:
-            raise GraphInputError("consecutive interval cliques do not overlap")
     spine = (cliques[0][0],) + tuple(b for _, b in cliques)
     is_cm = all(cliques[i][1] == cliques[i + 1][0] for i in range(t - 1))
     return ClosedStructure(
@@ -317,29 +313,33 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
     The identity labeling is tried first, being the first permutation.
     Otherwise three LBFS sweeps run, each after the first starting from
     and breaking ties towards the end of the previous one; G is closed iff
-    the third sweep is a closed labeling (Corneil 2004).  That labeling is
-    turned into the lexicographically first one and re-validated by
-    check_closed_labeling, so a present answer is always correct.
+    the third sweep is a closed labeling (Corneil 2004).  It is turned into
+    the lexicographically first one, which the one-pass check validates, so
+    a present answer is always correct.  A disconnected G raises
+    GraphInputError; components are searched only before returning None.
     """
     if G.n == 0:
         raise GraphInputError("empty graph has no closed structure")
-    if not G.is_connected():
+    H, order = G, tuple(G.vertices())
+    reach = _closed_reach(G)
+    if reach is None:
+        sweep1 = _lbfs(G, 1, list(G.vertices()))
+        sweep2 = _lbfs(G, sweep1[-1], sweep1[::-1])
+        sweep3 = _lbfs(G, sweep2[-1], sweep2[::-1])
+        # swapping twins and reversing neither make nor break closedness
+        order = _lex_first_order(G, sweep3)
+        H = G.relabel(order)
+        reach = _closed_reach(H)
+        if reach is None and G.is_connected():
+            return None
+    # a closed labeling is connected iff r_i > i for all i < n (else no
+    # vertex up to i meets one above i)
+    if reach is None or any(reach[i] == i for i in range(1, G.n)):
         raise GraphInputError(
             "closed-structure extraction needs a connected graph; "
             "split into components first"
         )
-    if check_closed_labeling(G):
-        return _structure_from_identity(G, tuple(G.vertices()))
-    sweep1 = _lbfs(G, 1, list(G.vertices()))
-    sweep2 = _lbfs(G, sweep1[-1], sweep1[::-1])
-    sweep3 = _lbfs(G, sweep2[-1], sweep2[::-1])
-    if not check_closed_labeling(G.relabel(sweep3)):
-        return None
-    order = _lex_first_order(G, sweep3)
-    H = G.relabel(order)
-    if not check_closed_labeling(H):
-        raise AssertionError(f"twin-sorted LBFS order {order} is not closed")
-    return _structure_from_identity(H, order)
+    return _structure_from_identity(H, order, reach)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ class WitnessSpec:
 @dataclass(frozen=True)
 class VNumberResult:
     """A v-number with its provenance: value, proof status, the regime that
-    produced it, and (when available) the attaining cut set and witness."""
+    produced it, and (when available) the attaining cut set and witness,
+    with the anchor graph and slice partition a local witness came from."""
 
     value: int
     status: str
@@ -141,6 +142,8 @@ class VNumberResult:
     cut_set: Optional[CutSet] = None
     witness: Optional[WitnessSpec] = None
     parts: tuple = ()
+    anchor_graph: Optional[AnchorGraph] = None
+    partition: Optional[SlicePartition] = None
 
     def to_record(self) -> dict:
         rec = {
@@ -351,6 +354,8 @@ def local_v_number(
         regime="cm-closed" if closed.is_cm else ("closed-m2" if m == 2 else "closed"),
         cut_set=cut,
         witness=witness_spec(L, part),
+        anchor_graph=L,
+        partition=part,
     )
 
 
@@ -398,13 +403,12 @@ def v_number(
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
-    comps = G.components()
-    if len(comps) > 1:
+    if not G.is_connected():
         parts = []
         total = 0
         status = PROVED
         union = []
-        for comp in comps:
+        for comp in G.components():
             H, back = G.induced(comp)
             sub = v_number(H, m, oracle_n_limit)
             parts.append(sub)

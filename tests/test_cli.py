@@ -8,7 +8,7 @@ from vnum.errors import BudgetExceededError
 from vnum.graphs import (
     complete_graph, enumerate_cut_sets, format_graph, graph_from_intervals, path_graph,
 )
-from vnum.vnumbers import v_number
+from vnum.vnumbers import build_anchor_graph, minimal_slice_partition, v_number
 from conftest import SPINE_27, T_42
 
 
@@ -119,6 +119,23 @@ def test_local_42_table_lists_the_runs(capsys, tmp_path, g42):
         f"cut set: {T_42} "
         "(blocks [[3, 4], [9, 10], [12, 13], [15, 16], [29, 30], [33, 34]])"
     )
+
+
+def test_local_builds_the_anchor_graph_once(capsys, monkeypatch, tmp_path, g42):
+    p = tmp_path / "g42.txt"
+    p.write_text(format_graph(g42))
+    calls = []
+    for real in (build_anchor_graph, minimal_slice_partition):
+        def counting(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
+
+        monkeypatch.setattr(f"vnum.vnumbers.{real.__name__}", counting)
+        # a binding of its own in the CLI would be counted too
+        monkeypatch.setattr(f"vnum.cli.{real.__name__}", counting, raising=False)
+    rc, _, _ = run(capsys, "local", str(p), "--m", "2", "--cutset", ",".join(map(str, T_42)))
+    assert rc == 0
+    assert sorted(calls) == ["build_anchor_graph", "minimal_slice_partition"]
 
 
 def test_local_empty_cutset(capsys, p5_file):

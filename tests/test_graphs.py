@@ -138,10 +138,45 @@ def test_cliques_match_generic_enumerator():
             assert generic == set(maximal_cliques(G))
 
 
+def labeled_graphs(n_max: int):
+    """Every labeled graph on 1..n for n <= n_max."""
+    for n in range(n_max + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for size in range(len(pairs) + 1):
+            for es in itertools.combinations(pairs, size):
+                yield build_graph(n, es)
+
+
+def reference_check_closed(G) -> bool:
+    """The definition: for i < j < k, an edge {i,k} forces {i,j} and {j,k}."""
+    return all(
+        G.has_edge(i, j) and G.has_edge(j, k)
+        for i, j, k in itertools.combinations(G.vertices(), 3)
+        if G.has_edge(i, k)
+    )
+
+
+def test_closed_check_and_connectivity_match_definitions():
+    count = 0
+    for G in labeled_graphs(6):
+        assert check_closed_labeling(G) == reference_check_closed(G), G
+        assert G.is_connected() == (len(G.components()) <= 1), G
+        count += 1
+    assert count == sum(2 ** (n * (n - 1) // 2) for n in range(7)) == 33_868
+
+
 def test_disconnected_rejected():
-    G = build_graph(4, [(1, 2), (3, 4)])
-    with pytest.raises(GraphInputError):
-        find_closed_labeling(G)
+    # identity-closed ones too: their reach shows the gap
+    named = [build_graph(4, [(1, 2), (3, 4)]), build_graph(4, [(1, 2), (2, 3)])]
+    assert all(check_closed_labeling(G) for G in named)
+    disconnected = named + [G for G in labeled_graphs(5) if G.n and not G.is_connected()]
+    assert len(disconnected) == 2 + 1 + 4 + 26 + 296
+    for G in disconnected:
+        with pytest.raises(GraphInputError, match="needs a connected graph"):
+            find_closed_labeling(G)
+    with pytest.raises(GraphInputError, match="empty graph has no closed structure"):
+        find_closed_labeling(build_graph(0, []))
+    assert build_graph(0, []).is_connected() and build_graph(1, []).is_connected()
 
 
 # -- cut sets ----------------------------------------------------------------

@@ -19,6 +19,7 @@ from vnum.algebra import (
 from vnum.errors import GraphInputError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
+    SimpleGraph,
     _runs,
     build_graph,
     complete_graph,
@@ -379,6 +380,22 @@ def test_v_number_generic_oracle(c5):
     res = v_number(c5, 2)
     assert res.regime == "generic-oracle"
     assert res.value == 3 and res.status == PROVED
+
+
+def test_connected_closed_v_number_skips_components(monkeypatch, g42):
+    rng = random.Random(3)
+    spine = [1]
+    while spine[-1] < 300:
+        spine.append(min(300, spine[-1] + rng.randint(1, 4)))
+    chain = graph_from_intervals(spine[-1], zip(spine, spine[1:]))
+    order = list(chain.vertices())
+    rng.shuffle(order)
+    calls = []
+    real = SimpleGraph.components
+    monkeypatch.setattr(SimpleGraph, "components", lambda G, *a: calls.append(G.n) or real(G, *a))
+    for G, regime in [(g42, "closed"), (chain, "cm-closed"), (chain.relabel(order), "cm-closed-relabeled")]:
+        assert v_number(G, 3).regime == regime
+    assert calls == []
 
 
 def test_v_number_relabeled_closed():
