@@ -124,10 +124,10 @@ def cmd_vnumber(args) -> int:
         lines.append(f"witness: {' * '.join(res.witness.term_list()) or '1'}")
     if args.k is not None:
         closed = find_closed_labeling(G) if G.is_connected() else None
-        if args.m != 2 or closed is None or not closed.is_cm or not closed.is_identity():
+        if args.m != 2 or closed is None or not closed.is_cm:
             raise UnsupportedRegimeError(
-                "power values are proved only for m=2 on a connected closed-"
-                "labeled graph with one-vertex clique overlaps"
+                "power values are proved only for m=2 on a connected closed "
+                "graph with one-vertex clique overlaps"
             )
         pw = v_number_of_power(closed, args.k)
         record["power"] = {"k": args.k, "value": pw}

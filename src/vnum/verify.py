@@ -4,6 +4,9 @@ Each suite returns a list of CheckResult records (name, status, detail,
 seconds).  Statuses are 'pass', 'fail', 'budget' (a Groebner cap was hit,
 reported per check, never silently), or 'skip' (hypotheses of the suite
 do not apply to the input, with the reason spelled out).
+
+The closed suites (CLOSED_SCOPES) take G = closed.graph, the closed copy
+of a closed graph in any labeling, and show cut sets in the input labels.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .graphs import (
     ClosedStructure,
     SimpleGraph,
     completion_graph,
+    cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
 )
@@ -173,46 +177,31 @@ def suite_quadratic_gb(
     G: SimpleGraph, closed: Optional[ClosedStructure], m: int
 ) -> list[CheckResult]:
     """For a closed-labeled graph the generating minors are the basis."""
-    if closed is None or not closed.is_identity():
-        return [
-            CheckResult(
-                f"quadratic-gb[m={m}]",
-                "skip",
-                "input is not closed under the identity labeling",
-                0.0,
-            )
-        ]
     ring = RingSpec(m, G.n)
+    where = "" if closed is None else " in the lex order of the closed copy"
 
     def body():
         J = binomial_edge_ideal(ring, G)
         gb = J.groebner()
         gens = sorted(
-            (g.monic() for g in binomial_edge_ideal(ring, G).gens),
+            (g.monic() for g in J.gens),
             key=lambda g: -g.lt(),
         )
-        return list(gb) == gens, f"{len(gb)} basis elements"
+        return list(gb) == gens, f"{len(gb)} basis elements{where}"
 
     return [_run(f"quadratic-gb[m={m}]", body)]
 
 
-def suite_witness(
-    G: SimpleGraph, closed: Optional[ClosedStructure], m: int
-) -> list[CheckResult]:
+def suite_witness(G: SimpleGraph, closed: ClosedStructure, m: int) -> list[CheckResult]:
     """Every cut set's combinatorial witness satisfies (J : f) = P_T with
     the predicted degree."""
-    if closed is None or not closed.is_identity():
-        return [
-            CheckResult(
-                f"witness[m={m}]", "skip", "needs a closed-labeled input", 0.0
-            )
-        ]
     ring = RingSpec(m, G.n)
     J = binomial_edge_ideal(ring, G)
     out = []
     for cut in enumerate_cut_sets(G, closed):
+        T = _input_labels(closed, cut.vertices)
 
-        def body(cut=cut):
+        def body(cut=cut, T=T):
             res = local_v_number(G, closed, cut, m)
             spec = res.witness
             f = witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars)
@@ -220,34 +209,30 @@ def suite_witness(
                 return False, f"degree {f.degree()} != predicted {res.value}"
             P = cut_set_prime(ring, G, cut.vertices)
             ok = verify_witness(J, f, P)
-            shown = poly_to_text(f)
+            back = spec.relabel(closed.to_original)
+            g = witness_polynomial(ring, back.minor_blocks, back.isolated_vars)
+            shown = poly_to_text(g)
             if len(shown) > 90:
                 shown = shown[:87] + "..."
-            return ok, f"T={list(cut.vertices)} deg={res.value} ({res.status}) f={shown}"
+            return ok, f"T={T} deg={res.value} ({res.status}) f={shown}"
 
-        out.append(_run(f"witness[m={m},T={list(cut.vertices)}]", body))
+        out.append(_run(f"witness[m={m},T={T}]", body))
     return out
 
 
-def suite_brute_vs_formula(
-    G: SimpleGraph,
-    closed: Optional[ClosedStructure],
-) -> list[CheckResult]:
+def suite_brute_vs_formula(G: SimpleGraph, closed: ClosedStructure) -> list[CheckResult]:
     """Exact oracle value equals the witness degree at every cut set, m=2."""
-    if closed is None or not closed.is_identity():
-        return [
-            CheckResult("brute-vs-formula", "skip", "needs a closed-labeled input", 0.0)
-        ]
     ring = RingSpec(2, G.n)
     out = []
     for cut in enumerate_cut_sets(G, closed):
+        T = _input_labels(closed, cut.vertices)
 
-        def body(cut=cut):
+        def body(cut=cut, T=T):
             expect = local_v_number(G, closed, cut, 2).value
             got = brute_local_v(ring, G, cut.vertices)[0]
-            return got == expect, f"T={list(cut.vertices)}: oracle {got}, formula {expect}"
+            return got == expect, f"T={T}: oracle {got}, formula {expect}"
 
-        out.append(_run(f"brute-vs-formula[T={list(cut.vertices)}]", body))
+        out.append(_run(f"brute-vs-formula[T={T}]", body))
     return out
 
 
@@ -264,7 +249,7 @@ def _peel_certified(
 
 def suite_powers(
     G: SimpleGraph,
-    closed: Optional[ClosedStructure],
+    closed: ClosedStructure,
     k_max: int = 3,
     budget: Optional[GBBudget] = None,
 ) -> list[CheckResult]:
@@ -286,15 +271,8 @@ def suite_powers(
     P_T, so verify_witness(J, w, P_T) is decided by prime avoidance.  A k
     with an uncertified peel checks (J^k : g^{k-1} w) = P_T directly.
     """
-    if closed is None or not closed.is_identity() or not closed.is_cm:
-        return [
-            CheckResult(
-                "powers",
-                "skip",
-                "needs a closed-labeled graph with one-vertex clique overlaps",
-                0.0,
-            )
-        ]
+    if not closed.is_cm:
+        return [CheckResult("powers", "skip", "needs one-vertex clique overlaps", 0.0)]
     budget = budget or POWER_BUDGET
     ring = RingSpec(2, G.n)
     J = binomial_edge_ideal(ring, G)
@@ -344,11 +322,12 @@ def suite_powers(
                 f = gk * w
                 want_deg = res.value + 2 * (k - 1)
                 if f.degree() != want_deg:
-                    return False, f"degree bookkeeping off at T={list(cut.vertices)}"
+                    T = _input_labels(closed, cut.vertices)
+                    return False, f"degree bookkeeping off at T={T}"
                 P = cut_set_prime(ring, G, cut.vertices)
                 I, h = (J, w) if chain else (powers[k], f)
                 if not verify_witness(I, h, P, budget):
-                    return False, f"witness fails at T={list(cut.vertices)}"
+                    return False, f"witness fails at T={_input_labels(closed, cut.vertices)}"
             return True, f"all {len(cuts)} cut sets"
 
         out.append(_run(f"power-witness[k={k}]", body_witness))
@@ -357,15 +336,14 @@ def suite_powers(
 
 def suite_power_remark(
     G: SimpleGraph,
-    closed: Optional[ClosedStructure],
+    closed: ClosedStructure,
     m: int,
     T: Iterable[int],
     k: int,
     d_max: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Probe the shift-by-2 upper bound against the oracle witness search."""
-    if closed is None or not closed.is_identity():
-        return [CheckResult("power-remark", "skip", "needs a closed-labeled input", 0.0)]
+    """Probe the shift-by-2 upper bound against the oracle witness search
+    at T, a cut set of closed.graph."""
 
     def body():
         rep = probe_power_shift(closed, m, tuple(T), k, d_max)
@@ -382,10 +360,12 @@ def suite_power_remark(
             f"via {found['via']}: {verdict}"
         )
 
-    return [_run(f"power-remark[m={m},k={k},T={list(T)}]", body)]
+    return [_run(f"power-remark[m={m},k={k},T={_input_labels(closed, T)}]", body)]
 
 
-SCOPES = ("decomposition", "colon", "quadratic-gb", "witness", "brute-vs-formula", "powers", "power-remark")
+#: the scopes whose claims are about a closed labeling
+CLOSED_SCOPES = ("quadratic-gb", "witness", "brute-vs-formula", "powers", "power-remark")
+SCOPES = ("decomposition", "colon") + CLOSED_SCOPES
 
 
 def run_suites(
@@ -400,7 +380,8 @@ def run_suites(
     """Dispatch the named suite ('all' runs everything applicable).
 
     ``k`` is the largest power of the power suites, 2 or 3, and the power
-    of the power-remark check, any k >= 1."""
+    of the power-remark check, any k >= 1.  ``cutset`` is in the input
+    labels."""
     if scope in ("all", "powers") and not 2 <= k <= 3:
         raise GraphInputError(f"scope {scope} checks the powers k = 2..3, got k={k}")
     power_budget = (
@@ -412,35 +393,44 @@ def run_suites(
     results: list[CheckResult] = []
     want = SCOPES if scope == "all" else (scope,)
     for s in want:
-        if s == "decomposition":
+        if s in CLOSED_SCOPES and closed is None:
+            results.append(CheckResult(s, "skip", "not a connected closed graph", 0.0))
+        elif s == "decomposition":
             results += suite_decomposition(G, m)
         elif s == "colon":
             results += suite_colon_variable(G, m)
             if m == 2:
                 results += suite_colon_nonedge(G, 2)
         elif s == "quadratic-gb":
-            results += suite_quadratic_gb(G, closed, m)
+            results += suite_quadratic_gb(closed.graph, closed, m)
         elif s == "witness":
-            results += suite_witness(G, closed, m)
+            results += suite_witness(closed.graph, closed, m)
         elif s == "brute-vs-formula":
-            results += suite_brute_vs_formula(G, closed)
+            results += suite_brute_vs_formula(closed.graph, closed)
         elif s == "powers":
-            results += suite_powers(G, closed, k, power_budget)
+            results += suite_powers(closed.graph, closed, k, power_budget)
         elif s == "power-remark":
-            T = cutset if cutset is not None else _default_probe_cutset(G, closed)
+            if cutset is None:
+                T = _default_probe_cutset(closed)
+            else:  # checked in the input labels, then renamed
+                cut = cut_set_from_vertices(G, cutset)
+                T = sorted(closed.order.index(v) + 1 for v in cut.vertices)
             if T is None:
                 results.append(
                     CheckResult("power-remark", "skip", "no nonempty cut set", 0.0)
                 )
             else:
-                results += suite_power_remark(G, closed, m, T, k, d_max)
+                results += suite_power_remark(closed.graph, closed, m, T, k, d_max)
         else:
             raise VnumError(f"unknown scope {s!r}")
     return results
 
 
-def _default_probe_cutset(G, closed) -> Optional[tuple[int, ...]]:
-    if closed is None:
-        return None
+def _default_probe_cutset(closed: ClosedStructure) -> Optional[tuple[int, ...]]:
     cuts = [c for c in enumerate_cut_sets(closed.graph, closed) if c.vertices]
     return cuts[0].vertices if cuts else None
+
+
+def _input_labels(closed: ClosedStructure, vertices: Iterable[int]) -> list[int]:
+    """Vertices of closed.graph in the input labels, sorted."""
+    return sorted(map(closed.to_original, vertices))

@@ -124,6 +124,16 @@ class WitnessSpec:
             "degree": self.degree,
         }
 
+    def relabel(self, label) -> "WitnessSpec":
+        """The witness with column v renamed label(v).  Renaming columns is
+        a ring automorphism; a minor over permuted columns is +- the one
+        over the sorted columns and (J : -w) = (J : w), so columns sort."""
+        return WitnessSpec(
+            tuple(tuple(sorted(map(label, b))) for b in self.minor_blocks),
+            tuple(sorted(map(label, self.isolated_vars))),
+            self.degree,
+        )
+
     def term_list(self) -> list[str]:
         out = [f"det(rows 1..{len(b)}, cols {list(b)})" for b in self.minor_blocks]
         out += [f"x[1,{v}]" for v in self.isolated_vars]
@@ -434,6 +444,16 @@ def _to_original_cut_set(closed: ClosedStructure, cut: CutSet) -> CutSet:
     return CutSet(tuple(sorted(map(back, cut.vertices))), cut.component_count)
 
 
+def _to_original_result(closed: ClosedStructure, res: VNumberResult) -> VNumberResult:
+    """An answer on closed.graph in the input labels: cut set and witness
+    mapped back, the regime marked '-relabeled' when the labels differ."""
+    if closed.is_identity():
+        return res
+    cut = _to_original_cut_set(closed, res.cut_set)
+    witness = res.witness.relabel(closed.to_original)
+    return VNumberResult(res.value, res.status, res.regime + "-relabeled", cut, witness)
+
+
 def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberResult:
     if G.is_complete():
         return VNumberResult(
@@ -444,19 +464,8 @@ def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberR
             witness=WitnessSpec((), (), 0),
         )
     closed = find_closed_labeling(G)
-    if closed is not None and closed.is_identity():
-        return _v_number_closed(G, closed, m)
     if closed is not None:
-        sub = _v_number_closed(closed.graph, closed, m)
-        # cut set and witness live in the closed labeling; map the cut set
-        # back, drop the witness (its column order is labeling-dependent)
-        return VNumberResult(
-            value=sub.value,
-            status=sub.status,
-            regime=sub.regime + "-relabeled",
-            cut_set=_to_original_cut_set(closed, sub.cut_set),
-            witness=None,
-        )
+        return _to_original_result(closed, _v_number_closed(closed.graph, closed, m))
     cone = is_cone(G)
     if cone is not None:
         apex, base_complete = cone

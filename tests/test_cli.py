@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from vnum.algebra import RingSpec, brute_local_v
+from vnum.algebra import (
+    RingSpec, binomial_edge_ideal, brute_local_v, cut_set_prime, verify_witness,
+    witness_polynomial,
+)
 from vnum.cli import main
 from vnum.errors import BudgetExceededError
 from vnum.graphs import (
@@ -23,6 +26,14 @@ def g27_file(tmp_path, g27):
 def p5_file(tmp_path):
     p = tmp_path / "p5.txt"
     p.write_text(format_graph(path_graph(5)))
+    return str(p)
+
+
+@pytest.fixture
+def shuffled_p5_file(tmp_path):
+    # the path 2-4-1-3-5: closed, but not under its given labeling
+    p = tmp_path / "p5-shuffled.txt"
+    p.write_text(format_graph(path_graph(5).relabel((3, 1, 4, 2, 5))))
     return str(p)
 
 
@@ -80,6 +91,26 @@ def test_vnumber_power(capsys, p5_file):
     assert rc == 0
     rec = json.loads(out)
     assert rec["value"] == 2 and rec["power"] == {"k": 3, "value": 6}
+
+
+def test_vnumber_power_and_witness_on_a_relabeled_path(capsys, p5_file, shuffled_p5_file):
+    powers = []
+    for path in (p5_file, shuffled_p5_file):
+        rc, out, _ = run(capsys, "vnumber", path, "--k", "2", "--format", "structured")
+        assert rc == 0
+        rec = json.loads(out)
+        powers.append(rec["power"])
+    assert powers[0] == powers[1] == {"k": 2, "value": 4}
+    # the witness printed for the relabeled input is one in its own labels
+    assert rec["regime"] == "cm-closed-relabeled"
+    ring = RingSpec(2, 5)
+    H = path_graph(5).relabel((3, 1, 4, 2, 5))
+    w = rec["witness"]
+    f = witness_polynomial(ring, w["minor_blocks"], w["isolated_vars"])
+    assert f.degree() == rec["value"]
+    assert verify_witness(
+        binomial_edge_ideal(ring, H), f, cut_set_prime(ring, H, rec["cut_set"])
+    )
 
 
 def test_vnumber_k6(capsys, tmp_path):
@@ -335,6 +366,27 @@ def test_verify_dmax_rejects_negative(capsys, p5_file):
 def test_verify_power_remark_flags_need_that_scope(capsys, p5_file, flags):
     rc, _, err = run(capsys, "verify", p5_file, "--scope", "decomposition", *flags)
     assert rc == 2 and "power-remark" in err
+
+
+def test_verify_cutset_is_read_in_the_input_labels(capsys, shuffled_p5_file):
+    rc, out, _ = run(capsys, "verify", shuffled_p5_file, "--scope", "power-remark",
+                     "--cutset", "4", "--format", "structured")
+    checks = json.loads(out)["checks"]
+    assert rc == 0 and [(c["name"], c["status"]) for c in checks] == [
+        ("power-remark[m=2,k=2,T=[4]]", "pass")
+    ]
+
+
+@pytest.mark.parametrize("cutset,shown", [("9", "[9]"), ("0", "[0]"), ("2", "[2]"),
+                                          ("4,1", "[1, 4]")])
+def test_verify_cutset_rejects_non_cut_sets_of_a_relabeled_graph(
+    capsys, shuffled_p5_file, cutset, shown
+):
+    # 9 and 0 are no vertices, 2 is an end of the path 2-4-1-3-5, and 4
+    # is no cut vertex once 1 is removed
+    rc, out, err = run(capsys, "verify", shuffled_p5_file, "--scope", "power-remark",
+                       "--cutset", cutset)
+    assert rc == 2 and out == "" and f"{shown} is not a cut set" in err
 
 
 def test_verify_dmax_honoured_with_scope_all(capsys, p5_file):

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 import random
 
 import pytest
@@ -30,7 +32,6 @@ from vnum.verify import (
     run_suites,
     suite_decomposition,
     suite_powers,
-    suite_quadratic_gb,
     _peel_certified,
 )
 from vnum.vnumbers import local_v_number
@@ -52,10 +53,10 @@ def test_witness_m3_on_subpath_of_27():
 
 
 def test_suites_skip_where_hypotheses_fail(c4):
-    res = run_suites(c4, m=2, scope="witness")
-    assert all(r.status == "skip" for r in res)
-    res = suite_quadratic_gb(c4, None, 2)
-    assert res[0].status == "skip"
+    # a graph that is not closed gets one skip per closed scope
+    for scope in ("witness", "quadratic-gb"):
+        res = run_suites(c4, m=2, scope=scope)
+        assert [(r.name, r.status) for r in res] == [(scope, "skip")]
     # closed but with a two-vertex overlap: the power suite does not apply
     G = graph_from_intervals(5, [(1, 3), (2, 5)])
     res = suite_powers(G, find_closed_labeling(G), 2)
@@ -148,6 +149,26 @@ def test_all_suites_pass_on_p5(capsys):
     res = run_suites(path_graph(5), m=2, scope="all", k=2)
     assert all(r.status in ("pass", "skip") for r in res)
     assert sum(r.status == "pass" for r in res) >= 15
+
+
+def test_closed_suites_run_on_any_labeling():
+    # the closed scopes run on the closed copy, so a shuffled input runs
+    # every check its identity-labeled twin runs, with cut sets shown in
+    # the input labels
+    G = graph_from_intervals(7, [(1, 3), (3, 5), (5, 7)])
+    order = [4, 1, 6, 3, 7, 2, 5]
+    H = G.relabel(order)
+    assert not find_closed_labeling(H).is_identity()
+    counts = []
+    for X in (G, H):
+        res = run_suites(X, m=2, scope="all", k=2)
+        counts.append(collections.Counter(r.status for r in res))
+        for r in res:
+            if r.name.startswith(("witness", "brute-vs-formula")):
+                T = json.loads(r.name[r.name.index("T=") + 2 : -1])
+                assert T == list(cut_set_from_vertices(X, T).vertices), r.name
+    assert counts[0] == counts[1] and "skip" not in counts[1]
+    assert sum(counts[1].values()) == 33
 
 
 def test_m3_overlap_locals_match_oracle():

@@ -15,6 +15,7 @@ from vnum.algebra import (
     minor,
     search_power_witness,
     verify_witness,
+    witness_polynomial,
 )
 from vnum.errors import GraphInputError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
@@ -422,9 +423,10 @@ def test_generic_cut_sets_equal_the_closed_route():
 def test_relabeled_cut_set_matches_the_generic_route():
     # the -relabeled branch maps the closed structure's cut set back to the
     # input labels with no graph search; vertices and component count must
-    # be the generic route's, for every cut set and for v_number's answer
+    # be the generic route's, for every cut set and for v_number's answer,
+    # and the mapped witness must pass verify_witness in the input labels
     rng = random.Random(12)
-    mapped = answers = 0
+    mapped = answers = witnessed = 0
     for n in range(3, 7):
         for G, _ in closed_graphs(n):
             order = list(G.vertices())
@@ -443,7 +445,16 @@ def test_relabeled_cut_set_matches_the_generic_route():
                 assert res.regime.endswith("-relabeled")
                 assert res.cut_set == cut_set_from_vertices(H, res.cut_set.vertices)
                 answers += 1
-    assert (mapped, answers) == (183, 112)
+                if m == 3 and n == 6:
+                    continue
+                ring = RingSpec(m, n)
+                w = res.witness
+                f = witness_polynomial(ring, w.minor_blocks, w.isolated_vars)
+                P = cut_set_prime(ring, H, res.cut_set.vertices)
+                assert f.degree() == res.value
+                assert verify_witness(binomial_edge_ideal(ring, H), f, P), (order, m)
+                witnessed += 1
+    assert (mapped, answers, witnessed) == (183, 112, 71)
 
 
 # -- classification -----------------------------------------------------------------
