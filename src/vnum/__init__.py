@@ -40,7 +40,6 @@ from .graphs import (
 )
 from .vnumbers import (
     AnchorGraph,
-    SlicePartition,
     VNumberResult,
     WitnessSpec,
     build_anchor_graph,
@@ -53,7 +52,6 @@ from .vnumbers import (
     probe_power_shift,
     v_number,
     v_number_of_power,
-    witness_spec,
 )
 from .algebra import (
     DEFAULT_BUDGET,

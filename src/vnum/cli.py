@@ -172,10 +172,16 @@ def cmd_local(args) -> int:
     lines = [f"cut set: {list(cut.vertices)} (blocks {_runs(cut.vertices)})"]
     if cut.vertices:
         record["anchor_graph"] = res.anchor_graph.to_record()
-        record["partition"] = res.partition.to_record()
+        w = res.witness
+        record["partition"] = {
+            "m": args.m,
+            "slices": [list(s) for s in w.minor_blocks],
+            "isolated": list(w.isolated_vars),
+            "degree": w.degree,
+        }
         lines.append(f"anchor paths: {[list(c) for c in res.anchor_graph.path_components]}")
         lines.append(f"isolated: {list(res.anchor_graph.isolated)}")
-        lines.append(f"optimal partition slices: {[list(s) for s in res.partition.slices]}")
+        lines.append(f"optimal partition slices: {[list(s) for s in w.minor_blocks]}")
     lines.append(f"local v-number: {res.value}  [{res.status}]")
     if res.witness is not None:
         lines.append(f"witness: {' * '.join(res.witness.term_list()) or '1'}")
@@ -312,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vnumber", help="v-number of the edge ideal (and of its k-th power)")
     common(p)
-    p.add_argument("--k", type=int, default=None, help="also report the k-th power (m=2, one-vertex overlaps)")
+    p.add_argument("--k", type=_int_at_least(1), default=None, help="also report the k-th power (m=2, one-vertex overlaps)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the value against the exact engine")
     p.add_argument("--budget-n", type=_int_at_least(1), default=None, dest="budget_n",

@@ -349,8 +349,7 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
 
 @dataclass(frozen=True)
 class CutSet:
-    """A cut set T: its vertices in increasing order, and the number of
-    components of G minus T.
+    """A cut set T: its vertices in increasing order.
 
     T alone fixes the prime P_T, so two routes to the same T build equal
     values.  On a closed graph the maximal runs of consecutive vertices of
@@ -358,7 +357,6 @@ class CutSet:
     """
 
     vertices: tuple[int, ...]
-    component_count: int
 
 
 def is_cut_set(G: SimpleGraph, T: Iterable[int]) -> bool:
@@ -407,25 +405,24 @@ def _check_own_structure(G: SimpleGraph, closed: ClosedStructure) -> None:
 def cut_set_from_vertices(
     G: SimpleGraph, vertices: Iterable[int], closed: Optional[ClosedStructure] = None
 ) -> CutSet:
-    """Wrap a verified cut set with its component count.
+    """Wrap a verified cut set.
 
     With the ClosedStructure of G, T is a cut set exactly when each maximal
     run of consecutive vertices in T is a connected cut set W_j.  Runs are
     at least two apart, so the gap rule of enumerate_cut_sets holds by
-    itself, and G minus T has one component more than T has runs.
-    Otherwise is_cut_set decides and the components are counted.
+    itself.  Otherwise is_cut_set decides.
     """
     vs = tuple(sorted(set(vertices)))
     if closed is None:
         if not is_cut_set(G, vs):
             raise NotACutSetError(f"{list(vs)} is not a cut set")
-        return CutSet(vs, G.component_count(frozenset(vs)))
+        return CutSet(vs)
     _check_own_structure(G, closed)
     runs = _runs(vs)
     wset = set(connected_cut_blocks(closed))
     if any((run[0], run[-1]) not in wset for run in runs):
         raise NotACutSetError(f"{list(vs)} is not a cut set")
-    return CutSet(vs, len(runs) + 1)
+    return CutSet(vs)
 
 
 def enumerate_cut_sets(
@@ -433,20 +430,17 @@ def enumerate_cut_sets(
     closed: Optional[ClosedStructure] = None,
     max_generic_n: int = DEFAULT_SUBSET_BUDGET,
 ) -> list[CutSet]:
-    """All cut sets of G, each with its component count.
+    """All cut sets of G.
 
     With the ClosedStructure of G the list is generated directly from the
     connected cut sets W_i under the gap condition
-    max(W_{j_i}) + 1 < min(W_{j_{i+1}}); G minus such a cut set has one
-    component more than the cut set has blocks, since what lies before,
-    between and after the blocks is a nonempty interval of vertices, and
-    so connected (the empty cut set leaves the one component G).
-    Otherwise every vertex subset is filtered through is_cut_set, which is
-    exponential and therefore capped at ``max_generic_n`` vertices.
+    max(W_{j_i}) + 1 < min(W_{j_{i+1}}).  Otherwise every vertex subset is
+    filtered through is_cut_set, which is exponential and therefore capped
+    at ``max_generic_n`` vertices.
     """
     if closed is not None:
         _check_own_structure(G, closed)
-        out = [CutSet(vertices=(), component_count=1)]
+        out = [CutSet(())]
         blocks = connected_cut_blocks(closed)
         chosen: list[int] = []
 
@@ -458,7 +452,7 @@ def enumerate_cut_sets(
                 vs = tuple(
                     v for idx in chosen for v in range(blocks[idx][0], blocks[idx][1] + 1)
                 )
-                out.append(CutSet(vertices=vs, component_count=len(chosen) + 1))
+                out.append(CutSet(vs))
                 rec(j + 1)
                 chosen.pop()
 
@@ -468,12 +462,12 @@ def enumerate_cut_sets(
         raise InstanceTooLargeError(
             f"generic cut-set enumeration needs n <= {max_generic_n}, got {G.n}"
         )
-    out = [CutSet(vertices=(), component_count=G.component_count())]
+    out = [CutSet(())]
     verts = list(G.vertices())
     for size in range(1, G.n + 1):
         for sub in itertools.combinations(verts, size):
             if is_cut_set(G, sub):
-                out.append(CutSet(sub, G.component_count(frozenset(sub))))
+                out.append(CutSet(sub))
     return out
 
 

@@ -54,22 +54,18 @@ CONJECTURED = "conjectured"
 class AnchorGraph:
     """The auxiliary graph attached to a nonempty cut set.
 
-    ``alphas``/``betas`` are the per-block anchor pairs; the edge set is
-    exactly {{alpha_i, beta_i}}, which chains into ``path_components``
-    wherever beta_i = alpha_{i+1}.  ``dominating_sets`` holds the C_i of
-    the gaps between consecutive anchor stretches, and their union is the
-    isolated vertex list.
+    Its edges are the per-block anchor pairs, chained into the paths
+    ``path_components`` wherever one pair ends where the next begins;
+    ``isolated`` is the union of the minimum reduced connected dominating
+    sets of the gaps between consecutive anchor stretches.
     """
 
     path_components: tuple[tuple[int, ...], ...]
     isolated: tuple[int, ...]
-    alphas: tuple[int, ...]
-    betas: tuple[int, ...]
-    dominating_sets: tuple[tuple[int, ...], ...]
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, b in zip(self.alphas, self.betas)]
+        return [e for comp in self.path_components for e in zip(comp, comp[1:])]
 
     def vertices(self) -> list[int]:
         out = set(self.isolated)
@@ -86,32 +82,11 @@ class AnchorGraph:
 
 
 @dataclass(frozen=True)
-class SlicePartition:
-    """An m-compatible split of the anchor edges into runs of <= m-1 edges.
-
-    ``degree`` is the cost of the associated witness: each slice
-    contributes its vertex count (edges + 1) and each isolated vertex
-    contributes one.
-    """
-
-    slices: tuple[tuple[int, ...], ...]
-    m: int
-    isolated: tuple[int, ...]
-    degree: int
-
-    def to_record(self) -> dict:
-        return {
-            "m": self.m,
-            "slices": [list(s) for s in self.slices],
-            "isolated": list(self.isolated),
-            "degree": self.degree,
-        }
-
-
-@dataclass(frozen=True)
 class WitnessSpec:
     """Symbolic witness: one l x l top-row minor per slice (columns are the
-    slice vertices) times x[1,v] for each isolated vertex v."""
+    slice vertices) times x[1,v] for each isolated vertex v.  At a nonempty
+    cut set the slices are an m-compatible slice partition of the anchor
+    edges, and ``degree`` is its cost."""
 
     minor_blocks: tuple[tuple[int, ...], ...]
     isolated_vars: tuple[int, ...]
@@ -144,7 +119,7 @@ class WitnessSpec:
 class VNumberResult:
     """A v-number with its provenance: value, proof status, the regime that
     produced it, and (when available) the attaining cut set and witness,
-    with the anchor graph and slice partition a local witness came from."""
+    with the anchor graph a local witness came from."""
 
     value: int
     status: str
@@ -153,7 +128,6 @@ class VNumberResult:
     witness: Optional[WitnessSpec] = None
     parts: tuple = ()
     anchor_graph: Optional[AnchorGraph] = None
-    partition: Optional[SlicePartition] = None
 
     def to_record(self) -> dict:
         rec = {
@@ -242,13 +216,9 @@ def _assemble_anchor(
             comps[-1].append(b)
         else:
             comps.append([a, b])
-    isolated = tuple(v for gap in gaps for v in gap)
     return AnchorGraph(
         path_components=tuple(map(tuple, comps)),
-        isolated=isolated,
-        alphas=tuple(alphas),
-        betas=tuple(betas),
-        dominating_sets=tuple(tuple(g) for g in gaps),
+        isolated=tuple(v for gap in gaps for v in gap),
     )
 
 
@@ -257,8 +227,8 @@ def _assemble_anchor(
 # ---------------------------------------------------------------------------
 
 
-def minimal_slice_partition(L: AnchorGraph, m: int) -> SlicePartition:
-    """m-compatible partition of least degree.
+def minimal_slice_partition(L: AnchorGraph, m: int) -> WitnessSpec:
+    """The witness of an m-compatible partition of least degree.
 
     A path component with e edges split into runs of at most m-1 edges
     costs e plus the number of runs, so ceil(e/(m-1)) runs laid out
@@ -280,28 +250,7 @@ def minimal_slice_partition(L: AnchorGraph, m: int) -> SlicePartition:
             slices.append(tuple(comp[at : at + size + 1]))
             at += size
         degree += e + len(sizes)
-    return SlicePartition(
-        slices=tuple(slices), m=m, isolated=L.isolated, degree=degree
-    )
-
-
-def witness_spec(L: AnchorGraph, partition: SlicePartition) -> WitnessSpec:
-    """Witness built from a partition: an l x l minor per slice over rows
-    1..l and the slice's columns, and x[1,v] per isolated vertex."""
-    for s in partition.slices:
-        if len(s) > partition.m:
-            raise GraphInputError(
-                f"slice {list(s)} has {len(s)} vertices, above the row count "
-                f"{partition.m}"
-            )
-    deg = sum(len(s) for s in partition.slices) + len(L.isolated)
-    if deg != partition.degree:
-        raise GraphInputError("partition degree bookkeeping is inconsistent")
-    return WitnessSpec(
-        minor_blocks=partition.slices,
-        isolated_vars=L.isolated,
-        degree=deg,
-    )
+    return WitnessSpec(minor_blocks=tuple(slices), isolated_vars=L.isolated, degree=degree)
 
 
 def _empty_cutset_witness(closed: ClosedStructure) -> WitnessSpec:
@@ -356,16 +305,15 @@ def local_v_number(
             witness=_empty_cutset_witness(closed),
         )
     L = build_anchor_graph(closed, cut)
-    part = minimal_slice_partition(L, m)
+    witness = minimal_slice_partition(L, m)
     proved = m == 2 or closed.is_cm
     return VNumberResult(
-        value=part.degree,
+        value=witness.degree,
         status=PROVED if proved else CONJECTURED,
         regime="cm-closed" if closed.is_cm else ("closed-m2" if m == 2 else "closed"),
         cut_set=cut,
-        witness=witness_spec(L, part),
+        witness=witness,
         anchor_graph=L,
-        partition=part,
     )
 
 
@@ -441,7 +389,7 @@ def v_number(
 def _to_original_cut_set(closed: ClosedStructure, cut: CutSet) -> CutSet:
     """A cut set of closed.graph in the input labels."""
     back = closed.to_original
-    return CutSet(tuple(sorted(map(back, cut.vertices))), cut.component_count)
+    return CutSet(tuple(sorted(map(back, cut.vertices))))
 
 
 def _to_original_result(closed: ClosedStructure, res: VNumberResult) -> VNumberResult:
@@ -618,7 +566,8 @@ def classify_small_v(
     connected domination number 2 or contains a non-adjacent pair u, v
     whose common neighborhood is a nonempty cut set separating them into
     components coned by u and v respectively, all other components
-    complete.
+    complete.  A closed graph is recognized at any size; ``max_n`` caps
+    only the subset search for gamma_c^* on other graphs.
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
@@ -629,7 +578,7 @@ def classify_small_v(
     cone = is_cone(G)
     if cone is not None:
         return "1"
-    closed = find_closed_labeling(G) if G.n <= max_n else None
+    closed = find_closed_labeling(G)
     gamma = reduced_connected_domination_number(G, closed, max_n)
     if gamma == 2:
         return "2"

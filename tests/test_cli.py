@@ -135,10 +135,25 @@ def test_local_42(capsys, tmp_path, g42):
         "--cutset", "3,4,9,10,12,13,15,16,29,30,33,34", "--format", "structured",
     )
     assert rc == 0
-    rec = json.loads(out)
-    assert rec["anchor_graph"]["paths"] == [[1, 6, 11, 14, 19], [27, 31, 37]]
-    assert sorted(rec["anchor_graph"]["isolated"]) == [21, 24, 40]
-    assert rec["value"] == 15
+    # the whole record, partition, witness and anchor edges included
+    slices = [[1, 6], [6, 11], [11, 14], [14, 19], [27, 31], [31, 37]]
+    assert json.loads(out) == {
+        "command": "local",
+        "m": 2,
+        "value": 15,
+        "status": "proved",
+        "regime": "closed-m2",
+        "cut_set": T_42,
+        "anchor_graph": {
+            "paths": [[1, 6, 11, 14, 19], [27, 31, 37]],
+            "isolated": [21, 24, 40],
+            "edges": slices,
+        },
+        "partition": {"m": 2, "slices": slices, "isolated": [21, 24, 40], "degree": 15},
+        "witness": {"minor_blocks": slices, "isolated_vars": [21, 24, 40], "degree": 15},
+        "witness_terms": [f"det(rows 1..2, cols {s})" for s in slices]
+        + ["x[1,21]", "x[1,24]", "x[1,40]"],
+    }
 
 
 def test_local_42_table_lists_the_runs(capsys, tmp_path, g42):
@@ -420,11 +435,15 @@ def test_verify_power_remark_takes_k_one(capsys, p5_file):
     ]
 
 
-@pytest.mark.parametrize("flag", ["--k", "--budget-pairs"])
+@pytest.mark.parametrize("command, flag", [
+    pytest.param("verify", "--k", id="--k"),
+    pytest.param("verify", "--budget-pairs", id="--budget-pairs"),
+    pytest.param("vnumber", "--k", id="vnumber---k"),
+])
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_verify_k_and_budget_pairs_reject_values_below_one(capsys, p5_file, flag, value):
+def test_verify_k_and_budget_pairs_reject_values_below_one(capsys, p5_file, command, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", p5_file, flag, value])
+        main([command, p5_file, flag, value])
     assert exc.value.code == 2
     assert f"{flag}: must be >= 1" in capsys.readouterr().err
 

@@ -47,7 +47,6 @@ from vnum.vnumbers import (
     probe_power_shift,
     v_number,
     v_number_of_power,
-    witness_spec,
 )
 from conftest import T_42
 
@@ -60,8 +59,7 @@ def test_anchor_graph_42(g42):
     L = build_anchor_graph(cs, cut)
     assert L.path_components == ((1, 6, 11, 14, 19), (27, 31, 37))
     assert set(L.isolated) == {21, 24, 40}
-    assert L.alphas == (1, 6, 11, 14, 27, 31)
-    assert L.betas == (6, 11, 14, 19, 31, 37)
+    assert L.edges == [(1, 6), (6, 11), (11, 14), (14, 19), (27, 31), (31, 37)]
 
 
 def test_anchor_graph_27(g27):
@@ -164,14 +162,7 @@ def lgraph(edge_counts, isolated):
     for e in edge_counts:
         comps.append(tuple(range(v, v + e + 1)))
         v += e + 2
-    iso = tuple(range(v, v + isolated))
-    return AnchorGraph(
-        path_components=tuple(comps),
-        isolated=iso,
-        alphas=tuple(x for c in comps for x in c[:-1]),
-        betas=tuple(x for c in comps for x in c[1:]),
-        dominating_sets=(iso,),
-    )
+    return AnchorGraph(path_components=tuple(comps), isolated=tuple(range(v, v + isolated)))
 
 
 def test_partition_examples():
@@ -200,18 +191,18 @@ def test_partition_optimizer_matches_exhaustive():
 def test_partition_optimizer_property(counts, iso, m):
     got = minimal_slice_partition(lgraph(counts, iso), m)
     assert got.degree == exhaustive_min_degree(counts, iso, m)
-    assert all(1 <= len(s) - 1 <= m - 1 for s in got.slices)
-    covered = sum(len(s) - 1 for s in got.slices)
+    assert all(1 <= len(s) - 1 <= m - 1 for s in got.minor_blocks)
+    covered = sum(len(s) - 1 for s in got.minor_blocks)
     assert covered == sum(counts)
+    assert got.degree == sum(len(s) for s in got.minor_blocks) + len(got.isolated_vars)
 
 
 def test_witness_spec_27(g27):
     cs = find_closed_labeling(g27)
     cut = cut_set_from_vertices(g27, [3, 6, 9, 18, 21], cs)
     L = build_anchor_graph(cs, cut)
-    part = minimal_slice_partition(L, 3)
-    spec = witness_spec(L, part)
-    assert spec.degree == 11 == part.degree
+    spec = minimal_slice_partition(L, 3)
+    assert spec.degree == 11
     assert spec.minor_blocks == ((1, 4, 7), (7, 12), (15, 19, 22))
     assert set(spec.isolated_vars) == {13, 24, 26}
     # the leading monomial is the product of block diagonals and isolated vars
@@ -477,6 +468,17 @@ def test_classify_examples(c5):
     assert classify_small_v(two_cones, 2) == "2"
 
 
+def test_classify_closed_graphs_above_the_subset_budget():
+    # closed recognition does not depend on the subset-search cap: the
+    # greedy chain gives gamma_c^* at any size
+    for G, want in ((path_graph(17), 10),
+                    (graph_from_intervals(18, [(1, 4), (3, 9), (8, 13), (12, 18)]), 2)):
+        assert G.n > 16
+        v = v_number(G, 2).value
+        assert v == want
+        assert classify_small_v(G, 2) == (str(v) if v <= 2 else ">2")
+
+
 # -- powers -------------------------------------------------------------------------
 
 def test_power_formula():
@@ -537,15 +539,6 @@ def test_v_number_42_global(g42):
     for m in (2, 3):
         res = v_number(chain, m)
         assert res.value == local_v_number(chain, cs, res.cut_set, m).value, m
-
-
-def test_witness_spec_rejects_oversized_slice():
-    from vnum.vnumbers import SlicePartition
-
-    L = lgraph([3], 0)
-    part = SlicePartition(slices=(L.path_components[0],), m=2, isolated=(), degree=4)
-    with pytest.raises(GraphInputError):
-        witness_spec(L, part)
 
 
 def test_probe_power_shift_cases():
