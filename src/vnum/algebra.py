@@ -995,23 +995,33 @@ def monomial_ideals_equal(
 # ---------------------------------------------------------------------------
 
 
-def _ini_colon_certificate(
-    I: Ideal, f: Polynomial, P: Ideal, budget: GBBudget
-) -> bool:
-    """Cheap sufficient test for (I : f) = P, given P inside (I : f).
+def _colon_route(
+    I: Ideal, f: Polynomial, Q: Ideal, budget: GBBudget
+) -> Optional[str]:
+    """Decide (I : f) = Q.  Returns the argument that decided it, "monomial
+    colon" or "tag elimination", or None when the equality fails.
 
-    Any h with h f in I satisfies ini(h) ini(f) in ini(I), so
-    ini((I : f)) sits inside the monomial colon (ini I : ini f).  When that
-    monomial colon lands inside ini(P), the chain
-    ini(P) <= ini(I : f) <= (ini I : ini f) <= ini(P) collapses, and an
-    inclusion of ideals with equal initial ideals is an equality.
-    Returns False when inconclusive.
+    The inclusion Q <= (I : f), that is f*Q <= I, is checked first.  Given
+    it, a cheap sufficient test comes next: any h with h f in I satisfies
+    ini(h) ini(f) in ini(I), so ini((I : f)) sits inside the monomial colon
+    (ini I : ini f).  When that monomial colon lands inside ini(Q), the
+    chain ini(Q) <= ini(I : f) <= (ini I : ini f) <= ini(Q) collapses, and
+    an inclusion of ideals with equal initial ideals is an equality.  When
+    it does not, the exact tag-elimination colon decides.
     """
+    if not all(I.contains(f * g, budget) for g in Q.gens):
+        return None
     ring = I.ring
     ini_I = [g.lt() for g in I.groebner(budget)]
-    ini_P = [g.lt() for g in P.groebner(budget)]
-    Q = monomial_ideal_colon(ring, ini_I, f.lt())
-    return all(any(ring.mono_divides(g, q) for g in ini_P) for q in Q)
+    ini_Q = [g.lt() for g in Q.groebner(budget)]
+    if all(
+        any(ring.mono_divides(g, q) for g in ini_Q)
+        for q in monomial_ideal_colon(ring, ini_I, f.lt())
+    ):
+        return "monomial colon"
+    if colon_poly(I, f, budget).equals(Q, budget):
+        return "tag elimination"
+    return None
 
 
 def verify_witness(
@@ -1022,24 +1032,16 @@ def verify_witness(
 ) -> bool:
     """Does (I : f) equal the prime P?
 
-    P must be prime (every caller passes a cut-set prime).  The necessary
-    conditions I <= P and f*P <= I are checked first, and then the
-    inclusion (I : f) <= P is certified by the cheapest applicable
-    argument:
-
-    * f outside P: for any h with h f in I <= P, primeness forces h in P;
-    * the initial-ideal certificate of _ini_colon_certificate;
-    * otherwise the exact tag-elimination colon.
+    P must be prime (every caller passes a cut-set prime).  (I : f)
+    contains I, so I <= P is checked first.  For f outside P the inclusion
+    f*P <= I decides, by prime avoidance: for any h with h f in I <= P,
+    primeness forces h in P.  Otherwise _colon_route decides.
     """
     if not all(P.contains(g, budget) for g in I.gens):
         return False  # (I : f) contains I, so it could never equal P
-    if not all(I.contains(f * g, budget) for g in P.gens):
-        return False
     if not P.contains(f, budget):
-        return True
-    if _ini_colon_certificate(I, f, P, budget):
-        return True
-    return colon_poly(I, f, budget).equals(P, budget)
+        return all(I.contains(f * g, budget) for g in P.gens)
+    return _colon_route(I, f, P, budget) is not None
 
 
 def _contains_variable(I: Ideal, x: int) -> bool:
@@ -1189,22 +1191,6 @@ def brute_local_v(
     return w.degree(), w
 
 
-def all_monomials_of_degree(ring: RingSpec, d: int) -> list[int]:
-    """All packed monomials of total degree d, descending (lex order)."""
-    out = []
-
-    def rec(idx: int, rest: int, acc: int):
-        if idx == ring.nvars - 1:
-            out.append(acc + rest * ring.var_mono(idx))
-            return
-        for e in range(rest, -1, -1):
-            rec(idx + 1, rest - e, acc + e * ring.var_mono(idx))
-
-    rec(0, d, 0)
-    out.sort(reverse=True)
-    return out
-
-
 def search_power_witness(
     ring: RingSpec,
     G: SimpleGraph,
@@ -1218,8 +1204,10 @@ def search_power_witness(
     One exact sweep over the degree slices d = 0..d_max of (J^k : P_T).
     For each monomial u of degree d the stacked vector of normal forms
     NF(u * g, J^k) over generators g of P_T is reduced against the stored
-    pivot rows; a vanishing reduction yields a kernel combination f, so
-    f * P_T lies in J^k, and f is reported once verify_witness certifies
+    pivot rows.  Each row carries its monomial combination under the keys
+    (-1, u'), below every vector key (gi, m), so pivots are vector keys and
+    a row reduced to its combination alone is a kernel vector f: f * P_T
+    lies in J^k, and f is reported once verify_witness certifies
     (J^k : f) = P_T.  The rows of degree d - 1 are reused: with x the
     largest variable dividing u = x * u', NF(u * g) = NF(x * NF(u' * g)),
     as normal forms against a Groebner basis are unique.
@@ -1238,10 +1226,12 @@ def search_power_witness(
     Jk = ideal_power(J, k)
     red = Jk._reducers(budget)
     P = cut_set_prime(ring, G, T)
+    variables = [ring.var_mono(i) for i in range(ring.nvars)]
     rows: dict = {}
     for d in range(d_max + 1):
         prev, rows, pivots = rows, {}, {}
-        for u in all_monomials_of_degree(ring, d):
+        monos = {sum(c) for c in itertools.combinations_with_replacement(variables, d)}
+        for u in sorted(monos, reverse=True):
             if d:
                 x = 1 << (u.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
                 rows[u] = [
@@ -1250,32 +1240,21 @@ def search_power_witness(
             else:
                 rows[u] = [_nf(ring, g.terms, red) for g in P.gens]
             vec = {(gi, m): c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
-            combo = {u: 1}
-            while vec:
-                key = max(vec)
+            vec[(-1, u)] = 1
+            while (key := max(vec))[0] >= 0:
                 if key not in pivots:
                     inv = ring.inv(vec[key])
-                    vec = {kk: (vv * inv) % p for kk, vv in vec.items()}
-                    combo = {kk: (vv * inv) % p for kk, vv in combo.items()}
-                    pivots[key] = (vec, combo)
-                    combo = None
+                    pivots[key] = {kk: (vv * inv) % p for kk, vv in vec.items()}
                     break
-                pv, pc = pivots[key]
                 factor = vec[key]
-                for kk, vv in pv.items():
+                for kk, vv in pivots[key].items():
                     nv = (vec.get(kk, 0) - factor * vv) % p
                     if nv:
                         vec[kk] = nv
                     elif kk in vec:
                         del vec[kk]
-                for kk, vv in pc.items():
-                    nv = (combo.get(kk, 0) - factor * vv) % p
-                    if nv:
-                        combo[kk] = nv
-                    elif kk in combo:
-                        del combo[kk]
-            if combo:
-                f = Polynomial(ring, dict(combo)).monic()
+            else:  # only the combination is left: a kernel vector
+                f = Polynomial(ring, {m: c for (_, m), c in vec.items()}).monic()
                 if verify_witness(Jk, f, P, budget):
                     return {"degree": d, "witness": f, "via": "degree-slice"}
     return None

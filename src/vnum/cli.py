@@ -36,7 +36,6 @@ from .vnumbers import (
     _least_oracle_value,
     local_v_number,
     v_number,
-    v_number_of_power,
 )
 from . import verify as verify_mod
 from .enumeration import closed_graphs
@@ -123,13 +122,13 @@ def cmd_vnumber(args) -> int:
     if res.witness is not None:
         lines.append(f"witness: {' * '.join(res.witness.term_list()) or '1'}")
     if args.k is not None:
-        closed = find_closed_labeling(G) if G.is_connected() else None
-        if args.m != 2 or closed is None or not closed.is_cm:
+        # the regimes of a connected closed graph with one-vertex overlaps
+        if args.m != 2 or res.regime not in ("complete", "cm-closed", "cm-closed-relabeled"):
             raise UnsupportedRegimeError(
                 "power values are proved only for m=2 on a connected closed "
                 "graph with one-vertex clique overlaps"
             )
-        pw = v_number_of_power(closed, args.k)
+        pw = res.value + 2 * (args.k - 1)  # v(J^k) = v(J) + 2(k-1)
         record["power"] = {"k": args.k, "value": pw}
         lines.append(f"v-number of the {args.k}-th power: {pw}")
     if args.oracle:

@@ -90,7 +90,10 @@ class WitnessSpec:
 
     minor_blocks: tuple[tuple[int, ...], ...]
     isolated_vars: tuple[int, ...]
-    degree: int
+
+    @property
+    def degree(self) -> int:
+        return sum(map(len, self.minor_blocks)) + len(self.isolated_vars)
 
     def to_record(self) -> dict:
         return {
@@ -106,7 +109,6 @@ class WitnessSpec:
         return WitnessSpec(
             tuple(tuple(sorted(map(label, b))) for b in self.minor_blocks),
             tuple(sorted(map(label, self.isolated_vars))),
-            self.degree,
         )
 
     def term_list(self) -> list[str]:
@@ -240,7 +242,6 @@ def minimal_slice_partition(L: AnchorGraph, m: int) -> WitnessSpec:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
     step = m - 1
     slices = []
-    degree = len(L.isolated)
     for comp in L.path_components:
         e = len(comp) - 1
         runs = e // step
@@ -249,13 +250,12 @@ def minimal_slice_partition(L: AnchorGraph, m: int) -> WitnessSpec:
         for size in sizes:
             slices.append(tuple(comp[at : at + size + 1]))
             at += size
-        degree += e + len(sizes)
-    return WitnessSpec(minor_blocks=tuple(slices), isolated_vars=L.isolated, degree=degree)
+    return WitnessSpec(minor_blocks=tuple(slices), isolated_vars=L.isolated)
 
 
 def _empty_cutset_witness(closed: ClosedStructure) -> WitnessSpec:
     interior = tuple(spine_chain(closed)[1:-1])
-    return WitnessSpec(minor_blocks=(), isolated_vars=interior, degree=len(interior))
+    return WitnessSpec(minor_blocks=(), isolated_vars=interior)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,7 @@ def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberR
             status=PROVED,
             regime="complete",
             cut_set=cut_set_from_vertices(G, ()),
-            witness=WitnessSpec((), (), 0),
+            witness=WitnessSpec((), ()),
         )
     closed = find_closed_labeling(G)
     if closed is not None:
@@ -422,7 +422,7 @@ def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberR
             status=PROVED,
             regime="cone",
             cut_set=cut_set_from_vertices(G, ()),
-            witness=WitnessSpec((), (apex,), 1),
+            witness=WitnessSpec((), (apex,)),
         )
     if G.n > oracle_n_limit:
         raise UnsupportedRegimeError(

@@ -644,6 +644,25 @@ def test_truncated_oracle_matches_the_full_elimination():
     assert checked == 329
 
 
+def test_rational_oracle_matches_the_prime_field():
+    # the engine runs over GF(32003); over Q the oracle must give the same
+    # local value at every cut set of the closed graphs with n <= 6 at
+    # m = 2 and n <= 5 at m = 3
+    cases = [(2, G) for n in range(2, 7) for G, _ in closed_graphs(n)]
+    cases += [(3, G) for n in range(2, 6) for G, _ in closed_graphs(n)]
+    checked = 0
+    for m, G in cases:
+        cuts = [c.vertices for c in enumerate_cut_sets(G)]
+        # one ring at a time: the oracle keeps one context per ring
+        values = {
+            p: [brute_local_v(RingSpec(m, G.n, p), G, T)[0] for T in cuts]
+            for p in (None, 32003)
+        }
+        assert values[None] == values[32003], (m, G.edges)
+        checked += len(cuts)
+    assert checked == 247
+
+
 def _count_calls(monkeypatch, module, names):
     """Wrap module.<name> for each name so that calls are counted."""
     calls = dict.fromkeys(names, 0)

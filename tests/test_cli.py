@@ -9,7 +9,8 @@ from vnum.algebra import (
 from vnum.cli import main
 from vnum.errors import BudgetExceededError
 from vnum.graphs import (
-    complete_graph, enumerate_cut_sets, format_graph, graph_from_intervals, path_graph,
+    complete_graph, enumerate_cut_sets, find_closed_labeling, format_graph,
+    graph_from_intervals, path_graph,
 )
 from vnum.vnumbers import build_anchor_graph, minimal_slice_partition, v_number
 from conftest import SPINE_27, T_42
@@ -125,6 +126,27 @@ def test_vnumber_power_unsupported(capsys, tmp_path):
     p.write_text(format_graph(graph_from_intervals(5, [(1, 3), (2, 5)])))
     rc, _, err = run(capsys, "vnumber", str(p), "--m", "2", "--k", "2")
     assert rc == 2 and "one-vertex" in err
+
+
+def test_vnumber_power_finds_the_labeling_once(capsys, monkeypatch, tmp_path):
+    # a 7-vertex closed graph with one-vertex overlaps, not closed as given
+    G = graph_from_intervals(7, [(1, 3), (3, 4), (4, 7)]).relabel((5, 2, 7, 1, 4, 6, 3))
+    p = tmp_path / "g7.txt"
+    p.write_text(format_graph(G))
+    calls = []
+
+    def counting(*args, real=find_closed_labeling):
+        calls.append(1)
+        return real(*args)
+
+    for module in ("graphs", "vnumbers", "cli"):
+        monkeypatch.setattr(f"vnum.{module}.find_closed_labeling", counting)
+    rc, out, _ = run(capsys, "vnumber", str(p), "--k", "2", "--format", "structured")
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["regime"] == "cm-closed-relabeled"
+    assert rec["power"] == {"k": 2, "value": rec["value"] + 2}
+    assert len(calls) <= 1
 
 
 def test_local_42(capsys, tmp_path, g42):

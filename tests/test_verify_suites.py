@@ -7,6 +7,7 @@ import pytest
 
 import vnum.algebra
 from vnum.algebra import (
+    Ideal,
     Polynomial,
     RingSpec,
     binomial_edge_ideal,
@@ -16,6 +17,7 @@ from vnum.algebra import (
     minor,
     verify_witness,
     witness_polynomial,
+    _colon_route,
 )
 from vnum.enumeration import cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
@@ -32,7 +34,6 @@ from vnum.verify import (
     run_suites,
     suite_decomposition,
     suite_powers,
-    _peel_certified,
 )
 from vnum.vnumbers import local_v_number
 
@@ -65,7 +66,8 @@ def test_suites_skip_where_hypotheses_fail(c4):
 
 def test_peel_chain_matches_direct_route():
     # (J^k : g^(k-1) w) = (J : w) once the peels (J^j : g) = J^(j-1) are
-    # certified; the direct colon by the shifted witness is the reference.
+    # proved, here all by the monomial colon; the direct colon by the
+    # shifted witness is the reference.
     # Each w is tried at every cut-set prime, so both verdicts occur.
     verdicts = set()
     for n in range(2, 6):
@@ -81,7 +83,8 @@ def test_peel_chain_matches_direct_route():
                 ws.append(witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars))
             for k in (2, 3):
                 assert all(
-                    _peel_certified(powers[j], g, powers[j - 1], POWER_BUDGET)
+                    _colon_route(powers[j], g, powers[j - 1], POWER_BUDGET)
+                    == "monomial colon"
                     for j in range(2, k + 1)
                 ), (cs.cliques, k)
                 gk = Polynomial.one(ring)
@@ -105,14 +108,19 @@ def test_peel_chain_matches_direct_route():
     ],
 )
 def test_peel_helper_certifies_only_what_the_monomial_colon_pins(edges, peel_holds):
-    # g lies in J, so the inclusion always holds; in the first graph the
-    # monomial certificate is inconclusive although the peel holds
+    # g lies in J, so the inclusion always holds; in both graphs the
+    # monomial certificate is inconclusive, so tag elimination decides
     ring = RingSpec(2, 4)
     J = binomial_edge_ideal(ring, build_graph(4, edges))
     J2 = ideal_power(J, 2)
     g = minor(ring, (1, 2), (1, 2))
-    assert _peel_certified(J2, g, J, POWER_BUDGET) is False
+    route = _colon_route(J2, g, J, POWER_BUDGET)
+    assert route == ("tag elimination" if peel_holds else None)
     assert colon_poly(J2, g).equals(J) == peel_holds
+    # the monomial colon lies inside ini of the unit ideal, so only the
+    # inclusion g*(1) <= J^2, false as g has degree 2, refuses it
+    assert not J2.contains(g)
+    assert _colon_route(J2, g, Ideal(ring, [Polynomial.one(ring)]), POWER_BUDGET) is None
 
 
 def test_power_suite_runs_no_tag_elimination(monkeypatch):
