@@ -114,6 +114,7 @@ def test_peel_helper_certifies_only_what_the_monomial_colon_pins(edges, peel_hol
     J = binomial_edge_ideal(ring, build_graph(4, edges))
     J2 = ideal_power(J, 2)
     g = minor(ring, (1, 2), (1, 2))
+    assert all(J2.contains(g * h) for h in J.gens)
     route = _colon_route(J2, g, J, POWER_BUDGET)
     assert route == ("tag elimination" if peel_holds else None)
     assert colon_poly(J2, g).equals(J) == peel_holds
