@@ -1044,15 +1044,38 @@ def verify_witness(
     return _colon_route(I, f, P, budget) is not None
 
 
-def _contains_variable(I: Ideal, x: int) -> bool:
-    """Does I contain the variable with packed monomial x?  A lookup in its
-    reduced basis: the only leading terms dividing x are 1 and x, and an
-    element x + tail (at most one) has a tail in normal form, which is
-    the normal form of -x; so x lies in I exactly when 1 or x itself is a
-    basis element.  For a cut-set prime P_T, x[i,j] is one when j is in T."""
-    red = I._reducers()
-    i = bisect_left(red, x, key=_lead)
-    return bool(red) and (red[0] == (0, ()) or (i < len(red) and red[i] == (x, ())))
+def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Iterable[set]:
+    """For each nonzero g of ``gs``, the indices of the ``ideals`` that
+    lookups in their reduced bases do not show to contain g.
+
+    A variable x lies in I exactly when 1 or x is a basis element: only 1
+    and x divide x, and the tail of a basis element x + tail is the normal
+    form of -x.  So g is in I when each of its terms has such a variable
+    (a term has the low bit of a field only at an odd exponent), or when
+    monic g is a basis element.  This is exact for a variable, and for a
+    2-minor [i,j|k,l] against a cut-set prime P_T: if k or l is in T, each
+    term has a variable of that column; else g is in P_T exactly when k
+    and l share a component of G - T (else e_i in the columns of k's
+    component, e_j in those of l's and 0 elsewhere is a zero of P_T but
+    not of g), and then it is a basis element up to sign.
+    """
+    views = []
+    for I in ideals:
+        red, low = I._reducers(), I.ring._top >> 7  # the low bit of every field
+        found = sum(x for x, tail in red if not tail and x & low and x & (x - 1) == 0)
+        views.append((red, low if red[:1] == [(0, ())] else found))
+    for g in gs:
+        lt, own, avoided = max(g.terms), None, set()
+        for k, (red, found) in enumerate(views):
+            if found and all(u & found for u in g.terms):
+                continue
+            i = bisect_left(red, lt, key=_lead)
+            if i < len(red) and red[i][0] == lt:
+                own = own or _reducer(_monic(g.ring, g.terms))
+                if red[i] == own:
+                    continue
+            avoided.add(k)
+        yield avoided
 
 
 def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
@@ -1062,20 +1085,18 @@ def separating_element(target: Ideal, others: Sequence[Ideal]) -> Polynomial:
     it feeds carry few terms and a low degree.  Greedy cover picks them:
     the next is the generator outside the most still unavoided ideals of
     ``others``, the first in ``target.gens`` order on a tie, until none is
-    left (pairwise incomparable primes leave none).  The element is a
-    linear form in the picked generators if all are variables, else the
-    sum of the minors and the variables squared; weighted sums are tried
-    in a fixed escalation of 64 weightings until no ideal of ``others``
-    contains one.  brute_local_v does not depend on which is returned.
+    left (pairwise incomparable primes leave none); _outside_by_lookup
+    reads what each avoids, exactly for cut-set primes, the oracle's case.
+    The element is a linear form in the picked generators if all are
+    variables, else the sum of the minors and the variables squared, under
+    the first of 64 fixed weightings that normal forms show to lie outside
+    every ideal of ``others``: exact for any input, and brute_local_v does
+    not depend on which is returned.
     """
     ring = target.ring
-
-    def outside(g: Polynomial, d: int) -> set:
-        if d == 1 and len(g.terms) == 1:  # a variable: a lookup, no normal form
-            return {k for k, o in enumerate(others) if not _contains_variable(o, g.lt())}
-        return {k for k, o in enumerate(others) if not o.contains(g)}
-
-    cover = [(g, d, outside(g, d)) for g in target.gens if (d := g.degree()) in (1, 2)]
+    gens = [(g, d) for g in target.gens if (d := g.degree()) in (1, 2)]
+    outside = _outside_by_lookup([g for g, _ in gens], others)
+    cover = [(g, d, out) for (g, d), out in zip(gens, outside)]
     left, picked = set(range(len(others))), []
     while left and cover:
         g, d, avoided = max(cover, key=lambda c: len(c[2] & left))  # first on ties

@@ -72,46 +72,22 @@ def connected_graphs_up_to_iso(n: int) -> Iterator[SimpleGraph]:
     vertices: the first labeled graph of the class in adjacency-bitstring
     order, with the classes in the order of their representatives.
 
-    A graph's canonical form is its least sorted edge list over the
-    relabelings that number the vertices in ascending degree order, with
-    every order inside each degree class (degree refinement, McKay 1981).
-    An isomorphism preserves degrees, so isomorphic graphs have the same
-    set of such relabelings and the same least one; equal forms are the
-    same labeled graph.  The form is thus a complete invariant, like the
-    minimum over all n! relabelings, at a fraction of the permutations.
-    Intended for small n only.
+    Orbit marking: the bitstrings are walked in order, and each graph
+    yielded has all n! relabelings marked.  So a connected bitstring not
+    marked is the first of its class, the graph a canonical form would
+    pick, and none is computed.  Intended for small n only.
     """
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    bit = {e: 1 << k for k, e in enumerate(pairs)}
+    images = [[bit[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in pairs]
+              for p in itertools.permutations(range(1, n + 1))]  # each pair's bit, relabeled
     seen = set()
     for bits in range(1 << len(pairs)):
-        edges = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
-        G = SimpleGraph(n, edges)
+        if bits in seen:
+            continue
+        ks = [k for k in range(len(pairs)) if bits >> k & 1]
+        G = SimpleGraph(n, [pairs[k] for k in ks])
         if not G.is_connected():
             continue
-        deg = [0] * (n + 1)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        classes = [
-            list(c)
-            for _, c in itertools.groupby(sorted(range(1, n + 1), key=deg.__getitem__),
-                                          key=deg.__getitem__)
-        ]
-        canon = min(
-            _relabeled(edges, itertools.chain.from_iterable(orders))
-            for orders in itertools.product(*map(itertools.permutations, classes))
-        )
-        if canon in seen:
-            continue
-        seen.add(canon)
+        seen.update(sum(img[k] for k in ks) for img in images)
         yield G
-
-
-def _relabeled(edges: list[tuple[int, int]], order) -> tuple:
-    """The sorted edge list after giving the vertices in ``order`` the
-    labels 0, 1, 2, ..."""
-    label = {v: pos for pos, v in enumerate(order)}
-    return tuple(sorted(
-        (label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
-        for u, v in edges
-    ))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import GraphInputError, InstanceTooLargeError, NotACutSetError
 
@@ -31,8 +31,8 @@ class SimpleGraph:
 
     Adjacency is kept both as frozensets (friendly) and as int bitmasks;
     bit v of ``mask[u]`` is set iff {u,v} is an edge.  The masks serve the
-    closed labeling (its check, its runs of twins and each vertex's reach)
-    and connectivity.
+    closed labeling (its check, its runs of twins and each vertex's reach),
+    and floods over them give the components and the cut-set test.
     """
 
     __slots__ = ("n", "edges", "_adj", "_mask")
@@ -93,34 +93,30 @@ class SimpleGraph:
 
     def components(self, removed: frozenset = frozenset()) -> list[frozenset]:
         """Connected components of the graph minus ``removed``, sorted by min."""
-        seen = set(removed)
-        comps = []
-        for s in self.vertices():
-            if s in seen:
-                continue
-            stack, comp = [s], {s}
-            seen.add(s)
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return sorted(comps, key=min)
+        comps = self._component_masks(sum(1 << v for v in removed if 1 <= v <= self.n))
+        return [frozenset(_bits(c)) for c in comps]
 
     def component_count(self, removed: frozenset = frozenset()) -> int:
         return len(self.components(removed))
 
     def is_connected(self) -> bool:
-        """Flood from vertex 1 over the adjacency masks (n <= 1: True)."""
-        seen = frontier = 2 if self.n else 0
-        while frontier:
-            low = frontier & -frontier
-            frontier = (frontier ^ low) | (self._mask[low.bit_length() - 1] & ~seen)
-            seen |= frontier
-        return seen == (1 << (self.n + 1)) - 2
+        """The component of vertex 1 is every vertex (n <= 1: True)."""
+        return next(self._component_masks(), 0) == (1 << (self.n + 1)) - 2
+
+    def _component_masks(self, removed: int = 0) -> Iterator[int]:
+        """The components of the graph minus the vertex mask ``removed``, as
+        masks, each flooded from the least vertex not reached yet, so in
+        increasing order of their least vertex."""
+        left = ((1 << (self.n + 1)) - 2) & ~removed
+        while left:
+            frontier = left & -left
+            start, left = left, left ^ frontier
+            while frontier:
+                low = frontier & -frontier
+                new = self._mask[low.bit_length() - 1] & left
+                left ^= new
+                frontier = (frontier ^ low) | new
+            yield start ^ left
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -151,6 +147,14 @@ class SimpleGraph:
         shift = self.n
         es = list(self.edges) + [(u + shift, v + shift) for (u, v) in other.edges]
         return SimpleGraph(self.n + other.n, es)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
@@ -364,17 +368,17 @@ def is_cut_set(G: SimpleGraph, T: Iterable[int]) -> bool:
 
     Putting v back into G minus T merges exactly the components it has
     neighbours in, so v is such a cut vertex iff it touches at least two
-    components of G minus T; those are computed once.
+    components of G minus T; those are computed once (_is_cut_mask).
     """
     T = frozenset(T)
-    if not T:
-        return True
-    if not T <= set(G.vertices()):
-        return False
-    comp_of = {u: i for i, comp in enumerate(G.components(T)) for u in comp}
-    return all(
-        len({comp_of[w] for w in G.neighbors(v) if w not in T}) >= 2 for v in T
-    )
+    return T <= set(G.vertices()) and _is_cut_mask(G, sum(1 << v for v in T))
+
+
+def _is_cut_mask(G: SimpleGraph, cut: int) -> bool:
+    """is_cut_set for the vertex mask ``cut`` of G: each of its vertices
+    has neighbours in two component masks of G minus it."""
+    comps = list(G._component_masks(cut))
+    return all(len([c for c in comps if c & G._mask[v]]) > 1 for v in _bits(cut))
 
 
 def connected_cut_blocks(closed: ClosedStructure) -> list[tuple[int, int]]:
@@ -435,8 +439,8 @@ def enumerate_cut_sets(
     With the ClosedStructure of G the list is generated directly from the
     connected cut sets W_i under the gap condition
     max(W_{j_i}) + 1 < min(W_{j_{i+1}}).  Otherwise every vertex subset is
-    filtered through is_cut_set, which is exponential and therefore capped
-    at ``max_generic_n`` vertices.
+    filtered, as a mask, through is_cut_set's test, which is exponential
+    and therefore capped at ``max_generic_n`` vertices.
     """
     if closed is not None:
         _check_own_structure(G, closed)
@@ -462,13 +466,8 @@ def enumerate_cut_sets(
         raise InstanceTooLargeError(
             f"generic cut-set enumeration needs n <= {max_generic_n}, got {G.n}"
         )
-    out = [CutSet(())]
-    verts = list(G.vertices())
-    for size in range(1, G.n + 1):
-        for sub in itertools.combinations(verts, size):
-            if is_cut_set(G, sub):
-                out.append(CutSet(sub))
-    return out
+    subsets = (T for size in range(G.n + 1) for T in itertools.combinations(G.vertices(), size))
+    return [CutSet(T) for T in subsets if _is_cut_mask(G, sum(1 << v for v in T))]
 
 
 # ---------------------------------------------------------------------------

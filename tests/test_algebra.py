@@ -41,9 +41,9 @@ from vnum.algebra import (
     witness_polynomial,
     _MAX_EXPONENT,
     _buchberger,
-    _contains_variable,
     _minimal_monomials,
     _nf,
+    _outside_by_lookup,
     _reduce_basis,
 )
 
@@ -519,9 +519,9 @@ def test_separating_element_gives_the_other_primes():
 
 
 def test_contains_variable_is_the_membership_test():
-    # the lookup in the reduced basis agrees with the normal form, on
-    # cut-set primes (x[i,j] is in P_T exactly when j is in T), on J, and
-    # on ideals with a linear binomial or the unit
+    # the lookup in the reduced basis agrees with the normal form on every
+    # variable, on cut-set primes (x[i,j] is in P_T exactly when j is in
+    # T), on J, and on ideals with a linear binomial, the unit or nothing
     R = RingSpec(3, 4)
     G = path_graph(4)
     x = [[Polynomial.variable(R, i, j) for j in range(1, 5)] for i in range(1, 4)]
@@ -529,13 +529,40 @@ def test_contains_variable_is_the_membership_test():
     ideals += [binomial_edge_ideal(R, G), Ideal(R, [x[0][0] - x[1][1], x[2][3]]),
                Ideal(R, [x[0][0] * x[0][1] - x[2][3]]), Ideal(R, [x[1][2] + Polynomial.one(R)]),
                Ideal(R, [Polynomial.one(R)]), Ideal(R, [])]
-    for I in ideals:
-        for row in x:
-            for v in row:
-                assert _contains_variable(I, v.lt()) == I.contains(v), (I.gens, v)
+    variables = [v for row in x for v in row]
+    for v, outside in zip(variables, _outside_by_lookup(variables, ideals)):
+        assert outside == {k for k, I in enumerate(ideals) if not I.contains(v)}, v
     P = ideals[1]  # T = {2}
-    assert all(_contains_variable(P, x[i][1].lt()) for i in range(3))
-    assert not any(_contains_variable(P, x[i][j].lt()) for i in range(3) for j in (0, 2, 3))
+    assert list(_outside_by_lookup([x[i][1] for i in range(3)], [P])) == [set()] * 3
+    others = [x[i][j] for i in range(3) for j in (0, 2, 3)]
+    assert list(_outside_by_lookup(others, [P])) == [{0}] * 9
+
+
+def test_minor_lookup_is_the_membership_test():
+    # a 2-minor [i,j|k,l] of one cut-set prime lies in another, P_T, exactly
+    # when k or l is in T or k and l share a component of G - T; the lookup
+    # must agree with the normal form on every such pair of the oracle's
+    # families.  Beyond them it may only overstate: a sum of two minors of
+    # P_T is in P_T but is no basis element, so P_T is listed
+    graphs = [G for n in range(1, 7) for G, _ in closed_graphs(n)]
+    graphs += [G for n in range(1, 6) for G in connected_graphs_up_to_iso(n)]
+    pairs = inside = 0
+    for m in (2, 3):
+        for G in graphs:
+            R = RingSpec(m, G.n)
+            primes = [cut_set_prime(R, G, c.vertices) for c in enumerate_cut_sets(G)]
+            for P in primes:
+                minors = [g for g in P.gens if g.degree() == 2]
+                for g, outside in zip(minors, _outside_by_lookup(minors, primes)):
+                    assert outside == {k for k, Q in enumerate(primes) if not Q.contains(g)}, (
+                        m, G.edges, g)
+                    pairs += len(primes)
+                    inside += len(primes) - len(outside)
+    assert (pairs, inside) == (20564, 17532)
+    R = RingSpec(2, 3)
+    P = cut_set_prime(R, path_graph(3), [])
+    g = minor(R, (1, 2), (1, 2)) + minor(R, (1, 2), (2, 3))
+    assert P.contains(g) and list(_outside_by_lookup([g], [P])) == [{0}]
 
 
 def picked_generators(P: Ideal, f0: Polynomial):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from typing import Iterable
 
@@ -188,6 +190,24 @@ def test_is_cut_set_path4():
     assert not is_cut_set(P4, [2, 3])
 
 
+def reference_components(G, removed) -> list[frozenset]:
+    """Components of G minus ``removed`` by a set-based BFS, sorted by min."""
+    seen, comps = set(removed), []
+    for s in G.vertices():
+        if s in seen:
+            continue
+        comp, todo = {s}, [s]
+        seen.add(s)
+        while todo:
+            for w in G.neighbors(todo.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    todo.append(w)
+        comps.append(frozenset(comp))
+    return sorted(comps, key=min)
+
+
 def reference_is_cut_set(G, T) -> bool:
     """The definition: each v in T is a cut vertex of G minus (T - {v})."""
     T = frozenset(T)
@@ -195,11 +215,12 @@ def reference_is_cut_set(G, T) -> bool:
         return True
     if not T <= set(G.vertices()):
         return False
-    base = G.component_count(T)
-    return all(G.component_count(T - {v}) < base for v in T)
+    base = len(reference_components(G, T))
+    return all(len(reference_components(G, T - {v})) < base for v in T)
 
 
-def test_is_cut_set_matches_definition():
+def cut_set_test_graphs() -> list:
+    """Every connected graph with n <= 6 up to isomorphism, with repeats."""
     graphs = [G for n in range(1, 6) for G in connected_graphs_up_to_iso(n)]
     # every connected graph on 6 vertices is one on 5 plus a vertex joined
     # to a nonempty set (delete a leaf of a spanning tree), so this covers
@@ -208,14 +229,41 @@ def test_is_cut_set_matches_definition():
         for size in range(1, 6):
             for S in itertools.combinations(range(1, 6), size):
                 graphs.append(build_graph(6, sorted(G.edges) + [(v, 6) for v in S]))
+    return graphs
+
+
+def test_is_cut_set_matches_definition():
     pairs = 0
-    for G in graphs:
+    for G in cut_set_test_graphs():
         for size in range(G.n + 1):
             for T in itertools.combinations(G.vertices(), size):
                 assert is_cut_set(G, T) == reference_is_cut_set(G, T), (G.edges, T)
                 pairs += 1
     assert pairs == 2 + 4 + 2 * 8 + 6 * 16 + 21 * 32 + 21 * 31 * 64
     assert not is_cut_set(path_graph(3), [2, 4])
+    # labels outside 1..n, 0 and negative ones included, are no cut set
+    for T in ([0], [2, 0], [-1], [2, -1], [-3, 4]):
+        assert not is_cut_set(path_graph(3), T)
+
+
+def test_mask_components_and_cut_sets_match_set_references():
+    # the mask floods give the set-based BFS components for every removed
+    # set of every labeled graph with n <= 5 (labels outside 1..n are
+    # ignored), and the generic enumeration filters every subset by the
+    # definition
+    count = 0
+    for G in labeled_graphs(5):
+        for size in range(G.n + 1):
+            for removed in map(frozenset, itertools.combinations(G.vertices(), size)):
+                assert G.components(removed) == reference_components(G, removed), (G, removed)
+                assert G.component_count(removed) == len(G.components(removed))
+                count += 1
+        assert G.components(frozenset({0, -1, G.n + 1})) == G.components()
+    assert count == sum(2 ** (n * (n - 1) // 2) * 2 ** n for n in range(6))
+    for G in cut_set_test_graphs():
+        subsets = (T for size in range(G.n + 1) for T in itertools.combinations(G.vertices(), size))
+        want = [T for T in subsets if reference_is_cut_set(G, T)]
+        assert [c.vertices for c in enumerate_cut_sets(G)] == want, G.edges
 
 
 def test_enumerate_cut_sets_examples(g42):
@@ -433,6 +481,14 @@ def test_connected_graphs_match_all_permutations_reference():
     for n in range(1, 6):
         got = [G.edge_list() for G in connected_graphs_up_to_iso(n)]
         assert got == [G.edge_list() for G in reference_connected_graphs_up_to_iso(n)], n
+
+
+def test_connected_graphs_on_six_vertices_are_pinned():
+    # the all-permutations reference is too slow at n = 6, so the 112
+    # representatives and their order are pinned by a hash of the edge lists
+    got = [G.edge_list() for G in connected_graphs_up_to_iso(6)]
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == "f2b5d4379d9ebbba3974c90155ec7acd81220a02008e1036836b5764b07a2094"
 
 
 # -- file format --------------------------------------------------------------
