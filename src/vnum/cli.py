@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .graphs import (
+    DEFAULT_SUBSET_BUDGET,
     SimpleGraph,
     _runs,
     cut_set_from_vertices,
@@ -139,7 +140,7 @@ def cmd_vnumber(args) -> int:
             # v_number already took the least oracle value over every cut set
             oracle_v, verdict = res.value, "the value is the oracle's own"
         else:
-            cuts = enumerate_cut_sets(G, max_generic_n=args.budget_n or 16)
+            cuts = enumerate_cut_sets(G, max_generic_n=args.budget_n or DEFAULT_SUBSET_BUDGET)
             oracle_v, _ = _least_oracle_value(G, args.m, cuts)
             verdict = "agrees" if oracle_v == res.value else "DISAGREES"
         record["oracle_v"] = oracle_v

@@ -81,13 +81,14 @@ def connected_graphs_up_to_iso(n: int) -> Iterator[SimpleGraph]:
     bit = {e: 1 << k for k, e in enumerate(pairs)}
     images = [[bit[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in pairs]
               for p in itertools.permutations(range(1, n + 1))]  # each pair's bit, relabeled
-    seen = set()
+    seen = bytearray(1 << len(pairs))  # one flag per bitstring
     for bits in range(1 << len(pairs)):
-        if bits in seen:
+        if seen[bits]:
             continue
         ks = [k for k in range(len(pairs)) if bits >> k & 1]
         G = SimpleGraph(n, [pairs[k] for k in ks])
         if not G.is_connected():
             continue
-        seen.update(sum(img[k] for k in ks) for img in images)
+        for img in images:
+            seen[sum(img[k] for k in ks)] = 1
         yield G

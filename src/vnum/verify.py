@@ -262,6 +262,8 @@ def suite_powers(
     """
     if not closed.is_cm:
         return [CheckResult("powers", "skip", "needs one-vertex clique overlaps", 0.0)]
+    if not G.edges:
+        return [CheckResult("powers", "skip", "needs an edge", 0.0)]
     budget = budget or POWER_BUDGET
     ring = RingSpec(2, G.n)
     J = binomial_edge_ideal(ring, G)

@@ -38,11 +38,11 @@ from .graphs import (
     enumerate_cut_sets,
     find_closed_labeling,
     is_cone,
-    is_cut_set,
     reduced_connected_domination_number,
     spine_chain,
     _check_own_structure,
     _greedy_chain,
+    _pair_cut_set,
     _runs,
 )
 
@@ -362,24 +362,16 @@ def v_number(
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
     if not G.is_connected():
-        parts = []
-        total = 0
-        status = PROVED
-        union = []
+        parts, union = [], []
         for comp in G.components():
             H, back = G.induced(comp)
-            sub = v_number(H, m, oracle_n_limit)
-            parts.append(sub)
-            total += sub.value
-            if sub.status != PROVED:
-                status = CONJECTURED
-            union.extend(back[v] for v in sub.cut_set.vertices)
-        cut = cut_set_from_vertices(G, union)
+            parts.append(v_number(H, m, oracle_n_limit))
+            union.extend(back[v] for v in parts[-1].cut_set.vertices)
         return VNumberResult(
-            value=total,
-            status=status,
+            value=sum(p.value for p in parts),
+            status=PROVED if all(p.status == PROVED for p in parts) else CONJECTURED,
             regime="disjoint-union",
-            cut_set=cut,
+            cut_set=cut_set_from_vertices(G, union),
             witness=None,
             parts=tuple(parts),
         )
@@ -556,9 +548,7 @@ def _v_number_closed(G: SimpleGraph, closed: ClosedStructure, m: int) -> VNumber
     return res
 
 
-def classify_small_v(
-    G: SimpleGraph, m: int, max_n: int = 16
-) -> str:
+def classify_small_v(G: SimpleGraph, m: int) -> str:
     """Classify v(G) among '0', '1', '2', '>2' by graph structure alone.
 
     0 exactly for complete graphs; 1 exactly for cones over non-complete
@@ -566,8 +556,8 @@ def classify_small_v(
     connected domination number 2 or contains a non-adjacent pair u, v
     whose common neighborhood is a nonempty cut set separating them into
     components coned by u and v respectively, all other components
-    complete.  A closed graph is recognized at any size; ``max_n`` caps
-    only the subset search for gamma_c^* on other graphs.
+    complete (graphs._pair_cut_set).  A closed graph is recognized at any
+    size; on other graphs gamma_c^* is a capped subset search.
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
@@ -575,31 +565,11 @@ def classify_small_v(
         raise GraphInputError("classification needs a connected graph")
     if G.is_complete():
         return "0"
-    cone = is_cone(G)
-    if cone is not None:
+    if is_cone(G) is not None:
         return "1"
-    closed = find_closed_labeling(G)
-    gamma = reduced_connected_domination_number(G, closed, max_n)
-    if gamma == 2:
+    gamma = reduced_connected_domination_number(G, find_closed_labeling(G))
+    if gamma == 2 or _pair_cut_set(G) is not None:
         return "2"
-    for u in G.vertices():
-        for v in range(u + 1, G.n + 1):
-            if G.has_edge(u, v):
-                continue
-            S = G.neighbors(u) & G.neighbors(v)
-            if not S or not is_cut_set(G, S):
-                continue
-            comps = G.components(frozenset(S))
-            cu = next(c for c in comps if u in c)
-            cv = next(c for c in comps if v in c)
-            if cu == cv:
-                continue
-            if any(w not in G.neighbors(u) for w in cu if w != u):
-                continue
-            if any(w not in G.neighbors(v) for w in cv if w != v):
-                continue
-            if all(G.induced(c)[0].is_complete() for c in comps if c not in (cu, cv)):
-                return "2"
     return ">2"
 
 

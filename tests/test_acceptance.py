@@ -190,3 +190,34 @@ def test_criterion_10_classification():
             if classify_small_v(G, 2) != want:
                 bad.append(sorted(G.edges))
     report(10, not bad, t0, 600.0, "classification of v in {0,1,2,>2} vs oracle, all connected n<=5")
+
+
+def test_criterion_12_general_graph_theorems_at_m_2_and_3():
+    # v_emptyset = gamma_c^* and the classification, both for every m: the
+    # oracle at m = 2 and m = 3 against the graph-side answers, with the
+    # generic subset search for gamma_c^* on every graph
+    t0 = time.perf_counter()
+    bad = []
+    pairs = 0
+    for n in range(2, 6):
+        for G in connected_graphs_up_to_iso(n):
+            if G.is_complete():
+                continue
+            gamma = reduced_connected_domination_number(G)
+            for m in (2, 3):
+                ring = RingSpec(m, n)
+                local = {c.vertices: brute_local_v(ring, G, c.vertices)[0]
+                         for c in enumerate_cut_sets(G)}
+                v = min(local.values())
+                want = str(v) if v <= 2 else ">2"
+                pairs += 1
+                if local[()] != gamma or classify_small_v(G, m) != want:
+                    bad.append((m, sorted(G.edges)))
+    report(
+        12,
+        not bad and pairs == 52,
+        t0,
+        60.0,
+        f"v at the empty cut set equals gamma_c^* and the class of v matches the oracle, "
+        f"{pairs} (graph, m) pairs, connected non-complete n<=5, m in {{2,3}}",
+    )

@@ -244,6 +244,17 @@ def test_verify_vacuous_k3(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["summary"]["fail"] == 0
 
 
+def test_verify_all_on_one_vertex_skips_the_powers(capsys, tmp_path):
+    p = tmp_path / "k1.txt"
+    p.write_text("n 1\n")
+    rc, out, _ = run(capsys, "verify", str(p), "--scope", "all", "--format", "structured")
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["summary"]["fail"] == 0
+    powers = next(c for c in rec["checks"] if c["name"] == "powers")
+    assert (powers["status"], powers["detail"]) == ("skip", "needs an edge")
+
+
 def test_verify_budget_pairs_exits_budget(capsys, tmp_path):
     # K4's power checks at k = 2 need 8 S-pairs in one basis run, so a
     # budget of 7 overruns and exits 3

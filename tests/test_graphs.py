@@ -259,6 +259,14 @@ def test_mask_components_and_cut_sets_match_set_references():
                 assert G.component_count(removed) == len(G.components(removed))
                 count += 1
         assert G.components(frozenset({0, -1, G.n + 1})) == G.components()
+        # the accessors read off the masks agree with the edge set
+        for u in G.vertices():
+            near = {v for e in G.edges if u in e for v in e if v != u}
+            assert G.neighbors(u) == near and G.degree(u) == len(near), (G, u)
+            for v in range(-1, G.n + 2):
+                want = (min(u, v), max(u, v)) in G.edges
+                assert G.has_edge(u, v) == want, (G, u, v)
+                assert v > G.n or G.has_edge(v, u) == want, (G, v, u)
     assert count == sum(2 ** (n * (n - 1) // 2) * 2 ** n for n in range(6))
     for G in cut_set_test_graphs():
         subsets = (T for size in range(G.n + 1) for T in itertools.combinations(G.vertices(), size))
@@ -383,6 +391,25 @@ def test_completion_order_invariant(n, data):
     vs = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=4))
     results = {completion_graph_set(G, order) for order in itertools.permutations(vs)}
     assert len(results) == 1
+
+
+def reference_is_rcds(G, D) -> bool:
+    """The set-based test: G minus the vertices outside D is connected (by
+    the set BFS above) and every vertex outside D has a neighbour in D."""
+    D, V = frozenset(D), frozenset(G.vertices())
+    if not D:
+        return G.is_complete()
+    if len(reference_components(G, V - D)) != 1:
+        return False
+    return all(v in D or G.neighbors(v) & D for v in G.vertices())
+
+
+def test_rcds_matches_the_set_reference():
+    for G in cut_set_test_graphs():
+        for size in range(G.n + 1):
+            for D in itertools.combinations(G.vertices(), size):
+                assert is_reduced_connected_dominating_set(G, D) == reference_is_rcds(G, D), (
+                    G.edges, D)
 
 
 def exhaustive_rcds(G):
