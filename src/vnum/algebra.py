@@ -29,18 +29,18 @@ RingSpec.mono_degree stays exact for every input.
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
 without the tag t (x-degree); the Gebauer-Moeller update walks the new
-candidates in the same order, so among equal lcms the smallest index
-survives.  A tag elimination opens with the cached reduced basis of its
-first ideal in its stored order and pairs no element of it with a t-free
-one (quiet pairs).  The basis of a power from ideal_power skips the
-pairs of products that share a factor; the factor indices are kept in
-sets, which decide only whether a pair is queued, never the order in
-which queued pairs are popped, and each seed is tested in the seed
-loop's sorted order.  The oracle's separating element covers the other
-primes by generators of P_T picked greedily, ties to the first, with
-fixed weights, and is linear if all are variables.  No choice reaches
-the output: reduced bases are unique, returned monic by descending
-leading term, so repeated runs produce byte-identical output.
+candidates by (lcm, index), which puts every divisor first and keeps the
+smallest index among equal lcms.  A tag elimination opens with the cached
+reduced basis of its first ideal in its stored order and pairs no element
+of it with a t-free one (quiet pairs).  The basis of a power from
+ideal_power skips the pairs of products that share a factor; the factor
+indices are kept in sets, which decide only whether a pair is queued,
+never the order in which queued pairs are popped, and each seed is
+tested in the seed loop's sorted order.  The oracle's separating element
+covers the other primes by generators of P_T picked greedily, ties to
+the first, with fixed weights, and is linear if all are variables.  No
+choice reaches the output: reduced bases are unique, returned monic by
+descending leading term, so repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -222,12 +222,13 @@ class _TagRing(RingSpec):
 class Polynomial:
     """Immutable sparse polynomial: packed monomial -> nonzero coefficient."""
 
-    __slots__ = ("ring", "terms", "_lt")
+    __slots__ = ("ring", "terms", "_lt", "_deg")
 
     def __init__(self, ring: RingSpec, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lt = None
+        self._deg = None
 
     # -- construction ------------------------------------------------------
 
@@ -269,10 +270,9 @@ class Polynomial:
         return self._lt
 
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        dg = self.ring.mono_degree
-        return max(dg(m) for m in self.terms)
+        if self._deg is None:
+            self._deg = max(map(self.ring.mono_degree, self.terms), default=-1)
+        return self._deg
 
     def __len__(self):
         return len(self.terms)
@@ -302,6 +302,8 @@ class Polynomial:
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if self.terms and other.terms and self.degree() + other.degree() > _MAX_EXPONENT:
+            raise BudgetExceededError(f"product degree would exceed the hard cap {_MAX_EXPONENT}")
         return Polynomial(self.ring, _mul(self.ring, self.terms, other.terms))
 
     def scale(self, c) -> "Polynomial":
@@ -337,13 +339,6 @@ def _add(ring: RingSpec, a: dict, b: dict, sign: int) -> dict:
 
 
 def _mul(ring: RingSpec, a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
-    dg = ring.mono_degree
-    if max(dg(m) for m in a) + max(dg(m) for m in b) > _MAX_EXPONENT:
-        raise BudgetExceededError(
-            f"product degree would exceed the hard cap {_MAX_EXPONENT}"
-        )
     out: dict = {}
     p = ring.p
     if len(a) > len(b):
@@ -487,17 +482,15 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
     top = ring._top
     low = (top >> 7) * 0x7F
     lt_h = lts[new_idx]
-    lcms = []
-    for a in lts[:new_idx]:
-        d = (a | top) - lt_h
-        lcms.append(lt_h + (d & ((d & top) >> 7) * 0xFF & low))
-    cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
-    # criterion M: keep an lcm only if no kept lcm divides it; a divisor has
-    # lower degree, or equal degree and a smaller value, so it is walked
-    # first.  Coprime and treated lcms stay dominators, but their pairs are dropped.
+    lcms = [lt_h + ((d := (a | top) - lt_h) & ((d & top) >> 7) * 0xFF & low)
+            for a in lts[:new_idx]]
+    # criterion M: keep an lcm only if no kept lcm divides it; a divisor is
+    # never larger than its multiple as a packed value, so walking by (lcm,
+    # index) meets it first, and among equal lcms the smallest index survives.
+    # Coprime and treated lcms stay dominators, but their pairs are dropped.
     kept: list[int] = []
     new_pairs = []
-    for d, l, g in cand:
+    for l, g in sorted(zip(lcms, range(new_idx))):
         lt_ = l | top
         for k in kept:
             if (lt_ - k) & top == top:
@@ -505,7 +498,7 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
         else:
             kept.append(l)
             if lts[g] + lt_h != l:
-                new_pairs.append((d, l, g))
+                new_pairs.append((l, g))
     # prune old pairs via the chain criterion
     for (i, j), l in list(pairs.items()):
         if (
@@ -514,13 +507,13 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
             and lcms[j] != l
         ):
             del pairs[(i, j)]
-    for d, l, g in new_pairs:
+    for l, g in new_pairs:
         if g not in treated:
             pairs[(g, new_idx)] = l
-            heapq.heappush(heap, (d, l, g, new_idx))
+            heapq.heappush(heap, ((l & mask) % 255, l, g, new_idx))
 
 
-def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> list:
+def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None, *, born=False) -> list:
     """Minimalize and tail-reduce a basis that is already a Groebner basis.
 
     One pass in increasing leading-term order: an element whose leading
@@ -533,15 +526,26 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None) -> li
     of ``basis`` can reduce or remove (as when all are homogeneous and the
     new ones of larger degree), the prefix counts as kept: only the new
     kept elements are returned, and their reducers are inserted into ``red``.
+
+    With ``born``, ``basis`` is in birth order after the prefix, each element
+    monic and in normal form against all born before it, as _buchberger adds
+    them.  An element g whose kept predecessors in the pass were all born
+    before it is then kept as it is, since the pass reduces g against them
+    alone.  A later-born element with a larger leading term divides no term
+    of g, and a dropped one acts only through the kept one dividing it; any
+    other g takes the full path.
     """
     top = ring._top
     out: list = []
     red = [] if red is None else red
-    for g in sorted((g for g in basis if g), key=max):
-        lt_ = max(g) | top
-        if any((lt_ - r[0]) & top == top for r in red):
-            continue
-        g = _monic(ring, _nf(ring, g, red))
+    newest = -1  # the latest birth among the kept elements so far
+    for lt, i, g in sorted((max(g), i, g) for i, g in enumerate(basis) if g):
+        if not born or newest > i:
+            lt_ = lt | top
+            if any((lt_ - r[0]) & top == top for r in red):
+                continue
+            g = _monic(ring, _nf(ring, g, red))
+        newest = max(newest, i)
         out.append(g)
         r = _reducer(g)
         if red and red[-1][0] > r[0]:  # only a grown prefix can lie above g
@@ -667,7 +671,7 @@ def _buchberger(
         r = _nf(ring, _spoly(ring, basis[i], basis[j]), red, budget.max_degree)
         if r:
             add(r)
-    return _reduce_basis(ring, basis) if stop is None else stop(basis)
+    return _reduce_basis(ring, basis, born=True) if stop is None else stop(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +968,7 @@ def _gens_are_groebner(I: Ideal, budget: GBBudget) -> bool:
 def _minimal_monomials(ring: RingSpec, monos: Iterable[int]) -> list[int]:
     top = ring._top
     out: list[int] = []
-    for m in sorted(set(monos), key=lambda m: (ring.mono_degree(m), m)):
+    for m in sorted(set(monos)):  # a divisor is never larger: walked first
         mt = m | top
         for g in out:
             if (mt - g) & top == top:
@@ -1198,7 +1202,7 @@ def brute_local_v(
         nonlocal seen
         new = [g for g in basis[seen:] if max(g) < tag]
         seen = len(basis)
-        meet = _reduce_basis(ring, new, meet_red)
+        meet = _reduce_basis(ring, new, meet_red, born=True)
         A = _colon_basis(ring, [Polynomial(ring, g) for g in meet], f0, A_red)
         A.sort(key=lambda g: (g.degree(), g.lt()))
         return next((g for g in A if not target.contains(g)), None)

@@ -61,13 +61,13 @@ class SimpleGraph:
         return range(1, self.n + 1)
 
     def neighbors(self, v: int) -> frozenset:
-        return frozenset(_bits(self._mask[v]))
+        return frozenset(_bits(self._mask[v] if 0 < v <= self.n else 0))
 
     def degree(self, v: int) -> int:
-        return self._mask[v].bit_count()
+        return self._mask[v].bit_count() if 0 < v <= self.n else 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        return min(u, v) > 0 and self._mask[u] >> v & 1 == 1
+        return 0 < u <= self.n and v > 0 and self._mask[u] >> v & 1 == 1
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -194,17 +194,18 @@ def test_criterion_10_classification():
 
 def test_criterion_12_general_graph_theorems_at_m_2_and_3():
     # v_emptyset = gamma_c^* and the classification, both for every m: the
-    # oracle at m = 2 and m = 3 against the graph-side answers, with the
-    # generic subset search for gamma_c^* on every graph
+    # oracle at m = 2 and m = 3 (n <= 5), and at m = 2 for n = 6, against
+    # the graph-side answers, with the generic subset search for gamma_c^*
+    # on every graph
     t0 = time.perf_counter()
     bad = []
     pairs = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         for G in connected_graphs_up_to_iso(n):
             if G.is_complete():
                 continue
             gamma = reduced_connected_domination_number(G)
-            for m in (2, 3):
+            for m in (2, 3) if n <= 5 else (2,):
                 ring = RingSpec(m, n)
                 local = {c.vertices: brute_local_v(ring, G, c.vertices)[0]
                          for c in enumerate_cut_sets(G)}
@@ -215,9 +216,9 @@ def test_criterion_12_general_graph_theorems_at_m_2_and_3():
                     bad.append((m, sorted(G.edges)))
     report(
         12,
-        not bad and pairs == 52,
+        not bad and pairs == 163,
         t0,
         60.0,
         f"v at the empty cut set equals gamma_c^* and the class of v matches the oracle, "
-        f"{pairs} (graph, m) pairs, connected non-complete n<=5, m in {{2,3}}",
+        f"{pairs} (graph, m) pairs, connected non-complete n<=5 at m in {{2,3}} and n=6 at m=2",
     )

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -41,6 +42,7 @@ from vnum.algebra import (
     witness_polynomial,
     _MAX_EXPONENT,
     _buchberger,
+    _gm_update,
     _minimal_monomials,
     _nf,
     _outside_by_lookup,
@@ -190,6 +192,14 @@ def test_budgets_raise(c4, c5):
     with pytest.raises(BudgetExceededError):
         for _ in range(200):
             g = g * f
+    assert g.degree() == _MAX_EXPONENT
+    # the cap reads both operands' degrees; a zero operand gives zero
+    # whatever the other's degree
+    big = Polynomial.from_terms(R2, [(100 * R2.var_mono(0) + 25 * R2.var_mono(1), 1)])
+    for zero in (Polynomial.zero(R2), f - f):
+        assert zero.degree() == -1 and (zero * big).is_zero() and (big * zero).is_zero()
+    with pytest.raises(BudgetExceededError):
+        big * Polynomial.one(R2)
     # the S-pairs that survive the pair criteria, pinned: N pairs suffice
     # and N - 1 do not
     for G, m, pairs in [(c4, 2, 8), (c5, 2, 20), (c4, 3, 66)]:
@@ -250,6 +260,117 @@ def test_reduce_basis_of_redundant_groebner_basis(c4):
     redundant += [x * g for g in gb]
     got = _reduce_basis(R, [g.terms for g in reversed(redundant)])
     assert [Polynomial(R, g) for g in got] == list(gb)
+
+
+def test_birth_reduced_interreduction_matches_the_full_pass(monkeypatch, c4):
+    # _buchberger's finish and brute_local_v's stop test hand _reduce_basis
+    # bases reduced at birth, and it keeps an element as it is when every
+    # kept element below it was born before it.  Every such call must give
+    # exactly the full pass's output and grow the prefix the same way, on
+    # plain bases, powers, tag eliminations and the oracle.  On some of
+    # _buchberger's calls the input itself is not the answer, so a pass that
+    # always keeps the input as it is fails
+    import vnum.algebra as algebra
+    from vnum.verify import suite_colon_variable
+
+    full = algebra._reduce_basis
+    calls = {"buchberger": 0, "stop test": 0}
+    needed = dict(calls)
+
+    def checked(ring, basis, red=None, *, born=False):
+        if not born:
+            return full(ring, basis, red)
+        caller = "buchberger" if red is None else "stop test"
+        prefix = None if red is None else list(red)
+        want = full(ring, basis, prefix)
+        got = full(ring, basis, red, born=True)
+        assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
+        assert red == prefix
+        as_given = sorted((g for g in basis if g), key=max, reverse=True)
+        calls[caller] += 1
+        needed[caller] += want != as_given
+        return got
+
+    monkeypatch.setattr(algebra, "_reduce_basis", checked)
+    for n in range(2, 6):
+        for G, _ in closed_graphs(n):
+            for m, ks in ((2, (1, 2, 3)), (3, (2,) if n <= 4 else ())):
+                J = binomial_edge_ideal(RingSpec(m, n), G)
+                for k in ks:
+                    ideal_power(J, k).groebner()
+            R = RingSpec(2, n)
+            for cut in enumerate_cut_sets(G):
+                brute_local_v(R, G, cut.vertices)
+    P4 = path_graph(4)
+    for G in (P4, c4):
+        assert all(r.status == "pass" for r in suite_colon_variable(G, 2))
+    R = RingSpec(2, 4)
+    primes = [cut_set_prime(R, P4, c.vertices) for c in enumerate_cut_sets(P4)]
+    assert intersect_many(primes).equals(binomial_edge_ideal(R, P4))
+    assert min(calls.values()) > 0 and needed["buchberger"] > 0, (calls, needed)
+
+
+def degree_first_gm_update(ring, lts, pairs, heap, new_idx, mask=-1, treated=()):
+    """The Gebauer-Moeller update walking its candidates by (lcm degree,
+    lcm, index), as _gm_update did before it walked them by (lcm, index):
+    the reference for the test below."""
+    top = ring._top
+    low = (top >> 7) * 0x7F
+    lt_h = lts[new_idx]
+    lcms = []
+    for a in lts[:new_idx]:
+        d = (a | top) - lt_h
+        lcms.append(lt_h + (d & ((d & top) >> 7) * 0xFF & low))
+    cand = sorted(((l & mask) % 255, l, g) for g, l in enumerate(lcms))
+    kept: list[int] = []
+    new_pairs = []
+    for d, l, g in cand:
+        lt_ = l | top
+        for k in kept:
+            if (lt_ - k) & top == top:
+                break
+        else:
+            kept.append(l)
+            if lts[g] + lt_h != l:
+                new_pairs.append((d, l, g))
+    for (i, j), l in list(pairs.items()):
+        if ((l | top) - lt_h) & top == top and lcms[i] != l and lcms[j] != l:
+            del pairs[(i, j)]
+    for d, l, g in new_pairs:
+        if g not in treated:
+            pairs[(g, new_idx)] = l
+            heapq.heappush(heap, (d, l, g, new_idx))
+
+
+def test_pair_update_matches_the_degree_first_walk():
+    # walking the candidates by packed value keeps the same lcms, the same
+    # smallest index among equal ones, and so the same pairs and heap
+    # entries, with or without the tag mask and treated indices; pops
+    # between updates stand in for _buchberger's
+    rng = random.Random(22)
+    ring = RingSpec(2, 3).extended()
+    equal_lcms = treated_hits = 0
+    for trial in range(300):
+        mask = -1 if trial % 2 else ring.tag - 1
+        lts = []
+        state = [({}, []), ({}, [])]
+        for new_idx in range(rng.randrange(2, 14)):
+            lts.append(sum(rng.choice((0, 0, 1, 2)) << (8 * v) for v in range(ring.nvars)))
+            treated = set(rng.sample(range(new_idx), rng.randrange(new_idx + 1)))
+            _gm_update(ring, lts, *state[0], new_idx, mask, treated)
+            degree_first_gm_update(ring, lts, *state[1], new_idx, mask, treated)
+            (pairs, heap), (ref_pairs, ref_heap) = state
+            assert pairs == ref_pairs and sorted(heap) == sorted(ref_heap), (trial, new_idx)
+            lcms = [ring.mono_lcm(a, lts[-1]) for a in lts[:-1]]
+            equal_lcms += len(set(lcms)) < len(lcms)
+            treated_hits += any((g, new_idx) not in pairs for g in treated)
+            for _ in range(rng.randrange(3)):
+                if heap:
+                    entry = heapq.heappop(heap)
+                    assert entry == heapq.heappop(ref_heap)
+                    if pairs.get(entry[2:]) == entry[1]:
+                        del pairs[entry[2:]], ref_pairs[entry[2:]]
+    assert equal_lcms > 100 and treated_hits > 100, (equal_lcms, treated_hits)
 
 
 def test_budget_rejects_degree_above_exponent_cap():
