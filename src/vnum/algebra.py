@@ -24,7 +24,9 @@ while the degree is below 255.  Every monomial a run sees has degree at
 most 2 * max_degree <= 2 * _MAX_EXPONENT = 240, because every term of its
 input is checked exactly at entry, an S-pair's lcm is checked before its
 S-polynomial is formed, and a term is checked before it is reduced.
-RingSpec.mono_degree stays exact for every input.
+There, and on search_power_witness's rows, _nf finds the divisor of a
+term no larger in degree than every leading term by one lookup, not by
+the scan.  RingSpec.mono_degree stays exact for every input.
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
@@ -41,6 +43,8 @@ covers the other primes by generators of P_T picked greedily, ties to
 the first, with fixed weights, and is linear if all are variables.  No
 choice reaches the output: reduced bases are unique, returned monic by
 descending leading term, so repeated runs produce byte-identical output.
+That lookup finds the scan's reducer (the first divisor by leading term),
+so normal forms keep their terms and their order.
 """
 
 from __future__ import annotations
@@ -391,21 +395,34 @@ def _prepare_reducers(basis: Sequence[dict]) -> list:
     return sorted((_reducer(g) for g in basis if g), key=_lead)
 
 
-def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) -> dict:
+def _lead_lookup(red: list, top_degree: int) -> Optional[list]:
+    """_nf's ``leads`` for terms of degree <= top_degree: the least lead degree
+    and each lead's first reducer; None from 255 up, where m % 255 is inexact."""
+    if top_degree >= 255:
+        return None
+    return [min((r[0] % 255 for r in red), default=255), {r[0]: r for r in reversed(red)}]
+
+
+def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, leads=None) -> dict:
     """Full normal form of f against prepared reducers.
 
     Terms are processed greatest-first via a lazy max-heap; each surfaced
     term either reduces against the first reducer whose leading term
     divides it or moves to the remainder.  A term whose degree exceeds
     ``max_degree`` raises BudgetExceededError (possible only for
-    inhomogeneous input, e.g. tag eliminations).  Only _buchberger passes
-    ``max_degree``, and the degree is read as m % 255, which is exact under
-    its degree invariant (module docstring).
+    inhomogeneous input, e.g. tag eliminations).
+
+    ``leads`` (_lead_lookup) replaces the scan by a lookup for a term m of
+    degree at most every lead's: a divisor of m is never of larger degree,
+    and of equal degree only m itself.  Both read the degree as m % 255, so
+    only callers where it is exact pass them: _buchberger, by its degree
+    invariant (module docstring), and search_power_witness.
     """
     if not f:
         return {}
     p = ring.p
     top = ring._top
+    low, by_lead = leads if leads is not None else (-1, None)
     work = dict(f)
     out: dict = {}
     heap = [-m for m in work]
@@ -420,15 +437,18 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None) ->
             raise BudgetExceededError(
                 f"normal form hit degree {m % 255} > budget {max_degree}"
             )
-        hit = None
-        mt = m | top
-        for r in red:
-            lt = r[0]
-            if lt > m:
-                break
-            if (mt - lt) & top == top:
-                hit = r
-                break
+        if m % 255 <= low:
+            hit = by_lead.get(m)
+        else:
+            hit = None
+            mt = m | top
+            for r in red:
+                lt = r[0]
+                if lt > m:
+                    break
+                if (mt - lt) & top == top:
+                    hit = r
+                    break
         if hit is None:
             out[m] = c
             continue
@@ -624,6 +644,7 @@ def _buchberger(
     basis: list = list(known)
     lts: list[int] = [max(g) for g in basis]
     red: list = _prepare_reducers(basis)
+    leads = _lead_lookup(red, 2 * budget.max_degree)
     pairs: dict = {}
     heap: list = []
     owners: dict = {}  # factor index -> basis indices of the products with it
@@ -632,7 +653,10 @@ def _buchberger(
         r = _monic(ring, r)
         basis.append(r)
         lts.append(max(r))
-        insort(red, _reducer(r), key=_lead)
+        rd = _reducer(r)
+        insort(red, rd, key=_lead)
+        leads[0] = min(leads[0], rd[0] % 255)
+        leads[1][rd[0]] = rd  # leading terms of a run are distinct
         new = len(basis) - 1
         treated = range(len(known)) if known and lts[-1] < ring.tag else ()
         if shared:
@@ -645,7 +669,7 @@ def _buchberger(
     for g, shared in sorted(
         ((g, s) for g, s in seeds if g), key=lambda e: (max(e[0]) % 255, max(e[0]))
     ):
-        r = _nf(ring, g, red, budget.max_degree)
+        r = _nf(ring, g, red, budget.max_degree, leads)
         if r:
             add(r, shared if max(r) == max(g) else ())
     reductions = 0
@@ -668,7 +692,7 @@ def _buchberger(
             raise BudgetExceededError(
                 f"S-pair count exceeded budget {budget.max_pairs}"
             )
-        r = _nf(ring, _spoly(ring, basis[i], basis[j]), red, budget.max_degree)
+        r = _nf(ring, _spoly(ring, basis[i], basis[j]), red, budget.max_degree, leads)
         if r:
             add(r)
     return _reduce_basis(ring, basis, born=True) if stop is None else stop(basis)
@@ -1237,6 +1261,11 @@ def search_power_witness(
     largest variable dividing u = x * u', NF(u * g) = NF(x * NF(u' * g)),
     as normal forms against a Groebner basis are unique.
 
+    J^k is homogeneous, so its reduced basis is (Becker and Weispfenning,
+    Groebner Bases, 1993): reduction keeps a term's degree, so a slice-d row
+    has degree at most d + lift, lift the top degree of P_T's generators,
+    and takes _nf's lookup while that is below 255, where m % 255 is exact.
+
     A hit is a verified witness, so its degree is a certified upper bound
     and nothing more.  For k >= 2 no witness lies outside P_T (localize at
     P_T: P_T R_P <= P_T^k R_P contradicts Nakayama), and a slice whose
@@ -1251,19 +1280,22 @@ def search_power_witness(
     Jk = ideal_power(J, k)
     red = Jk._reducers(budget)
     P = cut_set_prime(ring, G, T)
+    lift = max((g.degree() for g in P.gens), default=0)
     variables = [ring.var_mono(i) for i in range(ring.nvars)]
     rows: dict = {}
     for d in range(d_max + 1):
         prev, rows, pivots = rows, {}, {}
+        leads = _lead_lookup(red, d + lift)
         monos = {sum(c) for c in itertools.combinations_with_replacement(variables, d)}
         for u in sorted(monos, reverse=True):
             if d:
                 x = 1 << (u.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
                 rows[u] = [
-                    _nf(ring, {m + x: c for m, c in r.items()}, red) for r in prev[u - x]
+                    _nf(ring, {m + x: c for m, c in r.items()}, red, None, leads)
+                    for r in prev[u - x]
                 ]
             else:
-                rows[u] = [_nf(ring, g.terms, red) for g in P.gens]
+                rows[u] = [_nf(ring, g.terms, red, None, leads) for g in P.gens]
             vec = {(gi, m): c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
             vec[(-1, u)] = 1
             while (key := max(vec))[0] >= 0:

@@ -190,19 +190,19 @@ def cmd_local(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.scope not in ("all", "power-remark"):
-        for flag, value in (("--cutset", args.cutset), ("--dmax", args.dmax)):
-            if value is not None:
-                raise GraphInputError(
-                    f"{flag} applies only to the power-remark check "
-                    f"(scope all or power-remark), not to scope {args.scope}"
-                )
+    remark, power = ("all", "power-remark"), ("all", "powers", "power-remark")
+    for flag, value, scopes in (
+        ("--cutset", args.cutset, remark), ("--dmax", args.dmax, remark),
+        ("--k", args.k, power), ("--budget-pairs", args.budget_pairs, power),
+    ):
+        if value is not None and args.scope not in scopes:
+            raise GraphInputError(f"{flag} needs scope {' or '.join(scopes)}, not {args.scope}")
     G = _load_graph(args.input)
     results = verify_mod.run_suites(
         G,
         m=args.m,
         scope=args.scope,
-        k=args.k,
+        k=args.k or 2,
         cutset=_parse_cutset(args.cutset),
         d_max=args.dmax,
         budget_pairs=args.budget_pairs,
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run oracle certificate suites")
     common(p)
     p.add_argument("--scope", default="all", choices=("all",) + verify_mod.SCOPES)
-    p.add_argument("--k", type=_int_at_least(1), default=2,
+    p.add_argument("--k", type=_int_at_least(1), default=None,
                    help="max power of the powers check (2 or 3) and the power of the "
                         "power-remark check (default 2)")
     p.add_argument("--cutset", default=None, help="cut set for power-remark")

@@ -331,12 +331,13 @@ def suite_power_remark(
     T: Iterable[int],
     k: int,
     d_max: Optional[int] = None,
+    budget: Optional[GBBudget] = None,
 ) -> list[CheckResult]:
     """Probe the shift-by-2 upper bound against the oracle witness search
-    at T, a cut set of closed.graph."""
+    at T, a cut set of closed.graph, under ``budget`` (or the search's)."""
 
     def body():
-        rep = probe_power_shift(closed, m, tuple(T), k, d_max)
+        rep = probe_power_shift(closed, m, tuple(T), k, d_max, budget)
         found = rep["witness_found"]
         if found is None:
             cap = d_max if d_max is not None else rep["upper_bound"]
@@ -371,14 +372,13 @@ def run_suites(
 
     ``k`` is the largest power of the power suites, 2 or 3, and the power
     of the power-remark check, any k >= 1.  ``cutset`` is in the input
-    labels."""
+    labels.  ``budget_pairs`` replaces the pair cap of both power suites."""
     if scope in ("all", "powers") and not 2 <= k <= 3:
         raise GraphInputError(f"scope {scope} checks the powers k = 2..3, got k={k}")
-    power_budget = (
-        POWER_BUDGET
-        if budget_pairs is None
-        else GBBudget(budget_pairs, POWER_BUDGET.max_degree)
-    )
+    power_budget, remark_budget = POWER_BUDGET, ELIMINATION_BUDGET
+    if budget_pairs is not None:  # replaces the pair caps, keeps the degree caps
+        power_budget = GBBudget(budget_pairs, POWER_BUDGET.max_degree)
+        remark_budget = GBBudget(budget_pairs, ELIMINATION_BUDGET.max_degree)
     closed = find_closed_labeling(G) if G.is_connected() else None
     results: list[CheckResult] = []
     want = SCOPES if scope == "all" else (scope,)
@@ -410,7 +410,7 @@ def run_suites(
                     CheckResult("power-remark", "skip", "no nonempty cut set", 0.0)
                 )
             else:
-                results += suite_power_remark(closed.graph, closed, m, T, k, d_max)
+                results += suite_power_remark(closed.graph, closed, m, T, k, d_max, remark_budget)
         else:
             raise VnumError(f"unknown scope {s!r}")
     return results

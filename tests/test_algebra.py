@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,9 +44,11 @@ from vnum.algebra import (
     _MAX_EXPONENT,
     _buchberger,
     _gm_update,
+    _lead_lookup,
     _minimal_monomials,
     _nf,
     _outside_by_lookup,
+    _prepare_reducers,
     _reduce_basis,
 )
 
@@ -249,6 +252,137 @@ def test_degree_budget_is_exact_at_and_above_255():
             Ideal(R, [g]).groebner(budget)
         with pytest.raises(BudgetExceededError):
             _buchberger(R, [], budget, [g.terms])
+
+
+def scan_nf(ring, f, red):
+    """_nf as it was before the lead lookup: every term scans the reducers
+    for the first whose leading term divides it.  The reference for the
+    tests below."""
+    p, top = ring.p, ring._top
+    work, out = dict(f), {}
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        hit = next(
+            (r for r in red if r[0] <= m and ((m | top) - r[0]) & top == top), None
+        )
+        if hit is None:
+            out[m] = c
+            continue
+        for tm, tc in hit[1]:
+            key = tm + m - hit[0]
+            if key not in work:
+                heapq.heappush(heap, -key)
+            work[key] = (work.get(key, 0) - c * tc) % p
+    return out
+
+
+class CountingDict(dict):
+    def get(self, key, default=None):
+        self.hits = getattr(self, "hits", 0) + 1
+        return super().get(key, default)
+
+
+def test_lead_lookup_picks_the_scan_reducer():
+    # a term of degree at most the least leading-term degree takes one
+    # lookup in place of the scan; on random monic reducers, homogeneous
+    # or of mixed lead degrees (tails never above their lead's degree, so
+    # no term outgrows the lookup), and terms below, at and above the
+    # least lead degree, including leads and their multiples, _nf must
+    # return the scan's items in the scan's order
+    rng = random.Random(23)
+    ring = RingSpec(2, 3)
+    nv, p = ring.nvars, ring.p
+
+    def mono(deg):
+        e = [0] * nv
+        for _ in range(deg):
+            e[rng.randrange(nv)] += 1
+        return mono_from_exponents(e)
+
+    seen = {"below": 0, "at": 0, "above": 0, "homogeneous": 0, "mixed": 0}
+    lookups = 0
+    for trial in range(400):
+        homogeneous = trial % 2 == 0
+        d0 = rng.randrange(1, 4)
+        basis = {}
+        for _ in range(rng.randrange(1, 9)):
+            lt = mono(d0 if homogeneous else rng.randrange(1, 5))
+            deg = ring.mono_degree(lt)
+            tail = [mono(deg if homogeneous else rng.randrange(deg + 1)) for _ in range(3)]
+            basis.setdefault(lt, {lt: 1, **{t: rng.randrange(1, p) for t in tail if t < lt}})
+        red = _prepare_reducers(list(basis.values()))
+        low = min(ring.mono_degree(r[0]) for r in red)
+        terms = [mono(low + s) for s in (-1, 0, 0, 1, 1, 2) if low + s >= 0]
+        terms += rng.sample(list(basis), min(2, len(basis)))
+        terms += [lt + ring.var_mono(rng.randrange(nv)) for lt in rng.sample(list(basis), 1)]
+        f = {t: rng.randrange(1, p) for t in terms}
+        leads = _lead_lookup(red, max(map(ring.mono_degree, f)))
+        leads[1] = CountingDict(leads[1])
+        assert list(_nf(ring, f, red, None, leads).items()) == list(scan_nf(ring, f, red).items())
+        lookups += getattr(leads[1], "hits", 0)
+        seen["homogeneous" if homogeneous else "mixed"] += 1
+        for t in f:
+            d = ring.mono_degree(t)
+            seen["below" if d < low else "at" if d == low else "above"] += 1
+    assert min(seen.values()) > 100 and lookups > 400, (seen, lookups)
+
+
+def test_buchberger_keeps_its_lead_lookup_current(monkeypatch):
+    # _buchberger updates its lookup as it adds elements; every normal form
+    # it takes must see the lookup built afresh from its reducers
+    import vnum.algebra as algebra
+
+    checked = []
+
+    def nf(ring, f, red, max_degree=None, leads=None):
+        if max_degree is not None:
+            assert leads == _lead_lookup(red, 2 * max_degree)
+            checked.append(len(red))
+        return _nf(ring, f, red, max_degree, leads)
+
+    monkeypatch.setattr(algebra, "_nf", nf)
+    R, P4 = RingSpec(2, 4), path_graph(4)
+    ideal_power(binomial_edge_ideal(R, complete_graph(4)), 2).groebner()
+    primes = [cut_set_prime(R, P4, c.vertices) for c in enumerate_cut_sets(P4)]
+    assert intersect_many(primes).equals(binomial_edge_ideal(R, P4))
+    assert brute_local_v(R, P4, [2])[0] == 2
+    assert len(checked) > 50 and max(checked) > 5, checked
+
+
+def test_lead_lookup_is_exact_at_and_above_degree_255(monkeypatch):
+    # m % 255 reads a term of degree 256 as 1, at most the least lead
+    # degree 2 of I = (x[1,1]*x[1,2]); a lookup there would miss the lead
+    # dividing it.  Ideal.contains keeps the scan, and a search_power_witness
+    # slice d builds its lookup for the top row degree d + 2, which gives
+    # none from 255 up
+    import vnum.algebra as algebra
+
+    R = RingSpec(2, 3)
+    x = [R.var_mono(k) for k in range(R.nvars)]
+    I = Ideal(R, [Polynomial.from_terms(R, [(x[0] + x[1], 1)])])
+    term = Polynomial.from_terms(R, [(100 * x[0] + 100 * x[1] + 56 * x[3], 1)])
+    assert R.mono_degree(term.lt()) == 256 and term.lt() % 255 == 1
+    assert I.contains(term)
+    red = I._reducers()
+    assert _lead_lookup(red, 254) == [2, {x[0] + x[1]: red[0]}]
+    assert _lead_lookup(red, 255) is None
+    assert _nf(R, term.terms, red, None, _lead_lookup(red, 256)) == {}
+
+    tops = []
+
+    def spy(red, top_degree):
+        if sys._getframe(1).f_code.co_name == "search_power_witness":
+            tops.append(top_degree)
+        return _lead_lookup(red, top_degree)
+
+    monkeypatch.setattr(algebra, "_lead_lookup", spy)
+    assert search_power_witness(RingSpec(2, 4), path_graph(4), [2], 2, d_max=3) is None
+    assert tops == [2, 3, 4, 5]
 
 
 def test_reduce_basis_of_redundant_groebner_basis(c4):

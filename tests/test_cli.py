@@ -268,6 +268,30 @@ def test_verify_budget_pairs_exits_budget(capsys, tmp_path):
     assert rc == 0 and json.loads(out)["summary"]["budget"] == 0
 
 
+def test_verify_budget_pairs_caps_the_power_remark_search(capsys, tmp_path):
+    # P4's power-remark probe at m = 3 needs 9 S-pairs in one basis run;
+    # under scope all the cap reaches it too, past the powers checks
+    p = tmp_path / "p4.txt"
+    p.write_text(format_graph(path_graph(4)))
+    argv = ("verify", str(p), "--m", "3", "--format", "structured")
+    rc, out, _ = run(capsys, *argv, "--scope", "power-remark", "--budget-pairs", "8")
+    assert rc == 3
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["budget"]
+    rc, out, _ = run(capsys, *argv, "--scope", "power-remark", "--budget-pairs", "9")
+    assert rc == 0 and json.loads(out)["summary"]["budget"] == 0
+    rc, out, _ = run(capsys, *argv, "--scope", "all", "--budget-pairs", "8")
+    budget = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "budget"]
+    assert rc == 3 and budget == ["power-remark[m=3,k=2,T=[2]]"]
+
+
+@pytest.mark.parametrize("scope", ["decomposition", "colon", "quadratic-gb", "witness",
+                                   "brute-vs-formula"])
+@pytest.mark.parametrize("flags", [["--k", "3"], ["--k", "2"], ["--budget-pairs", "5"]])
+def test_verify_power_flags_need_a_power_scope(capsys, p5_file, scope, flags):
+    rc, out, err = run(capsys, "verify", p5_file, "--scope", scope, *flags)
+    assert rc == 2 and out == "" and "needs scope all or powers or power-remark" in err
+
+
 def test_budget_pairs_only_on_verify(capsys, p5_file):
     with pytest.raises(SystemExit) as exc:
         main(["vnumber", p5_file, "--budget-pairs", "5"])
