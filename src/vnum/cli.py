@@ -28,13 +28,13 @@ from .graphs import (
     DEFAULT_SUBSET_BUDGET,
     SimpleGraph,
     _runs,
-    cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
     parse_graph,
 )
 from .vnumbers import (
     _least_oracle_value,
+    _to_original_result,
     local_v_number,
     v_number,
 )
@@ -155,21 +155,18 @@ def cmd_vnumber(args) -> int:
 
 
 def cmd_local(args) -> int:
-    G = _load_graph(args.input)
-    if not G.is_connected():
-        raise GraphInputError("local values need a connected graph")
-    closed = find_closed_labeling(G)
-    if closed is None or not closed.is_identity():
-        raise UnsupportedRegimeError(
-            "local values need a graph that is closed under its given labeling"
-        )
+    # find_closed_labeling raises GraphInputError on a disconnected graph
+    closed = find_closed_labeling(_load_graph(args.input))
+    if closed is None:
+        raise UnsupportedRegimeError("local values need a closed graph")
     T = _parse_cutset(args.cutset)
     if T is None:
         raise GraphInputError("--cutset is required (use --cutset '' for the empty set)")
-    cut = cut_set_from_vertices(G, T, closed)
-    res = local_v_number(G, closed, cut, args.m)
+    cut = closed.cut_set_from_input(T)
+    res = _to_original_result(closed, local_v_number(closed.graph, closed, cut, args.m))
+    blocks = [closed.input_labels(run) for run in _runs(cut.vertices)]
     record = {"command": "local", "m": args.m, **res.to_record()}
-    lines = [f"cut set: {list(cut.vertices)} (blocks {_runs(cut.vertices)})"]
+    lines = [f"cut set: {list(res.cut_set.vertices)} (blocks {blocks})"]
     if cut.vertices:
         record["anchor_graph"] = res.anchor_graph.to_record()
         w = res.witness

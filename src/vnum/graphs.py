@@ -91,9 +91,6 @@ class SimpleGraph:
         """Connected components of the graph minus ``removed``, sorted by min."""
         return [frozenset(_bits(c)) for c in self._component_masks(_mask_of(self, removed))]
 
-    def component_count(self, removed: frozenset = frozenset()) -> int:
-        return sum(1 for _ in self._component_masks(_mask_of(self, removed)))
-
     def is_connected(self) -> bool:
         """The component of vertex 1 is every vertex (n <= 1: True)."""
         return next(self._component_masks(), 0) == (1 << (self.n + 1)) - 2
@@ -244,6 +241,20 @@ class ClosedStructure:
 
     def to_original(self, v: int) -> int:
         return self.order[v - 1]
+
+    def input_labels(self, vertices: Iterable[int]) -> list[int]:
+        """Vertices of ``graph`` in the input labels, sorted."""
+        return sorted(map(self.to_original, vertices))
+
+    def cut_set_from_input(self, vertices: Iterable[int]) -> "CutSet":
+        """The cut set of ``graph`` named by ``vertices`` in the input labels; a
+        label outside 1..n or a non-cut set raises NotACutSetError naming them."""
+        given = sorted(set(vertices))
+        place = {v: k for k, v in enumerate(self.order, 1)}
+        try:
+            return cut_set_from_vertices(self.graph, [place[v] for v in given], self)
+        except (KeyError, NotACutSetError):
+            raise NotACutSetError(f"{given} is not a cut set") from None
 
     def to_record(self) -> dict:
         return {

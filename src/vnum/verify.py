@@ -42,11 +42,10 @@ from .graphs import (
     ClosedStructure,
     SimpleGraph,
     completion_graph,
-    cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
 )
-from .vnumbers import local_v_number, probe_power_shift
+from .vnumbers import _to_original_result, local_v_number, probe_power_shift
 
 #: Powers of edge ideals carry many redundant product generators, so their
 #: bases need a larger pair allowance than the plain default.
@@ -145,7 +144,9 @@ def _nonedge_dagger(G: SimpleGraph, k: int, l: int) -> SimpleGraph:
 def suite_colon_nonedge(G: SimpleGraph, m: int = 2) -> list[CheckResult]:
     """(J : [i,j|k,l]) for a non-edge {k,l}: the edge ideal of the graph with
     both endpoint neighborhoods completed, plus one monomial per simple
-    path from k to l per row assignment of its interior."""
+    path from k to l per row assignment of its interior; m = 2 only."""
+    if m != 2:
+        return [CheckResult("colon-nonedge", "skip", "needs m = 2", 0.0)]
     ring = RingSpec(m, G.n)
     J = binomial_edge_ideal(ring, G)
     out = []
@@ -200,7 +201,7 @@ def suite_witness(G: SimpleGraph, closed: ClosedStructure, m: int) -> list[Check
     J = binomial_edge_ideal(ring, G)
     out = []
     for cut in enumerate_cut_sets(G, closed):
-        T = _input_labels(closed, cut.vertices)
+        T = closed.input_labels(cut.vertices)
 
         def body(cut=cut, T=T):
             res = local_v_number(G, closed, cut, m)
@@ -210,9 +211,8 @@ def suite_witness(G: SimpleGraph, closed: ClosedStructure, m: int) -> list[Check
                 return False, f"degree {f.degree()} != predicted {res.value}"
             P = cut_set_prime(ring, G, cut.vertices)
             ok = verify_witness(J, f, P)
-            back = spec.relabel(closed.to_original)
-            g = witness_polynomial(ring, back.minor_blocks, back.isolated_vars)
-            shown = poly_to_text(g)
+            back = _to_original_result(closed, res).witness
+            shown = poly_to_text(witness_polynomial(ring, back.minor_blocks, back.isolated_vars))
             if len(shown) > 90:
                 shown = shown[:87] + "..."
             return ok, f"T={T} deg={res.value} ({res.status}) f={shown}"
@@ -221,19 +221,19 @@ def suite_witness(G: SimpleGraph, closed: ClosedStructure, m: int) -> list[Check
     return out
 
 
-def suite_brute_vs_formula(G: SimpleGraph, closed: ClosedStructure) -> list[CheckResult]:
-    """Exact oracle value equals the witness degree at every cut set, m=2."""
-    ring = RingSpec(2, G.n)
+def suite_brute_vs_formula(G: SimpleGraph, closed: ClosedStructure, m: int) -> list[CheckResult]:
+    """Exact oracle value equals the witness degree at every cut set."""
+    ring = RingSpec(m, G.n)
     out = []
     for cut in enumerate_cut_sets(G, closed):
-        T = _input_labels(closed, cut.vertices)
+        T = closed.input_labels(cut.vertices)
 
         def body(cut=cut, T=T):
-            expect = local_v_number(G, closed, cut, 2).value
+            res = local_v_number(G, closed, cut, m)
             got = brute_local_v(ring, G, cut.vertices)[0]
-            return got == expect, f"T={T}: oracle {got}, formula {expect}"
+            return got == res.value, f"T={T}: oracle {got}, formula {res.value} ({res.status})"
 
-        out.append(_run(f"brute-vs-formula[T={T}]", body))
+        out.append(_run(f"brute-vs-formula[m={m},T={T}]", body))
     return out
 
 
@@ -312,12 +312,12 @@ def suite_powers(
                 f = gk * w
                 want_deg = res.value + 2 * (k - 1)
                 if f.degree() != want_deg:
-                    T = _input_labels(closed, cut.vertices)
+                    T = closed.input_labels(cut.vertices)
                     return False, f"degree bookkeeping off at T={T}"
                 P = cut_set_prime(ring, G, cut.vertices)
                 I, h = (J, w) if chain else (powers[k], f)
                 if not verify_witness(I, h, P, budget):
-                    return False, f"witness fails at T={_input_labels(closed, cut.vertices)}"
+                    return False, f"witness fails at T={closed.input_labels(cut.vertices)}"
             return True, f"all {len(cuts)} cut sets"
 
         out.append(_run(f"power-witness[k={k}]", body_witness))
@@ -351,7 +351,7 @@ def suite_power_remark(
             f"via {found['via']}: {verdict}"
         )
 
-    return [_run(f"power-remark[m={m},k={k},T={_input_labels(closed, T)}]", body)]
+    return [_run(f"power-remark[m={m},k={k},T={closed.input_labels(T)}]", body)]
 
 
 #: the scopes whose claims are about a closed labeling
@@ -385,30 +385,28 @@ def run_suites(
     for s in want:
         if s in CLOSED_SCOPES and closed is None:
             results.append(CheckResult(s, "skip", "not a connected closed graph", 0.0))
+        elif s == "powers" and m != 2:
+            results.append(CheckResult(s, "skip", "needs m = 2", 0.0))
         elif s == "decomposition":
             results += suite_decomposition(G, m)
         elif s == "colon":
             results += suite_colon_variable(G, m)
-            if m == 2:
-                results += suite_colon_nonedge(G, 2)
+            results += suite_colon_nonedge(G, m)
         elif s == "quadratic-gb":
             results += suite_quadratic_gb(closed.graph, closed, m)
         elif s == "witness":
             results += suite_witness(closed.graph, closed, m)
         elif s == "brute-vs-formula":
-            results += suite_brute_vs_formula(closed.graph, closed)
+            results += suite_brute_vs_formula(closed.graph, closed, m)
         elif s == "powers":
             results += suite_powers(closed.graph, closed, k, power_budget)
         elif s == "power-remark":
             if cutset is None:
                 T = _default_probe_cutset(closed)
-            else:  # checked in the input labels, then renamed
-                cut = cut_set_from_vertices(G, cutset)
-                T = sorted(closed.order.index(v) + 1 for v in cut.vertices)
+            else:
+                T = closed.cut_set_from_input(cutset).vertices
             if T is None:
-                results.append(
-                    CheckResult("power-remark", "skip", "no nonempty cut set", 0.0)
-                )
+                results.append(CheckResult(s, "skip", "no nonempty cut set", 0.0))
             else:
                 results += suite_power_remark(closed.graph, closed, m, T, k, d_max, remark_budget)
         else:
@@ -419,8 +417,3 @@ def run_suites(
 def _default_probe_cutset(closed: ClosedStructure) -> Optional[tuple[int, ...]]:
     cuts = [c for c in enumerate_cut_sets(closed.graph, closed) if c.vertices]
     return cuts[0].vertices if cuts else None
-
-
-def _input_labels(closed: ClosedStructure, vertices: Iterable[int]) -> list[int]:
-    """Vertices of closed.graph in the input labels, sorted."""
-    return sorted(map(closed.to_original, vertices))

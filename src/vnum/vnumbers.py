@@ -378,20 +378,19 @@ def v_number(
     return _v_number_connected(G, m, oracle_n_limit)
 
 
-def _to_original_cut_set(closed: ClosedStructure, cut: CutSet) -> CutSet:
-    """A cut set of closed.graph in the input labels."""
-    back = closed.to_original
-    return CutSet(tuple(sorted(map(back, cut.vertices))))
-
-
 def _to_original_result(closed: ClosedStructure, res: VNumberResult) -> VNumberResult:
-    """An answer on closed.graph in the input labels: cut set and witness
-    mapped back, the regime marked '-relabeled' when the labels differ."""
+    """An answer on closed.graph in the input labels: cut set, witness and
+    anchor graph mapped back, the regime marked '-relabeled' when the
+    labels differ."""
     if closed.is_identity():
         return res
-    cut = _to_original_cut_set(closed, res.cut_set)
-    witness = res.witness.relabel(closed.to_original)
-    return VNumberResult(res.value, res.status, res.regime + "-relabeled", cut, witness)
+    back, L = closed.to_original, res.anchor_graph
+    if L is not None:
+        L = AnchorGraph(tuple(tuple(map(back, c)) for c in L.path_components),
+                        tuple(closed.input_labels(L.isolated)))
+    cut = CutSet(tuple(closed.input_labels(res.cut_set.vertices)))
+    return VNumberResult(res.value, res.status, res.regime + "-relabeled", cut,
+                         res.witness.relabel(back), anchor_graph=L)
 
 
 def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberResult:

@@ -216,6 +216,108 @@ def test_local_bad_cutset(capsys, p5_file):
     assert rc == 2 and "cut set" in err
 
 
+def _under(rec, label):
+    """An identity-labeled ``vnum local`` record with each vertex v renamed
+    label[v - 1]: vertex sets and minor columns sorted, paths in order."""
+    def sort(vs):
+        return sorted(label[v - 1] for v in vs)
+
+    def path(vs):
+        return [label[v - 1] for v in vs]
+
+    w = rec["witness"]
+    blocks, iso = [sort(b) for b in w["minor_blocks"]], sort(w["isolated_vars"])
+    out = dict(rec, regime=rec["regime"] + "-relabeled", cut_set=sort(rec["cut_set"]),
+               witness=dict(w, minor_blocks=blocks, isolated_vars=iso))
+    out["witness_terms"] = [f"det(rows 1..{len(b)}, cols {b})" for b in blocks]
+    out["witness_terms"] += [f"x[1,{v}]" for v in iso]
+    if "anchor_graph" in rec:
+        a = rec["anchor_graph"]
+        out["anchor_graph"] = {"paths": [path(c) for c in a["paths"]],
+                               "isolated": sort(a["isolated"]),
+                               "edges": [path(e) for e in a["edges"]]}
+        out["partition"] = dict(rec["partition"], slices=blocks, isolated=iso)
+    return out
+
+
+@pytest.mark.parametrize("m", ["2", "3"])
+def test_local_on_a_relabeled_path_answers_in_the_input_labels(capsys, p5_file,
+                                                               shuffled_p5_file, m):
+    # the input is the path 2-4-1-3-5, so P5's vertex v has the input label
+    # label[v - 1]; at every cut set its record is P5's under that labeling
+    label = (2, 4, 1, 3, 5)
+    P5 = path_graph(5)
+    cuts = enumerate_cut_sets(P5, find_closed_labeling(P5))
+    assert len(cuts) == 5
+    for cut in cuts:
+        shown = [str(label[v - 1]) for v in cut.vertices]
+        rc, out, _ = run(capsys, "local", p5_file, "--m", m, "--format", "structured",
+                         "--cutset", ",".join(map(str, cut.vertices)))
+        assert rc == 0
+        want = _under(json.loads(out), label)
+        rc, out, _ = run(capsys, "local", shuffled_p5_file, "--m", m,
+                         "--format", "structured", "--cutset", ",".join(shown))
+        assert rc == 0 and json.loads(out) == want, cut
+
+
+def test_local_table_on_a_relabeled_path(capsys, shuffled_p5_file):
+    # removing 4 and 3 from the path 2-4-1-3-5 leaves 2, 1 and 5; the
+    # blocks come in the order of the closed copy, 4 before 3
+    rc, out, _ = run(capsys, "local", shuffled_p5_file, "--cutset", "3,4")
+    assert rc == 0 and out.splitlines() == [
+        "cut set: [3, 4] (blocks [[4], [3]])",
+        "anchor paths: [[2, 1, 5]]",
+        "isolated: []",
+        "optimal partition slices: [[1, 2], [1, 5]]",
+        "local v-number: 4  [proved]",
+        "witness: det(rows 1..2, cols [1, 2]) * det(rows 1..2, cols [1, 5])",
+    ]
+
+
+@pytest.mark.parametrize("cutset,shown", [("9", "[9]"), ("0", "[0]"), ("2", "[2]"),
+                                          ("4,1", "[1, 4]")])
+def test_local_rejects_non_cut_sets_in_the_input_labels(capsys, shuffled_p5_file,
+                                                        cutset, shown):
+    # 9 and 0 are no vertices, 2 is an end of the path 2-4-1-3-5, and 4
+    # is no cut vertex once 1 is removed
+    rc, out, err = run(capsys, "local", shuffled_p5_file, "--cutset", cutset)
+    assert rc == 2 and out == "" and f"{shown} is not a cut set" in err
+
+
+@pytest.fixture
+def p4_file(tmp_path):
+    p = tmp_path / "p4.txt"
+    p.write_text(format_graph(path_graph(4)))
+    return str(p)
+
+
+def _checks(capsys, *argv):
+    rc, out, _ = run(capsys, "verify", *argv, "--format", "structured")
+    return rc, [(c["name"], c["status"], c["detail"]) for c in json.loads(out)["checks"]]
+
+
+def test_verify_brute_vs_formula_honours_m(capsys, p5_file):
+    # at m = 3 the anchor path 1-3-5 of T = {2, 4} is one slice, degree 3;
+    # at m = 2 it would be two slices, degree 4
+    rc, checks = _checks(capsys, p5_file, "--scope", "brute-vs-formula", "--m", "3")
+    assert rc == 0 and checks == [
+        (f"brute-vs-formula[m=3,T={T}]", "pass", f"T={T}: oracle {v}, formula {v} (proved)")
+        for T, v in (([], 3), ([2], 3), ([3], 2), ([4], 3), ([2, 4], 3))
+    ]
+
+
+@pytest.mark.parametrize("scope,ran", [("powers", []), ("colon", [1, 2, 3, 4])])
+def test_verify_m2_suites_skip_at_other_m(capsys, p4_file, scope, ran):
+    # the power suite and the non-edge colon suite check m = 2 claims; at
+    # m = 3 each says so in one skip record instead of running at m = 2
+    rc, checks = _checks(capsys, p4_file, "--scope", scope, "--m", "3")
+    skipped = "powers" if scope == "powers" else "colon-nonedge"
+    assert rc == 0 and [c[:2] for c in checks] == [
+        (f"colon-variable[m=3,j={j}]", "pass") for j in ran
+    ] + [(skipped, "skip")]
+    assert checks[-1][2] == "needs m = 2"
+
+
 def test_verify_all_p4(capsys, tmp_path):
     p = tmp_path / "p4.txt"
     p.write_text(format_graph(path_graph(4)))

@@ -36,7 +36,7 @@ from vnum.vnumbers import (
     PROVED,
     _assemble_anchor,
     _least_cut_set,
-    _to_original_cut_set,
+    _to_original_result,
     build_anchor_graph,
     classify_small_v,
     cm_v_formula,
@@ -412,40 +412,63 @@ def test_generic_cut_sets_equal_the_closed_route():
 
 
 def test_relabeled_cut_set_matches_the_generic_route():
-    # the -relabeled branch maps the closed structure's cut set back to the
-    # input labels with no graph search; vertices and component count must
-    # be the generic route's, for every cut set and for v_number's answer,
-    # and the mapped witness must pass verify_witness in the input labels
+    # the closed structure maps its cut sets to the input labels with no
+    # graph search: the vertices must be a cut set of the input by the
+    # generic test, and reading them back must give the cut set again.
+    # Local answers mapped by _to_original_result carry the anchor graph in
+    # the input labels, the identity twin's value at the mapped cut set and
+    # a witness that passes verify_witness in the input labels; so do
+    # v_number's answers
     rng = random.Random(12)
-    mapped = answers = witnessed = 0
+    mapped = locals_ = answers = witnessed = 0
+
+    def check_witness(ring, H, res):
+        w = res.witness
+        f = witness_polynomial(ring, w.minor_blocks, w.isolated_vars)
+        P = cut_set_prime(ring, H, res.cut_set.vertices)
+        assert f.degree() == res.value
+        return verify_witness(binomial_edge_ideal(ring, H), f, P)
+
     for n in range(3, 7):
-        for G, _ in closed_graphs(n):
+        for G, cs in closed_graphs(n):
             order = list(G.vertices())
             while order == sorted(order):
                 rng.shuffle(order)
-            H = G.relabel(order)
+            H = G.relabel(order)  # H's vertex k is G's vertex order[k-1]
             closed = find_closed_labeling(H)
             if closed.is_identity():
                 continue
+            place = {v: k for k, v in enumerate(closed.order, 1)}
             for cut in enumerate_cut_sets(closed.graph, closed):
-                got = _to_original_cut_set(closed, cut)
-                assert got == cut_set_from_vertices(H, got.vertices), (order, cut)
+                got = closed.input_labels(cut.vertices)
+                assert cut_set_from_vertices(H, got).vertices == tuple(got), (order, cut)
+                assert closed.cut_set_from_input(got) == cut
                 mapped += 1
+                for m in (2, 3):
+                    own = local_v_number(closed.graph, closed, cut, m)
+                    res = _to_original_result(closed, own)
+                    assert res.regime == own.regime + "-relabeled"
+                    assert res.cut_set.vertices == tuple(got)
+                    if cut.vertices:
+                        L, back = res.anchor_graph, own.anchor_graph
+                        assert set(L.vertices()) <= set(H.vertices())
+                        assert [[place[v] for v in c] for c in L.path_components] == [
+                            list(c) for c in back.path_components
+                        ]
+                        assert sorted(place[v] for v in L.isolated) == sorted(back.isolated)
+                    twin = [order[v - 1] for v in got]
+                    assert res.value == local_v_number(G, cs, twin, m).value, (order, cut, m)
+                    locals_ += 1
+                    assert check_witness(RingSpec(m, n), H, res), (order, cut, m)
+                    witnessed += 1
             for m in (2, 3):
                 res = v_number(H, m)
                 assert res.regime.endswith("-relabeled")
                 assert res.cut_set == cut_set_from_vertices(H, res.cut_set.vertices)
                 answers += 1
-                if m == 3 and n == 6:
-                    continue
-                ring = RingSpec(m, n)
-                w = res.witness
-                f = witness_polynomial(ring, w.minor_blocks, w.isolated_vars)
-                P = cut_set_prime(ring, H, res.cut_set.vertices)
-                assert f.degree() == res.value
-                assert verify_witness(binomial_edge_ideal(ring, H), f, P), (order, m)
+                assert check_witness(RingSpec(m, n), H, res), (order, m)
                 witnessed += 1
-    assert (mapped, answers, witnessed) == (183, 112, 71)
+    assert (mapped, locals_, answers, witnessed) == (183, 366, 112, 478)
 
 
 # -- classification -----------------------------------------------------------------
