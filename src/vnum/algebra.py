@@ -26,7 +26,10 @@ input is checked exactly at entry, an S-pair's lcm is checked before its
 S-polynomial is formed, and a term is checked before it is reduced.
 There, and on search_power_witness's rows, _nf finds the divisor of a
 term no larger in degree than every leading term by one lookup, not by
-the scan.  RingSpec.mono_degree stays exact for every input.
+the scan.  On the rows alone, a term one degree above the least leading
+term takes one lookup per variable of the term, and a row whose terms
+these lookups show to have no divisor is its own normal form and skips
+_nf.  RingSpec.mono_degree stays exact for every input.
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
@@ -43,7 +46,7 @@ covers the other primes by generators of P_T picked greedily, ties to
 the first, with fixed weights, and is linear if all are variables.  No
 choice reaches the output: reduced bases are unique, returned monic by
 descending leading term, so repeated runs produce byte-identical output.
-That lookup finds the scan's reducer (the first divisor by leading term),
+The lookups find the scan's reducer (the first divisor by leading term),
 so normal forms keep their terms and their order.
 """
 
@@ -395,12 +398,36 @@ def _prepare_reducers(basis: Sequence[dict]) -> list:
     return sorted((_reducer(g) for g in basis if g), key=_lead)
 
 
-def _lead_lookup(red: list, top_degree: int) -> Optional[list]:
-    """_nf's ``leads`` for terms of degree <= top_degree: the least lead degree
-    and each lead's first reducer; None from 255 up, where m % 255 is inexact."""
+def _lead_lookup(red: list, top_degree: int, *, one_up: bool = False) -> Optional[list]:
+    """_nf's ``leads`` for terms of degree <= top_degree: the least lead
+    degree, each lead's first reducer, and whether a term one degree above
+    the least takes _one_up's lookups or the scan; None from 255 up, where
+    m % 255 is inexact.  search_power_witness sets ``one_up``: its rows'
+    terms meet the whole reduced basis of J^k.  _buchberger leaves it off:
+    there the scan of such a term stops after a few reducers, fewer steps
+    than the lookups take."""
     if top_degree >= 255:
         return None
-    return [min((r[0] % 255 for r in red), default=255), {r[0]: r for r in reversed(red)}]
+    low = min((r[0] % 255 for r in red), default=255)
+    return [low, {r[0]: r for r in reversed(red)}, one_up]
+
+
+def _one_up(m: int, by_lead: dict) -> Optional[tuple]:
+    """The scan's reducer for a term m one degree above the least lead
+    degree: the first, by leading term, whose lead divides m, or None.
+
+    A dividing lead is then m itself or m / y for a variable y dividing m.
+    The lookups go from the largest y down, m last, so in increasing lead
+    order, and the first found is the scan's: ``by_lead`` keeps each lead's
+    first reducer, and the scan walks the reducers sorted by lead."""
+    rest = m
+    while rest:
+        y = 1 << ((rest.bit_length() - 1) & -_FIELD_BITS)  # the top field's unit
+        hit = by_lead.get(m - y)
+        if hit is not None:
+            return hit
+        rest &= y - 1
+    return by_lead.get(m)
 
 
 def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, leads=None) -> dict:
@@ -414,15 +441,19 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, le
 
     ``leads`` (_lead_lookup) replaces the scan by a lookup for a term m of
     degree at most every lead's: a divisor of m is never of larger degree,
-    and of equal degree only m itself.  Both read the degree as m % 255, so
-    only callers where it is exact pass them: _buchberger, by its degree
-    invariant (module docstring), and search_power_witness.
+    and of equal degree only m itself.  With its ``one_up`` set, a term one
+    degree above the least lead degree takes _one_up's lookups, one per
+    variable of m.  Both read the degree as m % 255, so only callers where
+    it is exact pass them: _buchberger, by its degree invariant (module
+    docstring), and search_power_witness, the one caller with ``one_up``.
     """
     if not f:
         return {}
     p = ring.p
     top = ring._top
-    low, by_lead = leads if leads is not None else (-1, None)
+    low, by_lead, one_up = leads if leads is not None else (-1, None, False)
+    up = low + 1 if one_up else -1
+    cap = 255 if max_degree is None else max_degree  # m % 255 never exceeds 254
     work = dict(f)
     out: dict = {}
     heap = [-m for m in work]
@@ -433,12 +464,13 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, le
         if not c:
             continue
         del work[m]
-        if max_degree is not None and m % 255 > max_degree:
-            raise BudgetExceededError(
-                f"normal form hit degree {m % 255} > budget {max_degree}"
-            )
-        if m % 255 <= low:
+        d = m % 255
+        if d > cap:
+            raise BudgetExceededError(f"normal form hit degree {d} > budget {max_degree}")
+        if d <= low:
             hit = by_lead.get(m)
+        elif d == up:
+            hit = _one_up(m, by_lead)
         else:
             hit = None
             mt = m | top
@@ -1240,6 +1272,27 @@ def brute_local_v(
     return w.degree(), w
 
 
+def _shifted_nf(ring: RingSpec, r: dict, x: int, red: list, leads: Optional[list]) -> dict:
+    """_nf of x * r for a monomial x, as search_power_witness shifts its rows.
+
+    A polynomial no term of which has a dividing lead is its own normal
+    form, with the same items in the same (descending, for r from _nf)
+    order.  The lookups of ``leads`` decide that for every term of degree
+    at most one above the least lead degree; a row with a term above that,
+    or with a term that has a divisor, goes through _nf.
+    """
+    row = {m + x: c for m, c in r.items()}
+    if leads is not None:
+        low, by_lead, _ = leads
+        for m in row:
+            d = m % 255
+            if d > low + 1 or (by_lead.get(m) if d <= low else _one_up(m, by_lead)):
+                break
+        else:
+            return row
+    return _nf(ring, row, red, None, leads)
+
+
 def search_power_witness(
     ring: RingSpec,
     G: SimpleGraph,
@@ -1264,7 +1317,12 @@ def search_power_witness(
     J^k is homogeneous, so its reduced basis is (Becker and Weispfenning,
     Groebner Bases, 1993): reduction keeps a term's degree, so a slice-d row
     has degree at most d + lift, lift the top degree of P_T's generators,
-    and takes _nf's lookup while that is below 255, where m % 255 is exact.
+    and takes _nf's lookups, the one-up lookup included, while that is
+    below 255, where m % 255 is exact.  NF(u' * g) is in normal form, so
+    x * NF(u' * g) often is too: _shifted_nf returns it as it is when the
+    lookups show that none of its terms has a dividing lead, and calls _nf
+    only for the other rows (a term with a divisor, or of a degree above
+    the lookups' reach, as at k = 1, where the leads have degree 2).
 
     A hit is a verified witness, so its degree is a certified upper bound
     and nothing more.  For k >= 2 no witness lies outside P_T (localize at
@@ -1285,15 +1343,12 @@ def search_power_witness(
     rows: dict = {}
     for d in range(d_max + 1):
         prev, rows, pivots = rows, {}, {}
-        leads = _lead_lookup(red, d + lift)
+        leads = _lead_lookup(red, d + lift, one_up=True)
         monos = {sum(c) for c in itertools.combinations_with_replacement(variables, d)}
         for u in sorted(monos, reverse=True):
             if d:
                 x = 1 << (u.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
-                rows[u] = [
-                    _nf(ring, {m + x: c for m, c in r.items()}, red, None, leads)
-                    for r in prev[u - x]
-                ]
+                rows[u] = [_shifted_nf(ring, r, x, red, leads) for r in prev[u - x]]
             else:
                 rows[u] = [_nf(ring, g.terms, red, None, leads) for g in P.gens]
             vec = {(gi, m): c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}

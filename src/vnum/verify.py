@@ -257,7 +257,9 @@ def suite_powers(
     A shifted witness g^{k-1} w goes through the peel chain: once the peels
     are proved, by either route, for j = 2..k,
     (J^k : g^{k-1} w) = ((J^k : g^{k-1}) : w) = (J : w), and w lies outside
-    P_T, so verify_witness(J, w, P_T) is decided by prime avoidance.  A k
+    P_T, so verify_witness(J, w, P_T) is decided by prime avoidance.  That
+    verdict does not depend on k, so, like the peels, it is decided once per
+    call, and each cut set's w, P_T and local v-number are built once.  A k
     with a failed peel checks (J^k : g^{k-1} w) = P_T directly.
     """
     if not closed.is_cm:
@@ -276,6 +278,22 @@ def suite_powers(
     @functools.cache
     def peel(j):
         return _colon_route(powers[j], g, powers[j - 1], budget)
+
+    @functools.cache
+    def bases():
+        """Per cut set: the cut, its local v-number, witness w and prime P_T."""
+        out = []
+        for cut in enumerate_cut_sets(G, closed):
+            res = local_v_number(G, closed, cut, 2)
+            spec = res.witness
+            w = witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars)
+            out.append((cut, res.value, w, cut_set_prime(ring, G, cut.vertices)))
+        return out
+
+    @functools.cache
+    def base_holds(i):
+        _, _, w, P = bases()[i]
+        return verify_witness(J, w, P, budget)
 
     for k in range(2, k_max + 1):
 
@@ -304,21 +322,14 @@ def suite_powers(
             for _ in range(k - 1):
                 gk = gk * g
             chain = all(peel(j) for j in range(2, k + 1))
-            cuts = enumerate_cut_sets(G, closed)
-            for cut in cuts:
-                res = local_v_number(G, closed, cut, 2)
-                spec = res.witness
-                w = witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars)
+            for i, (cut, value, w, P) in enumerate(bases()):
                 f = gk * w
-                want_deg = res.value + 2 * (k - 1)
-                if f.degree() != want_deg:
+                if f.degree() != value + 2 * (k - 1):
                     T = closed.input_labels(cut.vertices)
                     return False, f"degree bookkeeping off at T={T}"
-                P = cut_set_prime(ring, G, cut.vertices)
-                I, h = (J, w) if chain else (powers[k], f)
-                if not verify_witness(I, h, P, budget):
+                if not (base_holds(i) if chain else verify_witness(powers[k], f, P, budget)):
                     return False, f"witness fails at T={closed.input_labels(cut.vertices)}"
-            return True, f"all {len(cuts)} cut sets"
+            return True, f"all {len(bases())} cut sets"
 
         out.append(_run(f"power-witness[k={k}]", body_witness))
     return out

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import heapq
 import itertools
@@ -289,14 +290,18 @@ class CountingDict(dict):
 
 def test_lead_lookup_picks_the_scan_reducer():
     # a term of degree at most the least leading-term degree takes one
-    # lookup in place of the scan; on random monic reducers, homogeneous
-    # or of mixed lead degrees (tails never above their lead's degree, so
-    # no term outgrows the lookup), and terms below, at and above the
-    # least lead degree, including leads and their multiples, _nf must
-    # return the scan's items in the scan's order
+    # lookup in place of the scan, and with ``one_up`` a term one degree
+    # above it takes one per variable; on random monic reducers,
+    # homogeneous or of mixed lead degrees (tails never above their lead's
+    # degree, so no term outgrows the lookup), some with duplicate leads,
+    # and terms below, at, one and two above the least lead degree,
+    # including leads, their multiples (exponents >= 2 among them) and
+    # terms several leads divide, _nf must return the scan's items in the
+    # scan's order, with and without ``one_up``
     rng = random.Random(23)
     ring = RingSpec(2, 3)
     nv, p = ring.nvars, ring.p
+    x = [ring.var_mono(k) for k in range(nv)]
 
     def mono(deg):
         e = [0] * nv
@@ -304,44 +309,68 @@ def test_lead_lookup_picks_the_scan_reducer():
             e[rng.randrange(nv)] += 1
         return mono_from_exponents(e)
 
-    seen = {"below": 0, "at": 0, "above": 0, "homogeneous": 0, "mixed": 0}
-    lookups = 0
+    kinds = [
+        "below", "at", "above", "homogeneous", "mixed", "duplicate leads", "one up",
+        "one up, a lead equal to the term", "one up, two or more leads divide",
+        "one up, an exponent >= 2", "one up, mixed lead degrees",
+    ]
+    seen = collections.Counter(dict.fromkeys(kinds, 0))  # a kind never seen stays at 0
+    lookups = {False: 0, True: 0}  # the lookup's gets, without and with one_up
     for trial in range(400):
         homogeneous = trial % 2 == 0
         d0 = rng.randrange(1, 4)
-        basis = {}
+        basis = []
         for _ in range(rng.randrange(1, 9)):
             lt = mono(d0 if homogeneous else rng.randrange(1, 5))
             deg = ring.mono_degree(lt)
             tail = [mono(deg if homogeneous else rng.randrange(deg + 1)) for _ in range(3)]
-            basis.setdefault(lt, {lt: 1, **{t: rng.randrange(1, p) for t in tail if t < lt}})
-        red = _prepare_reducers(list(basis.values()))
-        low = min(ring.mono_degree(r[0]) for r in red)
+            basis.append({lt: 1, **{t: rng.randrange(1, p) for t in tail if t < lt}})
+        if trial % 4 < 2:  # a second reducer with the first one's lead
+            lt = max(basis[0])
+            tail = [mono(ring.mono_degree(lt)) for _ in range(3)]
+            basis.append({lt: 1, **{t: rng.randrange(1, p) for t in tail if t < lt}})
+        red = _prepare_reducers(basis)
+        leads = sorted({r[0] for r in red})
+        low = min(ring.mono_degree(lt) for lt in leads)
         terms = [mono(low + s) for s in (-1, 0, 0, 1, 1, 2) if low + s >= 0]
-        terms += rng.sample(list(basis), min(2, len(basis)))
-        terms += [lt + ring.var_mono(rng.randrange(nv)) for lt in rng.sample(list(basis), 1)]
+        terms += rng.sample(leads, min(2, len(leads)))
+        terms += [lt + rng.choice(x) for lt in rng.sample(leads, min(3, len(leads)))]
+        terms += [ring.mono_lcm(a, b) for a, b in itertools.combinations(leads, 2)]
         f = {t: rng.randrange(1, p) for t in terms}
-        leads = _lead_lookup(red, max(map(ring.mono_degree, f)))
-        leads[1] = CountingDict(leads[1])
-        assert list(_nf(ring, f, red, None, leads).items()) == list(scan_nf(ring, f, red).items())
-        lookups += getattr(leads[1], "hits", 0)
+        for one_up in (False, True):
+            lookup = _lead_lookup(red, max(map(ring.mono_degree, f)), one_up=one_up)
+            lookup[1] = CountingDict(lookup[1])
+            got = _nf(ring, f, red, None, lookup)
+            assert list(got.items()) == list(scan_nf(ring, f, red).items()), (trial, one_up)
+            lookups[one_up] += getattr(lookup[1], "hits", 0)
         seen["homogeneous" if homogeneous else "mixed"] += 1
+        seen["duplicate leads"] += len(leads) < len(red)
         for t in f:
             d = ring.mono_degree(t)
             seen["below" if d < low else "at" if d == low else "above"] += 1
-    assert min(seen.values()) > 100 and lookups > 400, (seen, lookups)
+            if d == low + 1:
+                dividing = [lt for lt in leads if ring.mono_divides(lt, t)]
+                seen["one up"] += 1
+                seen["one up, a lead equal to the term"] += t in leads
+                seen["one up, two or more leads divide"] += len(dividing) > 1
+                seen["one up, an exponent >= 2"] += max(ring.mono_exponents(t)) > 1
+                seen["one up, mixed lead degrees"] += not homogeneous and bool(dividing)
+    assert list(seen) == kinds and min(seen.values()) > 100, seen
+    # the same terms surface either way, so the surplus with one_up is _one_up's
+    assert lookups[False] > 400 and lookups[True] - lookups[False] > 2000, lookups
 
 
 def test_buchberger_keeps_its_lead_lookup_current(monkeypatch):
     # _buchberger updates its lookup as it adds elements; every normal form
-    # it takes must see the lookup built afresh from its reducers
+    # it takes must see the lookup built afresh from its reducers, and
+    # leave the terms one degree above the least lead degree to the scan
     import vnum.algebra as algebra
 
     checked = []
 
     def nf(ring, f, red, max_degree=None, leads=None):
         if max_degree is not None:
-            assert leads == _lead_lookup(red, 2 * max_degree)
+            assert leads == _lead_lookup(red, 2 * max_degree) and leads[2] is False
             checked.append(len(red))
         return _nf(ring, f, red, max_degree, leads)
 
@@ -358,8 +387,8 @@ def test_lead_lookup_is_exact_at_and_above_degree_255(monkeypatch):
     # m % 255 reads a term of degree 256 as 1, at most the least lead
     # degree 2 of I = (x[1,1]*x[1,2]); a lookup there would miss the lead
     # dividing it.  Ideal.contains keeps the scan, and a search_power_witness
-    # slice d builds its lookup for the top row degree d + 2, which gives
-    # none from 255 up
+    # slice d builds its lookup, with the one-up lookups, for the top row
+    # degree d + 2, which gives none from 255 up
     import vnum.algebra as algebra
 
     R = RingSpec(2, 3)
@@ -369,20 +398,22 @@ def test_lead_lookup_is_exact_at_and_above_degree_255(monkeypatch):
     assert R.mono_degree(term.lt()) == 256 and term.lt() % 255 == 1
     assert I.contains(term)
     red = I._reducers()
-    assert _lead_lookup(red, 254) == [2, {x[0] + x[1]: red[0]}]
+    assert _lead_lookup(red, 254) == [2, {x[0] + x[1]: red[0]}, False]
+    assert _lead_lookup(red, 254, one_up=True) == [2, {x[0] + x[1]: red[0]}, True]
     assert _lead_lookup(red, 255) is None
+    assert _lead_lookup(red, 255, one_up=True) is None
     assert _nf(R, term.terms, red, None, _lead_lookup(red, 256)) == {}
 
     tops = []
 
-    def spy(red, top_degree):
+    def spy(red, top_degree, **kwargs):
         if sys._getframe(1).f_code.co_name == "search_power_witness":
-            tops.append(top_degree)
-        return _lead_lookup(red, top_degree)
+            tops.append((top_degree, kwargs))
+        return _lead_lookup(red, top_degree, **kwargs)
 
     monkeypatch.setattr(algebra, "_lead_lookup", spy)
     assert search_power_witness(RingSpec(2, 4), path_graph(4), [2], 2, d_max=3) is None
-    assert tops == [2, 3, 4, 5]
+    assert tops == [(d, {"one_up": True}) for d in (2, 3, 4, 5)]
 
 
 def test_reduce_basis_of_redundant_groebner_basis(c4):
@@ -1144,6 +1175,69 @@ def test_search_power_witness_pinned(G, T, degree, text):
     res = search_power_witness(RingSpec(3, G.n), G, T, 2, d_max=4)
     assert res["degree"] == degree
     assert poly_to_text(res["witness"]) == text
+
+
+def minor3_text(a, b, c):
+    """poly_to_text of the top 3x3 minor on the columns a < b < c."""
+    terms = [((a, b, c), 1), ((a, c, b), 32002), ((b, a, c), 32002),
+             ((b, c, a), 1), ((c, a, b), 1), ((c, b, a), 32002)]
+    return " + ".join(
+        f"{s}*x[1,{i}]*x[2,{j}]*x[3,{k}]" for (i, j, k), s in terms
+    )
+
+
+#: the m = 3, k = 2 power-remark probes of the powers benchmark, at every
+#: singleton cut set of a closed graph with n = 3 or 4: (edges, T, degree
+#: found up to the shift bound 4, witness text)
+POWER_REMARK_PROBES = [
+    ([(1, 2), (2, 3)], [2], 3, minor3_text(1, 2, 3)),
+    ([(1, 2), (2, 3), (3, 4)], [2], 3, minor3_text(1, 2, 3)),
+    ([(1, 2), (2, 3), (3, 4)], [3], 3, minor3_text(2, 3, 4)),
+    ([(1, 2), (2, 3), (2, 4), (3, 4)], [2], 3, minor3_text(1, 2, 3)),
+    ([(1, 2), (1, 3), (2, 3), (3, 4)], [3], 3, minor3_text(1, 3, 4)),
+]
+
+
+def test_power_sweep_rows_are_normal_forms(monkeypatch):
+    # a row x * r that the lookups show to have no term with a divisor
+    # skips _nf; every row must still be the scanning reference's normal
+    # form of x * r, on the probes above (k = 2: rows at most one degree
+    # above the least lead degree) and on k = 1 sweeps, whose rows reach
+    # two degrees above it
+    import vnum.algebra as algebra
+
+    shifted, nf = algebra._shifted_nf, algebra._nf
+    rows = collections.Counter()
+
+    def spy(ring, r, x, red, leads):
+        row = {m + x: c for m, c in r.items()}
+        got = shifted(ring, r, x, red, leads)
+        assert list(got.items()) == list(scan_nf(ring, row, red).items())
+        rows["rows"] += 1
+        rows["two above"] += max((m % 255 for m in row), default=0) > leads[0] + 1
+        return got
+
+    def nf_spy(*args):
+        rows["through _nf"] += sys._getframe(1).f_code.co_name == "_shifted_nf"
+        return nf(*args)
+
+    monkeypatch.setattr(algebra, "_shifted_nf", spy)
+    monkeypatch.setattr(algebra, "_nf", nf_spy)
+    found = []
+    for n in (3, 4):
+        for G, closed in closed_graphs(n):
+            for cut in enumerate_cut_sets(G, closed):
+                if len(cut.vertices) == 1:
+                    res = search_power_witness(RingSpec(3, n), G, cut.vertices, 2, 4)
+                    found.append((sorted(G.edges), list(cut.vertices), res["degree"],
+                                  poly_to_text(res["witness"])))
+    assert found == POWER_REMARK_PROBES
+    assert rows["two above"] == 0 and 0 < rows["through _nf"] < rows["rows"] // 2, rows
+    # P5 at T = {3}: the minors of P_T are edges, so the rows stop one
+    # degree above; at T = {2} the minor on {3, 5} reaches two above
+    for m, T, degree in ((2, [3], 2), (3, [3], 2), (2, [2], 3)):
+        assert search_power_witness(RingSpec(m, 5), path_graph(5), T, 1, 3)["degree"] == degree
+    assert rows["two above"] > 300, rows
 
 
 def test_search_power_witness_rejects_rational_ring():

@@ -15,6 +15,7 @@ from vnum.algebra import (
     cut_set_prime,
     ideal_power,
     minor,
+    poly_to_text,
     verify_witness,
     witness_polynomial,
     _colon_route,
@@ -133,6 +134,46 @@ def test_power_suite_runs_no_tag_elimination(monkeypatch):
         for G, cs in cm_closed_graphs(n):
             for r in suite_powers(G, cs, 3):
                 assert r.status == "pass", (cs.cliques, r.name, r.detail)
+
+
+def test_power_suite_checks_each_base_witness_once(monkeypatch):
+    # with the peel chain proved, every k's shifted witness reduces to
+    # (J : w) = P_T, which does not depend on k: one verify_witness(J, w, P_T)
+    # per cut set and suite call; with the peels forced to fail, each k
+    # checks (J^k : g^(k-1) w) = P_T directly at every cut set
+    import vnum.verify
+
+    calls = []
+
+    def power(I):  # k for I = J^k
+        return 1 if I.lower_power is None else 1 + power(I.lower_power)
+
+    def spy(I, f, P, budget=vnum.algebra.ELIMINATION_BUDGET):
+        calls.append((power(I), tuple(sorted(poly_to_text(g) for g in P.gens))))
+        return verify_witness(I, f, P, budget)
+
+    monkeypatch.setattr(vnum.verify, "verify_witness", spy)
+    graphs_checked = 0
+    for n in (3, 4, 5):
+        for G, cs in cm_closed_graphs(n):
+            cuts = enumerate_cut_sets(G, cs)
+            calls.clear()
+            assert all(r.status == "pass" for r in suite_powers(G, cs, 3))
+            assert [c[0] for c in calls] == [1] * len(cuts), (cs.cliques, calls)
+            assert len({c[1] for c in calls}) == len(cuts)
+            graphs_checked += 1
+    assert graphs_checked == 14
+
+    monkeypatch.setattr(vnum.verify, "_colon_route", lambda *args: None)
+    G = path_graph(4)
+    cs = find_closed_labeling(G)
+    cuts = enumerate_cut_sets(G, cs)
+    calls.clear()
+    res = {r.name: r.status for r in suite_powers(G, cs, 3)}
+    assert res["power-colon[k=2]"] == res["power-colon[k=3]"] == "fail"
+    assert res["power-witness[k=2]"] == res["power-witness[k=3]"] == "pass"
+    assert [c[0] for c in calls] == [2] * len(cuts) + [3] * len(cuts)
+    assert len({c[1] for c in calls}) == len(cuts)
 
 
 def test_decomposition_sweep_pair_count(monkeypatch):
