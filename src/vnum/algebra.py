@@ -15,9 +15,10 @@ divisibility, lcm and gcd use the usual SWAR borrow trick, which is valid
 as long as every exponent stays below 128 (the degree budget enforces
 this long before it could overflow).  With ``top`` the mask of every
 field's high bit, a divides b exactly when ((b | top) - a) & top == top.
-The hot loops (the reducer scan of _nf, both scans of _gm_update and the
-leading-term check of _reduce_basis) inline that test with b | top formed
-once per term, and _gm_update inlines the lcm; the RingSpec methods serve
+The hot loops (the reducer scan of _nf, the criterion-M scan of
+_gm_update, the chain test of _chain_drops and the leading-term check of
+_reduce_basis) inline that test with b | top formed once per term, and
+_gm_update and _chain_drops inline the lcm; the RingSpec methods serve
 the cold callers.  Inside _buchberger the total degree of a packed
 monomial is m % 255: as 256 = 1 (mod 255) this is the byte sum, exact
 while the degree is below 255.  Every monomial a run sees has degree at
@@ -35,7 +36,8 @@ Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
 without the tag t (x-degree); the Gebauer-Moeller update walks the new
 candidates by (lcm, index), which puts every divisor first and keeps the
-smallest index among equal lcms.  A tag elimination opens with the cached
+smallest index among equal lcms; the chain criterion is tested at pop.
+A tag elimination opens with the cached
 reduced basis of its first ideal in its stored order and pairs no element
 of it with a t-free one (quiet pairs).  The basis of a power from
 ideal_power skips the pairs of products that share a factor; the factor
@@ -521,11 +523,10 @@ def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
     return out
 
 
-def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, treated=()):
-    """Gebauer-Moeller pair update for the element just appended at new_idx.
-
-    ``pairs`` maps alive (i, j) -> lcm; ``heap`` holds
-    (lcm degree, lcm, i, j) entries, dead ones skipped lazily at pop.
+def _gm_update(ring, lts: list, heap: list, new_idx: int, mask=-1, treated=()):
+    """Gebauer-Moeller pair update for the element just appended at new_idx:
+    push its pairs that criterion M keeps onto ``heap`` as (lcm degree, lcm,
+    i, j) entries; the chain criterion runs at pop (_chain_drops).
     Called by _buchberger only: lcm degrees are read as (l & mask) % 255,
     the degree in the fields ``mask`` keeps (all of them by default).
     Pairs of the new element with an index in ``treated`` are
@@ -541,7 +542,6 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
     # index) meets it first, and among equal lcms the smallest index survives.
     # Coprime and treated lcms stay dominators, but their pairs are dropped.
     kept: list[int] = []
-    new_pairs = []
     for l, g in sorted(zip(lcms, range(new_idx))):
         lt_ = l | top
         for k in kept:
@@ -549,20 +549,23 @@ def _gm_update(ring, lts: list, pairs: dict, heap: list, new_idx: int, mask=-1, 
                 break
         else:
             kept.append(l)
-            if lts[g] + lt_h != l:
-                new_pairs.append((l, g))
-    # prune old pairs via the chain criterion
-    for (i, j), l in list(pairs.items()):
-        if (
-            ((l | top) - lt_h) & top == top
-            and lcms[i] != l
-            and lcms[j] != l
+            if lts[g] + lt_h != l and g not in treated:
+                heapq.heappush(heap, ((l & mask) % 255, l, g, new_idx))
+
+
+def _chain_drops(top: int, lts: list, i: int, j: int, l: int) -> bool:
+    """Gebauer-Moeller chain criterion for the popped pair (i, j), lcm l:
+    some h born after j, so in an update the pair was queued through, has
+    lt_h | l, and lcm(lt_i, lt_h) and lcm(lt_j, lt_h) both differ from l."""
+    low = (top >> 7) * 0x7F
+    l_, a, b = l | top, lts[i] | top, lts[j] | top
+    for h in lts[j + 1:]:
+        if (l_ - h) & top == top and (
+            h + ((d := a - h) & ((d & top) >> 7) * 0xFF & low) != l
+            and h + ((d := b - h) & ((d & top) >> 7) * 0xFF & low) != l
         ):
-            del pairs[(i, j)]
-    for l, g in new_pairs:
-        if g not in treated:
-            pairs[(g, new_idx)] = l
-            heapq.heappush(heap, ((l & mask) % 255, l, g, new_idx))
+            return True
+    return False
 
 
 def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None, *, born=False) -> list:
@@ -663,8 +666,8 @@ def _buchberger(
 
     ``stop`` is brute_local_v's truncated elimination on a _TagRing: pairs
     are then ordered by the x-degree of their lcm (the tag t of weight 0;
-    the budget still reads total degree), and ``stop(basis)`` is called
-    before the first pair of each new x-degree and once at the end.
+    the budget still reads total degree), and ``stop(basis)`` is called at
+    the end and before each new x-degree's first pair _chain_drops keeps.
     """
     mask = -1 if stop is None else ring.tag - 1
     for g in itertools.chain(known, gens):
@@ -677,7 +680,6 @@ def _buchberger(
     lts: list[int] = [max(g) for g in basis]
     red: list = _prepare_reducers(basis)
     leads = _lead_lookup(red, 2 * budget.max_degree)
-    pairs: dict = {}
     heap: list = []
     owners: dict = {}  # factor index -> basis indices of the products with it
 
@@ -695,7 +697,7 @@ def _buchberger(
             treated = {i for a in shared for i in owners.get(a, ())}
             for a in shared:
                 owners.setdefault(a, []).append(new)
-        _gm_update(ring, lts, pairs, heap, new, mask, treated)
+        _gm_update(ring, lts, heap, new, mask, treated)
 
     seeds = zip(gens, factors if factors is not None else itertools.repeat(()))
     for g, shared in sorted(
@@ -708,13 +710,12 @@ def _buchberger(
     closed = -1
     while heap:
         deg_l, l, i, j = heapq.heappop(heap)
-        if pairs.get((i, j)) != l:
+        if _chain_drops(ring._top, lts, i, j, l):
             continue
         if stop is not None and deg_l > closed:
             closed, found = deg_l, stop(basis)
             if found is not None:
                 return found
-        del pairs[(i, j)]
         if l % 255 > budget.max_degree:
             raise BudgetExceededError(
                 f"S-pair lcm degree {l % 255} > budget {budget.max_degree}"

@@ -144,9 +144,7 @@ def _nonedge_dagger(G: SimpleGraph, k: int, l: int) -> SimpleGraph:
 def suite_colon_nonedge(G: SimpleGraph, m: int = 2) -> list[CheckResult]:
     """(J : [i,j|k,l]) for a non-edge {k,l}: the edge ideal of the graph with
     both endpoint neighborhoods completed, plus one monomial per simple
-    path from k to l per row assignment of its interior; m = 2 only."""
-    if m != 2:
-        return [CheckResult("colon-nonedge", "skip", "needs m = 2", 0.0)]
+    path from k to l per row assignment of its interior, at every m."""
     ring = RingSpec(m, G.n)
     J = binomial_edge_ideal(ring, G)
     out = []

@@ -109,14 +109,10 @@ def test_criterion_05_colon_identities():
     for n in range(2, 6):
         for G in connected_graphs_up_to_iso(n):
             for m in (2, 3):
-                for r in suite_colon_variable(G, m):
+                for r in suite_colon_variable(G, m) + suite_colon_nonedge(G, m):
                     checks += 1
                     if r.status != "pass":
                         bad.append(r.name)
-            for r in suite_colon_nonedge(G, 2):
-                checks += 1
-                if r.status != "pass":
-                    bad.append(r.name)
     report(5, not bad, t0, 600.0, f"colon identities, {checks} checks over n<=5, m in {{2,3}}")
 
 

@@ -44,6 +44,7 @@ from vnum.algebra import (
     witness_polynomial,
     _MAX_EXPONENT,
     _buchberger,
+    _chain_drops,
     _gm_update,
     _lead_lookup,
     _minimal_monomials,
@@ -477,8 +478,10 @@ def test_birth_reduced_interreduction_matches_the_full_pass(monkeypatch, c4):
 
 def degree_first_gm_update(ring, lts, pairs, heap, new_idx, mask=-1, treated=()):
     """The Gebauer-Moeller update walking its candidates by (lcm degree,
-    lcm, index), as _gm_update did before it walked them by (lcm, index):
-    the reference for the test below."""
+    lcm, index), with the alive pairs in ``pairs`` and the chain criterion
+    as a scan of them at each update, as _gm_update did before it walked
+    by (lcm, index) and left the chain criterion to the pop: the reference
+    for the test below."""
     top = ring._top
     low = (top >> 7) * 0x7F
     lt_h = lts[new_idx]
@@ -508,34 +511,52 @@ def degree_first_gm_update(ring, lts, pairs, heap, new_idx, mask=-1, treated=())
 
 
 def test_pair_update_matches_the_degree_first_walk():
-    # walking the candidates by packed value keeps the same lcms, the same
-    # smallest index among equal ones, and so the same pairs and heap
-    # entries, with or without the tag mask and treated indices; pops
-    # between updates stand in for _buchberger's
+    # _gm_update's heap, filtered at each pop by _chain_drops, pops the
+    # reference's alive pairs in the same order: the same lcms, the same
+    # smallest index among equal ones and the same chain deletions, with
+    # or without the tag mask and treated indices; pops between updates
+    # stand in for _buchberger's, and each trial ends by draining both
     rng = random.Random(22)
     ring = RingSpec(2, 3).extended()
-    equal_lcms = treated_hits = 0
+    equal_lcms = treated_hits = chain_drops = 0
+
+    def pop(lts, heap, ref_pairs, ref_heap):
+        nonlocal chain_drops
+        got = want = None
+        while heap and got is None:
+            entry = heapq.heappop(heap)
+            if _chain_drops(ring._top, lts, entry[2], entry[3], entry[1]):
+                chain_drops += 1
+            else:
+                got = entry
+        while ref_heap and want is None:
+            entry = heapq.heappop(ref_heap)
+            if ref_pairs.pop(entry[2:], None) == entry[1]:
+                want = entry
+        return got, want
+
     for trial in range(300):
         mask = -1 if trial % 2 else ring.tag - 1
-        lts = []
-        state = [({}, []), ({}, [])]
+        lts, heap, ref_pairs, ref_heap = [], [], {}, []
         for new_idx in range(rng.randrange(2, 14)):
             lts.append(sum(rng.choice((0, 0, 1, 2)) << (8 * v) for v in range(ring.nvars)))
             treated = set(rng.sample(range(new_idx), rng.randrange(new_idx + 1)))
-            _gm_update(ring, lts, *state[0], new_idx, mask, treated)
-            degree_first_gm_update(ring, lts, *state[1], new_idx, mask, treated)
-            (pairs, heap), (ref_pairs, ref_heap) = state
-            assert pairs == ref_pairs and sorted(heap) == sorted(ref_heap), (trial, new_idx)
+            _gm_update(ring, lts, heap, new_idx, mask, treated)
+            degree_first_gm_update(ring, lts, ref_pairs, ref_heap, new_idx, mask, treated)
+            untreated: list = []
+            _gm_update(ring, lts, untreated, new_idx, mask)
+            treated_hits += any(e[2] in treated for e in untreated)
             lcms = [ring.mono_lcm(a, lts[-1]) for a in lts[:-1]]
             equal_lcms += len(set(lcms)) < len(lcms)
-            treated_hits += any((g, new_idx) not in pairs for g in treated)
             for _ in range(rng.randrange(3)):
-                if heap:
-                    entry = heapq.heappop(heap)
-                    assert entry == heapq.heappop(ref_heap)
-                    if pairs.get(entry[2:]) == entry[1]:
-                        del pairs[entry[2:]], ref_pairs[entry[2:]]
-    assert equal_lcms > 100 and treated_hits > 100, (equal_lcms, treated_hits)
+                got, want = pop(lts, heap, ref_pairs, ref_heap)
+                assert got == want, (trial, new_idx)
+        while heap or ref_heap:
+            got, want = pop(lts, heap, ref_pairs, ref_heap)
+            assert got == want, trial
+    assert equal_lcms > 100 and treated_hits > 100 and chain_drops > 100, (
+        equal_lcms, treated_hits, chain_drops
+    )
 
 
 def test_budget_rejects_degree_above_exponent_cap():

@@ -1,4 +1,6 @@
+import collections
 import json
+import random
 
 import pytest
 
@@ -308,14 +310,17 @@ def test_verify_brute_vs_formula_honours_m(capsys, p5_file):
 
 @pytest.mark.parametrize("scope,ran", [("powers", []), ("colon", [1, 2, 3, 4])])
 def test_verify_m2_suites_skip_at_other_m(capsys, p4_file, scope, ran):
-    # the power suite and the non-edge colon suite check m = 2 claims; at
-    # m = 3 each says so in one skip record instead of running at m = 2
+    # the power suite checks m = 2 claims; at m = 3 it says so in one skip
+    # record instead of running at m = 2.  Both colon suites run at m = 3,
+    # the non-edge one at P4's non-edges
     rc, checks = _checks(capsys, p4_file, "--scope", scope, "--m", "3")
-    skipped = "powers" if scope == "powers" else "colon-nonedge"
+    tail = [("powers", "skip")] if scope == "powers" else [
+        (f"colon-nonedge[m=3,({k},{l})]", "pass") for k, l in ((1, 3), (1, 4), (2, 4))
+    ]
     assert rc == 0 and [c[:2] for c in checks] == [
         (f"colon-variable[m=3,j={j}]", "pass") for j in ran
-    ] + [(skipped, "skip")]
-    assert checks[-1][2] == "needs m = 2"
+    ] + tail
+    assert scope != "powers" or checks[-1][2] == "needs m = 2"
 
 
 def test_verify_all_p4(capsys, tmp_path):
@@ -621,3 +626,89 @@ def test_m_rejects_values_below_two(capsys, p5_file, argv):
         main([p5_file if a is None else a for a in argv] + ["--m", "1"])
     assert exc.value.code == 2
     assert "--m: must be >= 2" in capsys.readouterr().err
+
+
+def _fuzz_graph_text(rng):
+    """A graph file with n <= 5: well-formed, or broken in one of many ways."""
+    n = rng.randint(1, 5)
+    edges = [[u, v] for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.6]
+    broken = rng.random() < 0.4
+    if broken and rng.random() < 0.4:  # a loop, an endpoint out of range, a float or a string
+        edges.append(rng.choice([[1, 1], [0, 1], [1, n + 1], [-1, 2], [1.5, 2], ["1", 2]]))
+    bad_n = rng.choice([0, -1, "5", 2.0, True, None]) if broken and rng.random() < 0.3 else n
+    if rng.random() < 0.3:
+        obj = {"n": bad_n, "edges": edges}
+        if broken:
+            obj = rng.choice([obj, [obj], {"n": n}, {"edges": edges}, {"n": n, "edges": [edges]},
+                              {"n": n, "edges": 7}, {"n": n, "edges": [[1, 2, 3]]}])
+        text = json.dumps(obj)
+        return rng.choice([text, text[:-1], text + "x"]) if broken else text
+    lines = [f"n {bad_n}"] + [f"e {u} {v}" for u, v in edges]
+    if broken and rng.random() < 0.5:  # a line that is not 'n <count>' or 'e <u> <v>'
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(
+            ["e 1", "e 1 2 3", "1 2", "n 3", "x", "e a b", "n", "e 1 2"]))
+    return "\n".join(lines) + rng.choice(["\n", "", "\n# comment\n"])
+
+
+#: the flags of each subcommand, and random values for each flag: valid
+#: ones, then invalid ones
+_FUZZ_FLAGS = {
+    "check-closed": ("--format",),
+    "vnumber": ("--m", "--format", "--k", "--oracle", "--budget-n"),
+    "local": ("--m", "--format", "--cutset"),
+    "verify": ("--m", "--format", "--scope", "--k", "--cutset", "--dmax", "--budget-pairs"),
+    "survey": ("--m", "--format", "--n-max", "--oracle"),
+}
+_FUZZ_VALUES = {
+    "--m": (["2", "2", "3"], ["1", "x"]),
+    "--format": (["table", "structured"], ["xml"]),
+    "--k": (["1", "2", "3", "4"], ["0", "x"]),
+    "--oracle": None,
+    "--budget-n": (["1", "4", "6"], ["0", "x"]),
+    "--cutset": (["", "1", "2", "3", "2,3", "3,2", "2,4"], ["0", "9", "a", "1,,2"]),
+    "--scope": (["all", "decomposition", "colon", "quadratic-gb", "witness",
+                 "brute-vs-formula", "powers", "power-remark"], ["nope"]),
+    "--dmax": (["1", "3", "5"], ["0", "x"]),
+    "--budget-pairs": (["1", "5", "50"], ["0", "x"]),
+    "--n-max": (["2", "3", "4"], ["1", "x"]),
+}
+
+
+def _fuzz_argv(rng, path):
+    """One vnum call on ``path``: a random subcommand, mostly with its own
+    flags, mostly at valid values."""
+    command = rng.choice(sorted(_FUZZ_FLAGS)) if rng.random() < 0.97 else "bogus"
+    argv = [command] if command == "survey" else [command, path]
+    own = _FUZZ_FLAGS.get(command, ())
+    flags = [f for f in ("--n-max", "--cutset") if f in own and rng.random() < 0.9]
+    flags += [rng.choice(own if own and rng.random() < 0.9 else sorted(_FUZZ_VALUES))
+              for _ in range(rng.randint(0, 3))]
+    for flag in flags:
+        argv.append(flag)
+        if _FUZZ_VALUES[flag] is not None:
+            argv.append(rng.choice(_FUZZ_VALUES[flag][rng.random() < 0.15]))
+    return argv
+
+
+def test_exit_code_contract_under_fuzzing(capsys, tmp_path):
+    # every call ends in a documented exit code, 0, 2 (input, including
+    # argparse's rejections), 3 (budget) or 4 (verification), never in a
+    # traceback: malformed files, every subcommand, random flag values.
+    # Both floors keep the calls from being all rejections or all answers
+    rng = random.Random(26)
+    codes = collections.Counter()
+    for call in range(300):
+        path = tmp_path / f"g{call}.txt"
+        if rng.random() < 0.05:  # a missing file, or a directory
+            path = rng.choice([tmp_path / "missing.txt", tmp_path])
+        else:
+            path.write_text(_fuzz_graph_text(rng))
+        argv = _fuzz_argv(rng, str(path))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        capsys.readouterr()
+        assert rc in (0, 2, 3, 4), (call, argv)
+        codes[rc] += 1
+    assert codes[0] > 60 and codes[2] > 60, codes
