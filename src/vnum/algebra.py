@@ -18,7 +18,7 @@ field's high bit, a divides b exactly when ((b | top) - a) & top == top.
 The hot loops (the reducer scan of _nf, the criterion-M scan of
 _gm_update, the chain test of _chain_drops and the leading-term check of
 _reduce_basis) inline that test with b | top formed once per term, and
-_gm_update and _chain_drops inline the lcm; the RingSpec methods serve
+_chain_drops the lcm, _gm_update lcm(a, b) / b; the RingSpec methods serve
 the cold callers.  Inside _buchberger the total degree of a packed
 monomial is m % 255: as 256 = 1 (mod 255) this is the byte sum, exact
 while the degree is below 255.  Every monomial a run sees has degree at
@@ -35,8 +35,8 @@ _nf.  RingSpec.mono_degree stays exact for every input.
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
 without the tag t (x-degree); the Gebauer-Moeller update walks the new
-candidates by (lcm, index), which puts every divisor first and keeps the
-smallest index among equal lcms; the chain criterion is tested at pop.
+candidates by (lcm / lt, index), which puts every divisor first and keeps
+the smallest index among equal lcms; the chain criterion is tested at pop.
 A tag elimination opens with the cached
 reduced basis of its first ideal in its stored order and pairs no element
 of it with a t-free one (quiet pairs).  The basis of a power from
@@ -531,26 +531,34 @@ def _gm_update(ring, lts: list, heap: list, new_idx: int, mask=-1, treated=()):
     the degree in the fields ``mask`` keeps (all of them by default).
     Pairs of the new element with an index in ``treated`` are
     _buchberger's treated pairs: never queued, like B1's coprime pairs.
+    Criterion M compares the quotients q_g = lcm(lt_g, lt_h) / lt_h: a zero
+    one leaves only its pair; the first of each degree-1 one, a variable, is
+    kept and drops by one AND every quotient it divides; the rest are walked
+    by (q, index), which meets every divisor first.  Coprime (q_g = lt_g) and
+    treated quotients stay dominators, but their pairs are not queued.
     """
     top = ring._top
-    low = (top >> 7) * 0x7F
     lt_h = lts[new_idx]
-    lcms = [lt_h + ((d := (a | top) - lt_h) & ((d & top) >> 7) * 0xFF & low)
-            for a in lts[:new_idx]]
-    # criterion M: keep an lcm only if no kept lcm divides it; a divisor is
-    # never larger than its multiple as a packed value, so walking by (lcm,
-    # index) meets it first, and among equal lcms the smallest index survives.
-    # Coprime and treated lcms stay dominators, but their pairs are dropped.
-    kept: list[int] = []
-    for l, g in sorted(zip(lcms, range(new_idx))):
-        lt_ = l | top
-        for k in kept:
-            if (lt_ - k) & top == top:
-                break
-        else:
-            kept.append(l)
-            if lts[g] + lt_h != l and g not in treated:
-                heapq.heappush(heap, ((l & mask) % 255, l, g, new_idx))
+    qs = [(d := (a | top) - lt_h) & ((d & top) >> 7) * 0x7F for a in lts[:new_idx]]
+    if 0 in qs:
+        pairs = [(0, qs.index(0))]
+    else:
+        first = dict(reversed([(q, g) for g, q in enumerate(qs) if q % 255 == 1]))
+        ones = sum(first) * 0x7F  # the fields of these distinct variables
+        pairs = list(first.items())
+        kept: list[int] = []
+        for q, g in sorted((q, g) for g, q in enumerate(qs) if not q & ones):
+            q_ = q | top
+            for k in kept:
+                if (q_ - k) & top == top:
+                    break
+            else:
+                kept.append(q)
+                pairs.append((q, g))
+    for q, g in pairs:
+        if lts[g] != q and g not in treated:
+            l = lt_h + q
+            heapq.heappush(heap, ((l & mask) % 255, l, g, new_idx))
 
 
 def _chain_drops(top: int, lts: list, i: int, j: int, l: int) -> bool:
@@ -846,8 +854,16 @@ def binomial_edge_ideal(ring: RingSpec, G: SimpleGraph) -> Ideal:
         raise GraphInputError(
             f"ring has {ring.n} columns but the graph has {G.n} vertices"
         )
-    rows = itertools.combinations(range(1, ring.m + 1), 2)
-    return Ideal(ring, [minor(ring, r, e) for r in rows for e in G.edge_list()])
+    return Ideal(ring, _minors(ring, G.edge_list()))
+
+
+def _minors(ring: RingSpec, cols: Sequence[tuple[int, int]]) -> list[Polynomial]:
+    """minor() over the row pairs (outer) and the column pairs a < b of ``cols``
+    (inner), from packed variables: each is monic, its leading term first."""
+    one, neg, n, width = ring.coeff(1), ring.coeff(-1), ring.n, _FIELD_BITS * ring.nvars
+    rows = [[1 << width - _FIELD_BITS * (i * n + a) for a in range(n + 1)] for i in range(ring.m)]
+    return [Polynomial(ring, {x[a] + y[b]: one, x[b] + y[a]: neg})
+            for x, y in itertools.combinations(rows, 2) for a, b in cols]
 
 
 def cut_set_prime(ring: RingSpec, G: SimpleGraph, T: Iterable[int]) -> Ideal:
@@ -860,17 +876,13 @@ def cut_set_prime(ring: RingSpec, G: SimpleGraph, T: Iterable[int]) -> Ideal:
     fact), with leading terms that no variable over T divides.  The cached
     basis is set directly; tests cross-check it against Buchberger.
     """
+    if ring.n != G.n:
+        raise GraphInputError(f"ring has {ring.n} columns but the graph has {G.n} vertices")
     Tset = sorted(set(T))
-    gens: list[Polynomial] = []
-    for j in Tset:
-        for i in range(1, ring.m + 1):
-            gens.append(Polynomial.variable(ring, i, j))
-    rows = list(itertools.combinations(range(1, ring.m + 1), 2))
+    gens = [Polynomial.variable(ring, i, j) for j in Tset for i in range(1, ring.m + 1)]
     for comp in G.components(frozenset(Tset)):
-        pairs = list(itertools.combinations(sorted(comp), 2))
-        gens.extend(minor(ring, r, c) for r in rows for c in pairs)
-    gb = sorted((g.monic() for g in gens), key=lambda g: -g.lt())
-    return Ideal(ring, gens, _gb=tuple(gb))
+        gens.extend(_minors(ring, list(itertools.combinations(sorted(comp), 2))))
+    return Ideal(ring, gens, _gb=tuple(sorted(gens, key=lambda g: -g.lt())))
 
 
 def witness_polynomial(

@@ -449,9 +449,10 @@ def enumerate_cut_sets(
 
     With the ClosedStructure of G the list is generated directly from the
     connected cut sets W_i under the gap condition
-    max(W_{j_i}) + 1 < min(W_{j_{i+1}}).  Otherwise every vertex subset is
-    filtered, as a mask, through is_cut_set's test, which is exponential
-    and therefore capped at ``max_generic_n`` vertices.
+    max(W_{j_i}) + 1 < min(W_{j_{i+1}}).  Otherwise each subset of the
+    non-simplicial vertices (one whose neighbours are pairwise adjacent
+    touches at most one component of G - T) is filtered, as a mask, through
+    is_cut_set's test, exponential and so capped at ``max_generic_n`` vertices.
     """
     if closed is not None:
         _check_own_structure(G, closed)
@@ -477,7 +478,9 @@ def enumerate_cut_sets(
         raise InstanceTooLargeError(
             f"generic cut-set enumeration needs n <= {max_generic_n}, got {G.n}"
         )
-    subsets = (T for size in range(G.n + 1) for T in itertools.combinations(G.vertices(), size))
+    inner = [u for u in G.vertices()
+             if any(G._mask[u] & ~(1 << w) & ~G._mask[w] for w in _bits(G._mask[u]))]
+    subsets = (T for size in range(len(inner) + 1) for T in itertools.combinations(inner, size))
     return [CutSet(T) for T in subsets if _is_cut_mask(G, sum(1 << v for v in T))]
 
 

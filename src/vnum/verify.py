@@ -349,8 +349,13 @@ def suite_power_remark(
         rep = probe_power_shift(closed, m, tuple(T), k, d_max, budget)
         found = rep["witness_found"]
         if found is None:
-            cap = d_max if d_max is not None else rep["upper_bound"]
-            return False, f"no witness found up to degree {cap}"
+            upper = rep["upper_bound"]
+            if d_max is not None and d_max < upper:  # reported as budget by _run
+                raise BudgetExceededError(
+                    f"no witness up to degree {d_max}, below the upper bound {upper}; "
+                    "a miss under a cap proves nothing"
+                )
+            return False, f"no witness found up to degree {upper if d_max is None else d_max}"
         verdict = (
             "shift formula fails" if rep.get("shift_formula_fails") else "shift attained"
         )

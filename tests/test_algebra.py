@@ -111,6 +111,55 @@ def test_edge_ideal_generator_counts():
         binomial_edge_ideal(R, path_graph(4))
 
 
+def minor_binomial_edge_ideal(ring, G) -> Ideal:
+    """binomial_edge_ideal through minor(): the reference for the test below."""
+    rows = itertools.combinations(range(1, ring.m + 1), 2)
+    return Ideal(ring, [minor(ring, r, e) for r in rows for e in G.edge_list()])
+
+
+def minor_cut_set_prime(ring, G, T) -> Ideal:
+    """cut_set_prime through minor() and monic copies: the reference for
+    the test below."""
+    Tset = sorted(set(T))
+    gens = [Polynomial.variable(ring, i, j) for j in Tset for i in range(1, ring.m + 1)]
+    rows = list(itertools.combinations(range(1, ring.m + 1), 2))
+    for comp in G.components(frozenset(Tset)):
+        pairs = list(itertools.combinations(sorted(comp), 2))
+        gens.extend(minor(ring, r, c) for r in rows for c in pairs)
+    gb = sorted((g.monic() for g in gens), key=lambda g: -g.lt())
+    return Ideal(ring, gens, _gb=tuple(gb))
+
+
+def test_packed_constructors_match_the_minor_route():
+    # the same generators term for term, in the same order and with the
+    # same coefficient types, and the same cached basis, at every cut set
+    # of every connected graph with n <= 5 at m = 2, 3, 4, and over Q
+    def terms(polys):
+        return None if polys is None else [
+            [(m, c, type(c)) for m, c in g.terms.items()] for g in polys
+        ]
+
+    cases = [(RingSpec(m, n), G) for n in range(1, 6) for G in connected_graphs_up_to_iso(n)
+             for m in (2, 3, 4)]
+    cases.append((RingSpec(3, 5, None), path_graph(5)))
+    primes = 0
+    for R, G in cases:
+        got, want = binomial_edge_ideal(R, G), minor_binomial_edge_ideal(R, G)
+        assert terms(got.gens) == terms(want.gens) and terms(got._gb) == terms(want._gb)
+        for cut in enumerate_cut_sets(G):
+            got, want = cut_set_prime(R, G, cut.vertices), minor_cut_set_prime(R, G, cut.vertices)
+            assert terms(got.gens) == terms(want.gens), (R, G, cut)
+            assert terms(got._gb) == terms(want._gb), (R, G, cut)
+            primes += 1
+    assert primes == 3 * 80 + 5  # 80 cut sets over the 31 graphs, 5 of P5
+    # a ring whose columns are not the graph's vertices is rejected
+    for n in (4, 6):
+        with pytest.raises(GraphInputError):
+            binomial_edge_ideal(RingSpec(2, n), path_graph(5))
+        with pytest.raises(GraphInputError):
+            cut_set_prime(RingSpec(2, n), path_graph(5), [2])
+
+
 # -- Groebner engine ----------------------------------------------------------
 
 def test_closed_generators_form_basis():
@@ -514,11 +563,12 @@ def test_pair_update_matches_the_degree_first_walk():
     # _gm_update's heap, filtered at each pop by _chain_drops, pops the
     # reference's alive pairs in the same order: the same lcms, the same
     # smallest index among equal ones and the same chain deletions, with
-    # or without the tag mask and treated indices; pops between updates
-    # stand in for _buchberger's, and each trial ends by draining both
+    # or without the tag mask and treated indices, through the zero and
+    # degree-1 quotient paths; pops between updates stand in for
+    # _buchberger's, and each trial ends by draining both
     rng = random.Random(22)
     ring = RingSpec(2, 3).extended()
-    equal_lcms = treated_hits = chain_drops = 0
+    equal_lcms = treated_hits = chain_drops = zero_quotients = degree_one_drops = 0
 
     def pop(lts, heap, ref_pairs, ref_heap):
         nonlocal chain_drops
@@ -548,6 +598,15 @@ def test_pair_update_matches_the_degree_first_walk():
             treated_hits += any(e[2] in treated for e in untreated)
             lcms = [ring.mono_lcm(a, lts[-1]) for a in lts[:-1]]
             equal_lcms += len(set(lcms)) < len(lcms)
+            # the quotient paths: a zero quotient (an earlier leading term
+            # divides the new one), or a degree-1 quotient that divides
+            # another candidate's quotient
+            quotients = [l - lts[-1] for l in lcms]
+            ones = {q for q in quotients if ring.mono_degree(q) == 1}
+            zero_quotients += 0 in quotients
+            degree_one_drops += 0 not in quotients and len(ones) < sum(
+                any(ring.mono_divides(v, q) for v in ones) for q in quotients
+            )
             for _ in range(rng.randrange(3)):
                 got, want = pop(lts, heap, ref_pairs, ref_heap)
                 assert got == want, (trial, new_idx)
@@ -557,6 +616,7 @@ def test_pair_update_matches_the_degree_first_walk():
     assert equal_lcms > 100 and treated_hits > 100 and chain_drops > 100, (
         equal_lcms, treated_hits, chain_drops
     )
+    assert zero_quotients > 100 and degree_one_drops > 100, (zero_quotients, degree_one_drops)
 
 
 def test_budget_rejects_degree_above_exponent_cap():

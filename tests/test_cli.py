@@ -571,9 +571,10 @@ def test_verify_cutset_rejects_non_cut_sets_of_a_relabeled_graph(
 def test_verify_dmax_honoured_with_scope_all(capsys, p5_file):
     rc, out, _ = run(capsys, "verify", p5_file, "--scope", "all", "--m", "3", "--dmax", "1",
                      "--format", "structured")
-    assert rc == 4
+    assert rc == 3
     remark = [c for c in json.loads(out)["checks"] if c["name"].startswith("power-remark")]
-    assert [c["status"] for c in remark] == ["fail"]
+    assert [c["status"] for c in remark] == ["budget"]
+    assert "no witness up to degree 1, below the upper bound" in remark[0]["detail"]
 
 
 @pytest.mark.parametrize("scope,k", [("powers", "1"), ("powers", "4"), ("all", "1"),

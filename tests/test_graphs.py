@@ -7,6 +7,7 @@ from typing import Iterable
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vnum import graphs
 from vnum.errors import GraphInputError, InstanceTooLargeError, NotACutSetError
 from vnum.enumeration import closed_graphs, closed_interval_profiles, connected_graphs_up_to_iso
 from vnum.graphs import (
@@ -326,6 +327,38 @@ def test_closed_structure_of_another_graph_rejected():
         cut_set_from_vertices(P5, [2], cs4)
     with pytest.raises(GraphInputError):
         enumerate_cut_sets(P5, cs4)
+
+
+def full_subset_cut_sets(G, is_cut_mask=graphs._is_cut_mask) -> list[tuple[int, ...]]:
+    """Every vertex subset filtered through the cut-set mask test, in (size,
+    lex) order: the generic enumeration before it skipped simplicial
+    vertices, the reference for the test below."""
+    subsets = (T for size in range(G.n + 1) for T in itertools.combinations(G.vertices(), size))
+    return [T for T in subsets if is_cut_mask(G, sum(1 << v for v in T))]
+
+
+def test_generic_enumeration_skips_simplicial_vertices(monkeypatch):
+    # the same cut sets in the same order as the full-subset filter, with
+    # the mask test run once per subset of the non-simplicial vertices
+    tests = 0
+
+    def counted(G, cut):
+        nonlocal tests
+        tests += 1
+        return full_mask_test(G, cut)
+
+    full_mask_test = graphs._is_cut_mask
+    monkeypatch.setattr(graphs, "_is_cut_mask", counted)
+    cases = [G for n in range(1, 7) for G in connected_graphs_up_to_iso(n)]
+    cases += [path_graph(3).disjoint_union(complete_graph(3)),  # disconnected
+              build_graph(6, [(1, 2), (2, 3), (2, 4), (3, 4)])]  # 5 and 6 isolated
+    for G in cases:
+        simplicial = [u for u in G.vertices()
+                      if all(G.has_edge(v, w) for v, w in itertools.combinations(G.neighbors(u), 2))]
+        tests = 0
+        assert [c.vertices for c in enumerate_cut_sets(G)] == full_subset_cut_sets(G), G.edges
+        assert tests == 2 ** (G.n - len(simplicial)), G.edges
+    assert len(cases) == 1 + 1 + 2 + 6 + 21 + 112 + 2
 
 
 def test_generic_enumeration_budget():
