@@ -49,7 +49,6 @@ from .vnumbers import (
     local_v_number_of_power,
     minimal_slice_partition,
     optimal_cut_set,
-    probe_power_shift,
     v_number,
     v_number_of_power,
 )

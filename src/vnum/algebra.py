@@ -822,19 +822,14 @@ def generalized_minor(
     """Determinant of the submatrix (x[r,c]) over the given rows and columns.
 
     The column order is taken as given; rows and columns must have equal
-    length.  A 2x2 determinant is written out, the hot case of edge ideals
-    and primes; larger ones expand over permutations, fine for the small
-    sizes used here (at most m)."""
+    length.  It expands over permutations, fine for the small sizes used
+    here (at most m); edge ideals and primes build their 2-minors with
+    _minors instead."""
     if len(rows) != len(cols):
         raise GraphInputError("determinant needs a square submatrix")
     k = len(rows)
     vm = ring.var_mono
     vi = ring.var_index
-    if k == 2:
-        (r, s), (c, d) = rows, cols
-        return Polynomial.from_terms(
-            ring, [(vm(vi(r, c)) + vm(vi(s, d)), 1), (vm(vi(r, d)) + vm(vi(s, c)), -1)]
-        )
     items = []
     for perm in itertools.permutations(range(k)):
         sign = 1

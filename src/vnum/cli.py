@@ -187,19 +187,12 @@ def cmd_local(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    remark, power = ("all", "power-remark"), ("all", "powers", "power-remark")
-    for flag, value, scopes in (
-        ("--cutset", args.cutset, remark), ("--dmax", args.dmax, remark),
-        ("--k", args.k, power), ("--budget-pairs", args.budget_pairs, power),
-    ):
-        if value is not None and args.scope not in scopes:
-            raise GraphInputError(f"{flag} needs scope {' or '.join(scopes)}, not {args.scope}")
     G = _load_graph(args.input)
     results = verify_mod.run_suites(
         G,
         m=args.m,
         scope=args.scope,
-        k=args.k or 2,
+        k=args.k,
         cutset=_parse_cutset(args.cutset),
         d_max=args.dmax,
         budget_pairs=args.budget_pairs,

@@ -232,10 +232,6 @@ class ClosedStructure:
     def t(self) -> int:
         return len(self.cliques)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
     def is_identity(self) -> bool:
         return self.order == tuple(range(1, self.graph.n + 1))
 

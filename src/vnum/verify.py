@@ -33,6 +33,7 @@ from .algebra import (
     monomial_ideal_power,
     monomial_ideals_equal,
     poly_to_text,
+    search_power_witness,
     verify_witness,
     witness_polynomial,
     _colon_route,
@@ -42,10 +43,11 @@ from .graphs import (
     ClosedStructure,
     SimpleGraph,
     completion_graph,
+    cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
 )
-from .vnumbers import _to_original_result, local_v_number, probe_power_shift
+from .vnumbers import local_v_number
 
 #: Powers of edge ideals carry many redundant product generators, so their
 #: bases need a larger pair allowance than the plain default.
@@ -209,7 +211,7 @@ def suite_witness(G: SimpleGraph, closed: ClosedStructure, m: int) -> list[Check
                 return False, f"degree {f.degree()} != predicted {res.value}"
             P = cut_set_prime(ring, G, cut.vertices)
             ok = verify_witness(J, f, P)
-            back = _to_original_result(closed, res).witness
+            back = spec.relabel(closed.to_original)
             shown = poly_to_text(witness_polynomial(ring, back.minor_blocks, back.isolated_vars))
             if len(shown) > 90:
                 shown = shown[:87] + "..."
@@ -340,29 +342,30 @@ def suite_power_remark(
     T: Iterable[int],
     k: int,
     d_max: Optional[int] = None,
-    budget: Optional[GBBudget] = None,
+    budget: GBBudget = ELIMINATION_BUDGET,
 ) -> list[CheckResult]:
-    """Probe the shift-by-2 upper bound against the oracle witness search
-    at T, a cut set of closed.graph, under ``budget`` (or the search's)."""
+    """Probe the shift-by-2 upper bound v_T + 2(k-1) for v_T(J^k) against
+    the exact witness search at T, a cut set of closed.graph: over
+    GF(32003), up to d_max, by default the bound itself, under ``budget``.
+    A witness below the bound means the shift formula fails at (T, k)."""
 
     def body():
-        rep = probe_power_shift(closed, m, tuple(T), k, d_max, budget)
-        found = rep["witness_found"]
+        cut = cut_set_from_vertices(G, T, closed)
+        base = local_v_number(G, closed, cut, m)
+        upper = base.value + 2 * (k - 1)
+        cap = upper if d_max is None else d_max
+        found = search_power_witness(RingSpec(m, G.n), G, cut.vertices, k, cap, budget)
         if found is None:
-            upper = rep["upper_bound"]
-            if d_max is not None and d_max < upper:  # reported as budget by _run
+            if cap < upper:  # reported as budget by _run
                 raise BudgetExceededError(
-                    f"no witness up to degree {d_max}, below the upper bound {upper}; "
+                    f"no witness up to degree {cap}, below the upper bound {upper}; "
                     "a miss under a cap proves nothing"
                 )
-            return False, f"no witness found up to degree {upper if d_max is None else d_max}"
-        verdict = (
-            "shift formula fails" if rep.get("shift_formula_fails") else "shift attained"
-        )
+            return False, f"no witness found up to degree {cap}"
+        verdict = "shift formula fails" if found["degree"] < upper else "shift attained"
         return True, (
-            f"base {rep['base_local_v']} ({rep['base_status']}), "
-            f"upper {rep['upper_bound']}, found degree {found['degree']} "
-            f"via {found['via']}: {verdict}"
+            f"base {base.value} ({base.status}), upper {upper}, "
+            f"found degree {found['degree']} via {found['via']}: {verdict}"
         )
 
     return [_run(f"power-remark[m={m},k={k},T={closed.input_labels(T)}]", body)]
@@ -377,7 +380,7 @@ def run_suites(
     G: SimpleGraph,
     m: int = 2,
     scope: str = "all",
-    k: int = 2,
+    k: Optional[int] = None,
     cutset: Optional[tuple[int, ...]] = None,
     d_max: Optional[int] = None,
     budget_pairs: Optional[int] = None,
@@ -385,8 +388,18 @@ def run_suites(
     """Dispatch the named suite ('all' runs everything applicable).
 
     ``k`` is the largest power of the power suites, 2 or 3, and the power
-    of the power-remark check, any k >= 1.  ``cutset`` is in the input
-    labels.  ``budget_pairs`` replaces the pair cap of both power suites."""
+    of the power-remark check, any k >= 1; both default to 2.  ``cutset``
+    is in the input labels.  ``budget_pairs`` replaces the pair cap of both
+    power suites.  A parameter given to a scope that does not read it
+    raises GraphInputError, named by its CLI flag."""
+    remark, power = ("all", "power-remark"), ("all", "powers", "power-remark")
+    for flag, value, scopes in (
+        ("--cutset", cutset, remark), ("--dmax", d_max, remark),
+        ("--k", k, power), ("--budget-pairs", budget_pairs, power),
+    ):
+        if value is not None and scope not in scopes:
+            raise GraphInputError(f"{flag} needs scope {' or '.join(scopes)}, not {scope}")
+    k = 2 if k is None else k
     if scope in ("all", "powers") and not 2 <= k <= 3:
         raise GraphInputError(f"scope {scope} checks the powers k = 2..3, got k={k}")
     power_budget, remark_budget = POWER_BUDGET, ELIMINATION_BUDGET

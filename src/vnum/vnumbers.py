@@ -619,43 +619,3 @@ def local_v_number_of_power(
         )
     base = local_v_number(G, closed, cut, 2)
     return base.value + 2 * (k - 1)
-
-
-def probe_power_shift(
-    closed: ClosedStructure,
-    m: int,
-    T,
-    k: int,
-    d_max: Optional[int] = None,
-    budget=None,
-) -> dict:
-    """Compare the shift-by-2 upper bound for v_T(J^k) against the exact
-    witness search of search_power_witness (over GF(32003), up to d_max,
-    by default the bound itself, under ``budget`` or the search's own),
-    flagging cut-set/power pairs where a smaller witness beats the shift."""
-    from .algebra import ELIMINATION_BUDGET, RingSpec, search_power_witness
-
-    G = closed.graph
-    cut = T if isinstance(T, CutSet) else cut_set_from_vertices(G, T, closed)
-    base = local_v_number(G, closed, cut, m)
-    upper = base.value + 2 * (k - 1)
-    found = search_power_witness(
-        RingSpec(m, G.n), G, cut.vertices, k, d_max if d_max is not None else upper,
-        budget or ELIMINATION_BUDGET,
-    )
-    report = {
-        "m": m,
-        "k": k,
-        "cut_set": list(cut.vertices),
-        "base_local_v": base.value,
-        "base_status": base.status,
-        "upper_bound": upper,
-        "witness_found": None,
-    }
-    if found is not None:
-        report["witness_found"] = {
-            "degree": found["degree"],
-            "via": found["via"],
-        }
-        report["shift_formula_fails"] = found["degree"] < upper
-    return report

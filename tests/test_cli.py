@@ -10,6 +10,7 @@ from vnum.algebra import (
 )
 from vnum.cli import main
 from vnum.errors import BudgetExceededError
+from vnum.verify import CheckResult
 from vnum.graphs import (
     complete_graph, enumerate_cut_sets, find_closed_labeling, format_graph,
     graph_from_intervals, path_graph,
@@ -429,6 +430,31 @@ def test_vnumber_oracle_miss_exits_budget(capsys, monkeypatch, p5_file):
     monkeypatch.setattr("vnum.algebra.brute_local_v", _oracle_over_budget)
     rc, _, err = run(capsys, "vnumber", p5_file, "--oracle")
     assert rc == 3 and "S-pair budget" in err
+
+
+def test_vnumber_oracle_needs_a_connected_graph(capsys, tmp_path):
+    p = tmp_path / "two-edges.txt"
+    p.write_text("n 4\ne 1 2\ne 3 4\n")
+    rc, out, err = run(capsys, "vnumber", str(p), "--oracle")
+    assert rc == 2 and out == "" and "error: --oracle needs a connected graph" in err
+
+
+def _forced_fail(G, closed, m):
+    return [CheckResult(f"quadratic-gb[m={m}]", "fail", "forced", 0.0)]
+
+
+def test_verify_failure_exits_verify(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("vnum.verify.suite_quadratic_gb", _forced_fail)
+    p = tmp_path / "p4.txt"
+    p.write_text(format_graph(path_graph(4)))
+    argv = ("verify", str(p), "--m", "3", "--format", "structured")
+    rc, out, _ = run(capsys, *argv, "--scope", "quadratic-gb")
+    assert rc == 4 and json.loads(out)["summary"]["fail"] == 1
+    # a failure outranks a budget overrun: the power-remark cap of 8
+    # S-pairs is hit in the same run (see the budget-pairs test above)
+    rc, out, _ = run(capsys, *argv, "--scope", "all", "--budget-pairs", "8")
+    summary = json.loads(out)["summary"]
+    assert rc == 4 and summary["fail"] == 1 and summary["budget"] == 1
 
 
 def test_survey_oracle_miss_exits_budget(capsys, monkeypatch):

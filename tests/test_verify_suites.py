@@ -30,10 +30,13 @@ from vnum.graphs import (
     graph_from_intervals,
     path_graph,
 )
+from vnum.errors import GraphInputError
 from vnum.verify import (
     POWER_BUDGET,
+    SCOPES,
     run_suites,
     suite_decomposition,
+    suite_power_remark,
     suite_powers,
 )
 from vnum.vnumbers import local_v_number
@@ -199,6 +202,41 @@ def test_all_suites_pass_on_p5(capsys):
     res = run_suites(path_graph(5), m=2, scope="all", k=2)
     assert all(r.status in ("pass", "skip") for r in res)
     assert sum(r.status == "pass" for r in res) >= 15
+
+
+def test_power_remark_cases_on_p5():
+    # P5 at T = {3}: base 2, so the shift bound at k = 2 is 4; the sweep
+    # beats it at m = 3 and meets it at m = 2, and k = 1 is the base itself
+    cs5 = find_closed_labeling(path_graph(5))
+    for m, k, tail in [
+        (3, 2, "upper 4, found degree 3 via degree-slice: shift formula fails"),
+        (2, 2, "upper 4, found degree 4 via degree-slice: shift attained"),
+        (2, 1, "upper 2, found degree 2 via degree-slice: shift attained"),
+    ]:
+        (r,) = suite_power_remark(cs5.graph, cs5, m, (3,), k)
+        assert (r.name, r.status) == (f"power-remark[m={m},k={k},T=[3]]", "pass")
+        assert r.detail == "base 2 (proved), " + tail
+
+
+_REMARK, _POWER = ("all", "power-remark"), ("all", "powers", "power-remark")
+
+
+@pytest.mark.parametrize("param, value, flag, scopes", [
+    ("k", 2, "--k", _POWER),
+    ("cutset", (2,), "--cutset", _REMARK),
+    ("d_max", 1, "--dmax", _REMARK),
+    ("budget_pairs", 1, "--budget-pairs", _POWER),
+])
+def test_run_suites_rejects_parameters_its_scope_does_not_read(
+    monkeypatch, param, value, flag, scopes
+):
+    # the rejection comes before any check runs
+    monkeypatch.setattr("vnum.verify._run", None)
+    others = [s for s in ("all",) + SCOPES if s not in scopes]
+    for scope in others:
+        with pytest.raises(GraphInputError) as exc:
+            run_suites(path_graph(4), m=2, scope=scope, **{param: value})
+        assert str(exc.value) == f"{flag} needs scope {' or '.join(scopes)}, not {scope}"
 
 
 def test_closed_suites_run_on_any_labeling():

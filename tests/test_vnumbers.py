@@ -20,6 +20,7 @@ from vnum.algebra import (
 from vnum.errors import GraphInputError, UnsupportedRegimeError
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
+    CutSet,
     SimpleGraph,
     _runs,
     build_graph,
@@ -44,7 +45,6 @@ from vnum.vnumbers import (
     local_v_number_of_power,
     minimal_slice_partition,
     optimal_cut_set,
-    probe_power_shift,
     v_number,
     v_number_of_power,
 )
@@ -133,6 +133,14 @@ def test_anchor_graph_rejects_empty(g27):
     cs = find_closed_labeling(g27)
     with pytest.raises(GraphInputError):
         build_anchor_graph(cs, cut_set_from_vertices(g27, [], cs))
+
+
+def test_local_value_rejects_a_run_that_is_no_connected_cut_set():
+    # P5's connected cut sets are its single interior vertices, so the run
+    # 2-3 of a hand-built CutSet matches no block
+    cs = find_closed_labeling(path_graph(5))
+    with pytest.raises(GraphInputError, match=r"run ends \(2, 3\) are not a connected cut set"):
+        local_v_number(cs.graph, cs, CutSet((2, 3)), 2)
 
 
 # -- slice partitions -----------------------------------------------------------
@@ -562,19 +570,6 @@ def test_v_number_42_global(g42):
     for m in (2, 3):
         res = v_number(chain, m)
         assert res.value == local_v_number(chain, cs, res.cut_set, m).value, m
-
-
-def test_probe_power_shift_cases():
-    cs5 = find_closed_labeling(path_graph(5))
-    rep = probe_power_shift(cs5, 3, (3,), 2)
-    assert rep["upper_bound"] == 4
-    assert rep["witness_found"]["degree"] == 3
-    assert rep["shift_formula_fails"] is True
-    rep2 = probe_power_shift(cs5, 2, (3,), 2)
-    assert rep2["witness_found"]["degree"] == 4
-    assert rep2["shift_formula_fails"] is False
-    rep1 = probe_power_shift(cs5, 2, (3,), 1)
-    assert rep1["witness_found"]["degree"] == rep1["upper_bound"] == 2
 
 
 def _degree_combos(atoms, d):
