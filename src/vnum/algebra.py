@@ -50,6 +50,11 @@ choice reaches the output: reduced bases are unique, returned monic by
 descending leading term, so repeated runs produce byte-identical output.
 The lookups find the scan's reducer (the first divisor by leading term),
 so normal forms keep their terms and their order.
+
+Sums, scalings, products, S-polynomials, exact division and the power
+sweep's pivot elimination share one coefficient update, _sub_mul
+(acc - c * x^u * b); _nf keeps an inline copy, as each new key it makes
+goes onto its heap.
 """
 
 from __future__ import annotations
@@ -216,7 +221,6 @@ class _TagRing(RingSpec):
     """Base ring extended by one tag variable t ordered above all x[i,j]."""
 
     def __init__(self, base: RingSpec):
-        self.base = base
         self.m = base.m
         self.n = base.n
         self.p = base.p
@@ -256,7 +260,7 @@ class Polynomial:
     @staticmethod
     def from_terms(ring: RingSpec, items: Iterable[tuple[int, object]]) -> "Polynomial":
         d = {}
-        for m, c in items:
+        for m, c in items:  # not _sub_mul: raw coefficients are coerced first
             c = ring.coeff(c)
             if m in d:
                 c = d[m] + c
@@ -299,16 +303,13 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.ring, _add(self.ring, self.terms, other.terms, 1))
+        return Polynomial(self.ring, _sub_mul(self.ring, dict(self.terms), other.terms, -1))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.ring, _add(self.ring, self.terms, other.terms, -1))
+        return Polynomial(self.ring, _sub_mul(self.ring, dict(self.terms), other.terms, 1))
 
     def __neg__(self) -> "Polynomial":
-        p = self.ring.p
-        if p is not None:
-            return Polynomial(self.ring, {m: (-c) % p for m, c in self.terms.items()})
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.terms and other.terms and self.degree() + other.degree() > _MAX_EXPONENT:
@@ -316,13 +317,7 @@ class Polynomial:
         return Polynomial(self.ring, _mul(self.ring, self.terms, other.terms))
 
     def scale(self, c) -> "Polynomial":
-        ring = self.ring
-        c = ring.coeff(c)
-        if not c:
-            return Polynomial.zero(ring)
-        if ring.p is not None:
-            return Polynomial(ring, {m: (v * c) % ring.p for m, v in self.terms.items()})
-        return Polynomial(ring, {m: v * c for m, v in self.terms.items()})
+        return Polynomial(self.ring, _sub_mul(self.ring, {}, self.terms, -self.ring.coeff(c)))
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -333,35 +328,28 @@ class Polynomial:
         return f"Polynomial({poly_to_text(self)})"
 
 
-def _add(ring: RingSpec, a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
+def _sub_mul(ring: RingSpec, acc: dict, b: dict, c, shift: int = 0) -> dict:
+    """acc - c * x^shift * b, in place and returned, reduced mod p in a
+    prime field and with zero coefficients deleted (module docstring)."""
     p = ring.p
-    for m, c in b.items():
-        v = out.get(m, 0) + (c if sign > 0 else -c)
+    for m, v in b.items():
+        key = m + shift
+        v = acc.get(key, 0) - c * v
         if p is not None:
             v %= p
         if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
-    return out
+            acc[key] = v
+        elif key in acc:
+            del acc[key]
+    return acc
 
 
 def _mul(ring: RingSpec, a: dict, b: dict) -> dict:
-    out: dict = {}
-    p = ring.p
     if len(a) > len(b):
         a, b = b, a
+    out: dict = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = ma + mb
-            v = out.get(key, 0) + ca * cb
-            if p is not None:
-                v %= p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        _sub_mul(ring, out, b, -ca, ma)
     return out
 
 
@@ -488,6 +476,7 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, le
             continue
         lt, tail = hit
         q = m - lt
+        # _sub_mul's update inline: a new key goes onto the heap, in the hottest loop
         for tm, tc in tail:
             key = tm + q
             prev = work.get(key)
@@ -506,21 +495,10 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, le
 def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
     """S-polynomial of two monic f and g: their leading terms cancel
     without any coefficient arithmetic."""
-    p = ring.p
     ltf, ltg = max(f), max(g)
     lcm = ring.mono_lcm(ltf, ltg)
-    uf, ug = lcm - ltf, lcm - ltg
-    out = {m + uf: c for m, c in f.items()}
-    for m, c in g.items():
-        key = m + ug
-        v = out.get(key, 0) - c
-        if p is not None:
-            v %= p
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    return out
+    uf = lcm - ltf
+    return _sub_mul(ring, {m + uf: c for m, c in f.items()}, g, 1, lcm - ltg)
 
 
 def _gm_update(ring, lts: list, heap: list, new_idx: int, mask=-1, treated=()):
@@ -945,31 +923,16 @@ def intersect_many(
 
 def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient f/g; raises if g does not divide f."""
-    ring = f.ring
-    p = ring.p
+    ring, ltg = f.ring, g.lt()
+    inv = ring.inv(g.terms[ltg])
     rem = dict(f.terms)
-    gt = dict(g.terms)
-    ltg = max(gt)
-    inv = ring.inv(gt[ltg])
     q: dict = {}
     while rem:
         m = max(rem)
         if not ring.mono_divides(ltg, m):
             raise ArithmeticError("exact division failed: remainder is nonzero")
-        u = m - ltg
-        c = rem[m] * inv
-        if p is not None:
-            c %= p
-        q[u] = c
-        for mg, cg in gt.items():
-            key = mg + u
-            v = rem.get(key, 0) - c * cg
-            if p is not None:
-                v %= p
-            if v:
-                rem[key] = v
-            elif key in rem:
-                del rem[key]
+        q[m - ltg] = c = ring.coeff(rem[m] * inv)
+        _sub_mul(ring, rem, g.terms, c, m - ltg)
     return Polynomial(ring, q)
 
 
@@ -1314,11 +1277,12 @@ def search_power_witness(
     One exact sweep over the degree slices d = 0..d_max of (J^k : P_T).
     For each monomial u of degree d the stacked vector of normal forms
     NF(u * g, J^k) over generators g of P_T is reduced against the stored
-    pivot rows.  Each row carries its monomial combination under the keys
-    (-1, u'), below every vector key (gi, m), so pivots are vector keys and
-    a row reduced to its combination alone is a kernel vector f: f * P_T
-    lies in J^k, and f is reported once verify_witness certifies
-    (J^k : f) = P_T.  The rows of degree d - 1 are reused: with x the
+    pivot rows.  Keys are packed ints: term m of the gi-th normal form is
+    m + (gi + 1) * 2^(8 nvars), and each row carries its monomial
+    combination under the keys u' themselves, below every vector key, so
+    pivots are vector keys and a row reduced to its combination alone is a
+    kernel vector f: f * P_T lies in J^k, and f is reported once
+    verify_witness certifies (J^k : f) = P_T.  The rows of degree d - 1 are reused: with x the
     largest variable dividing u = x * u', NF(u * g) = NF(x * NF(u' * g)),
     as normal forms against a Groebner basis are unique.
 
@@ -1341,7 +1305,7 @@ def search_power_witness(
     """
     if ring.p is None:
         raise GraphInputError("the power witness search needs a prime-field ring")
-    p = ring.p
+    unit = 1 << _FIELD_BITS * ring.nvars
     J = binomial_edge_ideal(ring, G)
     Jk = ideal_power(J, k)
     red = Jk._reducers(budget)
@@ -1359,22 +1323,15 @@ def search_power_witness(
                 rows[u] = [_shifted_nf(ring, r, x, red, leads) for r in prev[u - x]]
             else:
                 rows[u] = [_nf(ring, g.terms, red, None, leads) for g in P.gens]
-            vec = {(gi, m): c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
-            vec[(-1, u)] = 1
-            while (key := max(vec))[0] >= 0:
+            vec = {m + (gi + 1) * unit: c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
+            vec[u] = 1
+            while (key := max(vec)) >= unit:
                 if key not in pivots:
-                    inv = ring.inv(vec[key])
-                    pivots[key] = {kk: (vv * inv) % p for kk, vv in vec.items()}
+                    pivots[key] = _monic(ring, vec)
                     break
-                factor = vec[key]
-                for kk, vv in pivots[key].items():
-                    nv = (vec.get(kk, 0) - factor * vv) % p
-                    if nv:
-                        vec[kk] = nv
-                    elif kk in vec:
-                        del vec[kk]
+                _sub_mul(ring, vec, pivots[key], vec[key])
             else:  # only the combination is left: a kernel vector
-                f = Polynomial(ring, {m: c for (_, m), c in vec.items()}).monic()
+                f = Polynomial(ring, _monic(ring, vec))
                 if verify_witness(Jk, f, P, budget):
                     return {"degree": d, "witness": f, "via": "degree-slice"}
     return None

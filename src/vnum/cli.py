@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .vnumbers import (
     _least_oracle_value,
+    _power_needs_an_edge,
     _to_original_result,
     local_v_number,
     v_number,
@@ -129,6 +130,7 @@ def cmd_vnumber(args) -> int:
                 "power values are proved only for m=2 on a connected closed "
                 "graph with one-vertex clique overlaps"
             )
+        _power_needs_an_edge(G)
         pw = res.value + 2 * (args.k - 1)  # v(J^k) = v(J) + 2(k-1)
         record["power"] = {"k": args.k, "value": pw}
         lines.append(f"v-number of the {args.k}-th power: {pw}")

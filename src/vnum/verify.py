@@ -241,7 +241,7 @@ def suite_powers(
     G: SimpleGraph,
     closed: ClosedStructure,
     k_max: int = 3,
-    budget: Optional[GBBudget] = None,
+    budget: GBBudget = POWER_BUDGET,
 ) -> list[CheckResult]:
     """Power behavior over a one-vertex-overlap closed graph, m = 2:
     initial ideals of powers are powers of the initial ideal, the colon by
@@ -266,7 +266,6 @@ def suite_powers(
         return [CheckResult("powers", "skip", "needs one-vertex clique overlaps", 0.0)]
     if not G.edges:
         return [CheckResult("powers", "skip", "needs an edge", 0.0)]
-    budget = budget or POWER_BUDGET
     ring = RingSpec(2, G.n)
     J = binomial_edge_ideal(ring, G)
     g = minor(ring, (1, 2), (1, 2))

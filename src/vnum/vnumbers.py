@@ -582,6 +582,7 @@ def v_number_of_power(closed: ClosedStructure, k: int) -> int:
     graph: the base value shifted by 2(k-1)."""
     if k < 1:
         raise GraphInputError(f"power exponent must be >= 1, got {k}")
+    _power_needs_an_edge(closed.graph)
     if not closed.is_cm:
         raise UnsupportedRegimeError(
             "the power formula is proved only for one-vertex clique overlaps"
@@ -589,8 +590,10 @@ def v_number_of_power(closed: ClosedStructure, k: int) -> int:
     return cm_v_formula(2, closed.t) + 2 * (k - 1)
 
 
-def _is_path_graph(closed: ClosedStructure) -> bool:
-    return closed.is_cm and closed.t == closed.graph.n - 1
+def _power_needs_an_edge(G: SimpleGraph) -> None:
+    """The shift formulas start from an edge: on the one-vertex graph J = 0."""
+    if not G.edges:
+        raise UnsupportedRegimeError("power values need an edge: J = 0 on the one-vertex graph")
 
 
 def _is_spine_cut_set(closed: ClosedStructure, cut: CutSet) -> bool:
@@ -605,17 +608,18 @@ def local_v_number_of_power(
     closed: ClosedStructure, T, k: int
 ) -> int:
     """Local v-number of the k-th power at T, m = 2, inside the proved
-    regimes only: T arbitrary on a path graph, or T a cut set of the spine
-    on a one-vertex-overlap closed graph.  Outside them the call refuses
-    rather than return an unproved number."""
+    regime only: T a cut set of the spine on a one-vertex-overlap closed
+    graph with an edge (on a path, every cut set is one).  Outside it the
+    call refuses rather than return an unproved number."""
     if k < 1:
         raise GraphInputError(f"power exponent must be >= 1, got {k}")
     G = closed.graph
+    _power_needs_an_edge(G)
     cut = T if isinstance(T, CutSet) else cut_set_from_vertices(G, T, closed)
-    if not (_is_path_graph(closed) or (closed.is_cm and _is_spine_cut_set(closed, cut))):
+    if not (closed.is_cm and _is_spine_cut_set(closed, cut)):
         raise UnsupportedRegimeError(
-            "power shift is proved only for paths, or for cut sets of the "
-            "spine of a one-vertex-overlap closed graph; refusing to guess"
+            "power shift is proved only for cut sets of the spine of a "
+            "one-vertex-overlap closed graph; refusing to guess"
         )
     base = local_v_number(G, closed, cut, 2)
     return base.value + 2 * (k - 1)

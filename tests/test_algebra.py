@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from vnum.errors import BudgetExceededError, GraphInputError
 from vnum.enumeration import closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
+    build_graph,
     complete_graph,
     enumerate_cut_sets,
     find_closed_labeling,
@@ -37,6 +38,7 @@ from vnum.algebra import (
     minor,
     monomial_ideal_power,
     monomial_ideals_equal,
+    poly_divexact,
     poly_to_text,
     search_power_witness,
     separating_element,
@@ -48,10 +50,12 @@ from vnum.algebra import (
     _gm_update,
     _lead_lookup,
     _minimal_monomials,
+    _monic,
     _nf,
     _outside_by_lookup,
     _prepare_reducers,
     _reduce_basis,
+    _spoly,
 )
 
 
@@ -88,6 +92,68 @@ def test_packed_monomial_ops_match_naive():
         assert ring.mono_degree(a) == sum(ea)
         # lex comparison is integer comparison
         assert (a > b) == (ea > eb)
+
+
+# -- the shared coefficient loop ---------------------------------------------
+
+def naive_poly(f: Polynomial) -> dict:
+    """f as exponent tuple -> coefficient."""
+    return {f.ring.mono_exponents(m): c for m, c in f.terms.items()}
+
+
+def naive_combine(ring, pairs) -> dict:
+    """sum of c * x^e * a over (c, e, a) in ``pairs``, a given by naive_poly."""
+    out = collections.defaultdict(int)
+    for c, e, a in pairs:
+        for ea, ca in a.items():
+            out[tuple(x + y for x, y in zip(e, ea))] += c * ca
+    if ring.p is not None:
+        out = {e: c % ring.p for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def random_poly(ring, rng, terms=5, degree=3) -> Polynomial:
+    """A nonconstant polynomial: every term has degree 1..degree."""
+    items = []
+    for _ in range(terms):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(1, degree)):
+            exps[rng.randrange(ring.nvars)] += 1
+        c = rng.choice([-3, -2, -1, 1, 2, 5])
+        items.append((mono_from_exponents(exps), c if ring.p else Fraction(c, rng.randint(1, 4))))
+    return Polynomial.from_terms(ring, items)
+
+
+@pytest.mark.parametrize("p", [32003, None])
+def test_ring_laws_of_the_shared_loop(p):
+    ring = RingSpec(2, 3, p=p)
+    rng = random.Random(29)
+    zero = (0,) * ring.nvars
+    for _ in range(40):
+        f, g = random_poly(ring, rng), random_poly(ring, rng)
+        nf, ng = naive_poly(f), naive_poly(g)
+        assert naive_poly(f + g) == naive_combine(ring, [(1, zero, nf), (1, zero, ng)])
+        assert naive_poly(f - g) == naive_combine(ring, [(1, zero, nf), (-1, zero, ng)])
+        assert naive_poly(-f) == naive_combine(ring, [(-1, zero, nf)])
+        assert naive_poly(f.scale(3)) == naive_combine(ring, [(3, zero, nf)])
+        fg = f * g
+        assert naive_poly(fg) == naive_combine(
+            ring, [(c, e, ng) for e, c in nf.items()]
+        )
+        assert (f + g) - g == f
+        assert (f - f).is_zero() and f.scale(0).is_zero()
+        assert poly_divexact(fg, g) == f
+        with pytest.raises(ArithmeticError):
+            poly_divexact(fg + Polynomial.one(ring), g)
+        a, b = _monic(ring, f.terms), _monic(ring, g.terms)
+        assert a[max(a)] == b[max(b)] == 1
+        lcm = ring.mono_lcm(max(a), max(b))
+        s = _spoly(ring, a, b)
+        assert lcm not in s
+        ua = ring.mono_exponents(lcm - max(a))
+        ub = ring.mono_exponents(lcm - max(b))
+        ma, mb = naive_poly(Polynomial(ring, a)), naive_poly(Polynomial(ring, b))
+        assert naive_poly(Polynomial(ring, s)) == naive_combine(ring, [(1, ua, ma), (-1, ub, mb)])
 
 
 def test_minor_examples():
@@ -1213,6 +1279,21 @@ def test_verify_witness_paths_and_primes():
     assert not colon_poly(J, bad).equals(P)
     prime = cut_set_prime(R, complete_graph(4), [])
     assert verify_witness(prime, Polynomial.one(R), prime)
+
+
+def test_verify_witness_needs_the_ideal_inside_the_prime():
+    # {3} is a cut set of the path 1-3-2-4, whose prime P separates 1 from 2:
+    # J(P4) is not inside P, so no colon of it equals P.  f is in J(P4) and
+    # outside P, so the prime-avoidance test alone would accept it
+    R = RingSpec(2, 4)
+    H = build_graph(4, [(1, 3), (2, 3), (2, 4)])
+    assert (3,) in [c.vertices for c in enumerate_cut_sets(H)]
+    P = cut_set_prime(R, H, [3])
+    J = binomial_edge_ideal(R, path_graph(4))
+    f = minor(R, (1, 2), (1, 2))
+    assert J.contains(f) and not P.contains(f)
+    assert all(J.contains(f * g) for g in P.gens)
+    assert not verify_witness(J, f, P)
 
 
 def test_search_power_witness_trivial_k1():

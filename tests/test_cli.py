@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import vnum.cli
+
 from vnum.algebra import (
     RingSpec, binomial_edge_ideal, brute_local_v, cut_set_prime, verify_witness,
     witness_polynomial,
@@ -129,6 +131,15 @@ def test_vnumber_power_unsupported(capsys, tmp_path):
     p.write_text(format_graph(graph_from_intervals(5, [(1, 3), (2, 5)])))
     rc, _, err = run(capsys, "vnumber", str(p), "--m", "2", "--k", "2")
     assert rc == 2 and "one-vertex" in err
+
+
+def test_vnumber_power_needs_an_edge(capsys, tmp_path):
+    p = tmp_path / "k1.txt"
+    p.write_text("n 1\n")
+    rc, out, err = run(capsys, "vnumber", str(p), "--k", "2")
+    assert rc == 2 and out == "" and "power values need an edge" in err
+    rc, out, _ = run(capsys, "vnumber", str(p), "--format", "structured")
+    assert rc == 0 and json.loads(out)["value"] == 0
 
 
 def test_vnumber_power_finds_the_labeling_once(capsys, monkeypatch, tmp_path):
@@ -455,6 +466,35 @@ def test_verify_failure_exits_verify(capsys, monkeypatch, tmp_path):
     rc, out, _ = run(capsys, *argv, "--scope", "all", "--budget-pairs", "8")
     summary = json.loads(out)["summary"]
     assert rc == 4 and summary["fail"] == 1 and summary["budget"] == 1
+
+
+def test_vnumber_oracle_disagreement_exits_verify(capsys, monkeypatch, p5_file):
+    monkeypatch.setattr("vnum.cli._least_oracle_value", lambda G, m, cuts: (3, None))
+    rc, out, _ = run(capsys, "vnumber", p5_file, "--oracle")
+    assert rc == 4 and "oracle cross-check: 3 (DISAGREES)" in out
+    rc, out, _ = run(capsys, "vnumber", p5_file, "--oracle", "--format", "structured")
+    rec = json.loads(out)
+    assert rc == 4 and rec["value"] == 2 and rec["oracle_v"] == 3
+    assert rec["oracle_agrees"] is False and rec["oracle_is_value"] is False
+
+
+def test_survey_oracle_disagreement_exits_verify(capsys, monkeypatch):
+    real, calls = vnum.cli._least_oracle_value, []
+
+    def one_wrong(G, m, cuts):
+        value, cut = real(G, m, cuts)
+        calls.append(G)
+        return (value + 1 if len(calls) == 2 else value), cut
+
+    monkeypatch.setattr("vnum.cli._least_oracle_value", one_wrong)
+    rc, out, _ = run(capsys, "survey", "--n-max", "3", "--oracle")
+    assert rc == 4 and len(calls) >= 2
+    assert out.count("DISAGREE") == 1 and out.rstrip().endswith("disagreements: 1")
+    calls.clear()
+    rc, out, _ = run(capsys, "survey", "--n-max", "3", "--oracle", "--format", "structured")
+    rec = json.loads(out)
+    assert rc == 4 and rec["disagreements"] == 1
+    assert [r["agree"] for r in rec["rows"]].count(False) == 1
 
 
 def test_survey_oracle_miss_exits_budget(capsys, monkeypatch):

@@ -36,6 +36,7 @@ from vnum.vnumbers import (
     CONJECTURED,
     PROVED,
     _assemble_anchor,
+    _is_spine_cut_set,
     _least_cut_set,
     _to_original_result,
     build_anchor_graph,
@@ -531,6 +532,27 @@ def test_power_formula():
 def test_power_formula_rejects_two_vertex_overlap(g42):
     with pytest.raises(UnsupportedRegimeError):
         v_number_of_power(find_closed_labeling(g42), 2)
+
+
+def test_power_values_need_an_edge():
+    # on one vertex J = 0, so v(J^k) = 0, not the shift 2(k-1)
+    cs1 = find_closed_labeling(path_graph(1))
+    for k in (1, 2, 3):
+        with pytest.raises(UnsupportedRegimeError, match="need an edge"):
+            v_number_of_power(cs1, k)
+        with pytest.raises(UnsupportedRegimeError, match="need an edge"):
+            local_v_number_of_power(cs1, (), k)
+
+
+def test_every_cut_set_of_a_path_is_a_spine_cut_set():
+    for n in range(2, 11):
+        G = path_graph(n)
+        cs = find_closed_labeling(G)
+        for cut in enumerate_cut_sets(G, cs):
+            assert _is_spine_cut_set(cs, cut)
+            base = local_v_number(G, cs, cut, 2).value
+            for k in (1, 2, 3):
+                assert local_v_number_of_power(cs, cut.vertices, k) == base + 2 * (k - 1)
 
 
 def test_local_power_examples():
