@@ -554,7 +554,7 @@ def _chain_drops(top: int, lts: list, i: int, j: int, l: int) -> bool:
     return False
 
 
-def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None, *, born=False) -> list:
+def _reduce_basis(ring: RingSpec, basis: list, *, born=False) -> list:
     """Minimalize and tail-reduce a basis that is already a Groebner basis.
 
     One pass in increasing leading-term order: an element whose leading
@@ -563,22 +563,16 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None, *, bo
     earlier one: its leading term is larger than every term of the earlier
     one, and a divisor is never larger than the term it divides.
 
-    With ``red``, the sorted reducers of a reduced prefix that no element
-    of ``basis`` can reduce or remove (as when all are homogeneous and the
-    new ones of larger degree), the prefix counts as kept: only the new
-    kept elements are returned, and their reducers are inserted into ``red``.
-
-    With ``born``, ``basis`` is in birth order after the prefix, each element
-    monic and in normal form against all born before it, as _buchberger adds
-    them.  An element g whose kept predecessors in the pass were all born
-    before it is then kept as it is, since the pass reduces g against them
-    alone.  A later-born element with a larger leading term divides no term
-    of g, and a dropped one acts only through the kept one dividing it; any
+    With ``born``, ``basis`` is in birth order, each element monic and in
+    normal form against all born before it, as _buchberger adds them.  An
+    element g whose kept predecessors in the pass were all born before it
+    is then kept as it is, since the pass reduces g against them alone.  A
+    later-born element with a larger leading term divides no term of g,
+    and a dropped one acts only through the kept one dividing it; any
     other g takes the full path.
     """
     top = ring._top
-    out: list = []
-    red = [] if red is None else red
+    out, red = [], []
     newest = -1  # the latest birth among the kept elements so far
     for lt, i, g in sorted((max(g), i, g) for i, g in enumerate(basis) if g):
         if not born or newest > i:
@@ -588,11 +582,7 @@ def _reduce_basis(ring: RingSpec, basis: list, red: Optional[list] = None, *, bo
             g = _monic(ring, _nf(ring, g, red))
         newest = max(newest, i)
         out.append(g)
-        r = _reducer(g)
-        if red and red[-1][0] > r[0]:  # only a grown prefix can lie above g
-            insort(red, r, key=_lead)
-        else:
-            red.append(r)
+        red.append(_reducer(g))
     out.reverse()
     return out
 
@@ -656,18 +646,28 @@ def _buchberger(
     the end and before each new x-degree's first pair _chain_drops keeps.
     """
     mask = -1 if stop is None else ring.tag - 1
+    basis: list = list(known)
+    reductions = peak = 0
+
+    def over(why) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"{why} (pairs treated {reductions}, basis size {len(basis)}, peak lcm degree {peak})")
+
     for g in itertools.chain(known, gens):
         d = max(map(ring.mono_degree, g), default=0)
         if d > budget.max_degree:
-            raise BudgetExceededError(
-                f"input element of degree {d} > budget {budget.max_degree}"
-            )
-    basis: list = list(known)
+            raise over(f"input element of degree {d} > budget {budget.max_degree}")
     lts: list[int] = [max(g) for g in basis]
     red: list = _prepare_reducers(basis)
     leads = _lead_lookup(red, 2 * budget.max_degree)
     heap: list = []
     owners: dict = {}  # factor index -> basis indices of the products with it
+
+    def nf(f: dict) -> dict:
+        try:
+            return _nf(ring, f, red, budget.max_degree, leads)
+        except BudgetExceededError as e:
+            raise over(e) from None
 
     def add(r: dict, shared=()):
         r = _monic(ring, r)
@@ -689,10 +689,9 @@ def _buchberger(
     for g, shared in sorted(
         ((g, s) for g, s in seeds if g), key=lambda e: (max(e[0]) % 255, max(e[0]))
     ):
-        r = _nf(ring, g, red, budget.max_degree, leads)
+        r = nf(g)
         if r:
             add(r, shared if max(r) == max(g) else ())
-    reductions = 0
     closed = -1
     while heap:
         deg_l, l, i, j = heapq.heappop(heap)
@@ -702,16 +701,13 @@ def _buchberger(
             closed, found = deg_l, stop(basis)
             if found is not None:
                 return found
+        peak = max(peak, l % 255)
         if l % 255 > budget.max_degree:
-            raise BudgetExceededError(
-                f"S-pair lcm degree {l % 255} > budget {budget.max_degree}"
-            )
+            raise over(f"S-pair lcm degree {l % 255} > budget {budget.max_degree}")
+        if reductions == budget.max_pairs:
+            raise over(f"S-pair count exceeded budget {budget.max_pairs}")
         reductions += 1
-        if reductions > budget.max_pairs:
-            raise BudgetExceededError(
-                f"S-pair count exceeded budget {budget.max_pairs}"
-            )
-        r = _nf(ring, _spoly(ring, basis[i], basis[j]), red, budget.max_degree, leads)
+        r = nf(_spoly(ring, basis[i], basis[j]))
         if r:
             add(r)
     return _reduce_basis(ring, basis, born=True) if stop is None else stop(basis)
@@ -951,12 +947,11 @@ def colon_poly(
     return Ideal(I.ring, basis, _gb=tuple(basis))
 
 
-def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial, red=None) -> list[Polynomial]:
+def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial) -> list[Polynomial]:
     """Reduced basis of (I : f) from the reduced basis ``meet`` (Polynomials)
-    of I cap (f): the quotients by f form a Groebner basis, reduced once more
-    (growing the prefix ``red``, as in _reduce_basis)."""
+    of I cap (f): the quotients by f form a Groebner basis, reduced once more."""
     quot = [poly_divexact(g, f).terms for g in meet]
-    return [Polynomial(ring, b) for b in _reduce_basis(ring, quot, red)]
+    return [Polynomial(ring, b) for b in _reduce_basis(ring, quot)]
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -1199,16 +1194,22 @@ def brute_local_v(
     uses only S-pairs whose lcm divides a term of the degree at hand, and
     needs a well-order and a grading, not a positive weight (Becker and
     Weispfenning, Groebner Bases, 1993, sec. 10.2).  With t above every x,
-    the t-free elements form a D-truncated basis of J cap (f0); reduced,
-    divided by f0 of degree e and reduced again, they are A's reduced-basis
-    elements of degree <= D - e, as leading terms and normal forms in
-    degree <= D see nothing above it.  So the first D with one outside P_T
-    gives the degree, and the least by (degree, lt) is the full basis's.
+    the t-free elements form a D-truncated basis of J cap (f0), and their
+    quotients by f0 of degree e one of A up to degree D - e, as leading
+    terms and normal forms in degree <= D see nothing above it.  So the
+    first D with an element of A's reduced basis outside P_T gives the
+    degree, and the least by (degree, lt) is the full basis's.
 
-    A stop test's new t-free elements come from pairs of x-degree at least
-    the last closed degree, above all it saw, so they cannot reduce or
-    remove those: the reduced meet and A grow by them alone, and only A's
-    new elements need the P_T test (the earlier ones all lay in P_T).
+    The stop test.  Its new t-free elements come from pairs of x-degree at
+    least the last closed degree, above all it saw.  It takes them, and so
+    their quotients, by (degree, lt), skips one whose quotient's leading
+    term a kept one divides (not in A's reduced basis) and tests any other
+    quotient a for P_T as it is: a minus the reduced element with its
+    leading term is a combination of kept quotients, all before a, present
+    (the basis is complete up to the closed degree) and found in P_T.  A
+    kept a joins a minimal Groebner basis of A in the degrees seen; the
+    first a outside P_T is the witness, and only its tail is reduced,
+    against that basis, as normal forms against any Groebner basis agree.
     """
     Tkey = tuple(sorted(set(T)))
     primes, J = _oracle_context(ring, G, budget)
@@ -1220,19 +1221,23 @@ def brute_local_v(
         return (0, Polynomial.one(ring))
     f0 = separating_element(target, others)
     seeds, known = _tagged(J, [f0], budget)
-    tag = ring.extended().tag
-    meet_red: list = []  # reducers of the reduced meet found so far
-    A_red: list = []  # and of A's
+    tag, top, lt0 = ring.extended().tag, ring._top, f0.lt()
+    A_red: list = []  # reducers of A's kept quotients, all in P_T
     seen = 0  # basis elements the stop test has looked at
 
     def least_witness(basis: list) -> Optional[Polynomial]:
         nonlocal seen
-        new = [g for g in basis[seen:] if max(g) < tag]
-        seen = len(basis)
-        meet = _reduce_basis(ring, new, meet_red, born=True)
-        A = _colon_basis(ring, [Polynomial(ring, g) for g in meet], f0, A_red)
-        A.sort(key=lambda g: (g.degree(), g.lt()))
-        return next((g for g in A if not target.contains(g)), None)
+        new, seen = basis[seen:], len(basis)
+        for _, lh, h in sorted((max(g) % 255, max(g), g) for g in new if max(g) < tag):
+            u_ = (lh - lt0) | top
+            if any((u_ - r[0]) & top == top for r in A_red):
+                continue
+            a = poly_divexact(Polynomial(ring, h), f0).monic()
+            lt, tail = r = _reducer(a.terms)
+            if not target.contains(a):
+                return Polynomial(ring, {lt: a.terms[lt], **_nf(ring, dict(tail), A_red)})
+            insort(A_red, r, key=_lead)
+        return None
 
     w = _buchberger(ring.extended(), seeds, budget, known, least_witness)
     if w is None or not verify_witness(J, w, target, budget):

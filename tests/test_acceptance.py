@@ -190,9 +190,8 @@ def test_criterion_10_classification():
 
 def test_criterion_12_general_graph_theorems_at_m_2_and_3():
     # v_emptyset = gamma_c^* and the classification, both for every m: the
-    # oracle at m = 2 and m = 3 (n <= 5), and at m = 2 for n = 6, against
-    # the graph-side answers, with the generic subset search for gamma_c^*
-    # on every graph
+    # oracle at m = 2 and m = 3 (n <= 6) against the graph-side answers,
+    # with the generic subset search for gamma_c^* on every graph
     t0 = time.perf_counter()
     bad = []
     pairs = 0
@@ -201,7 +200,7 @@ def test_criterion_12_general_graph_theorems_at_m_2_and_3():
             if G.is_complete():
                 continue
             gamma = reduced_connected_domination_number(G)
-            for m in (2, 3) if n <= 5 else (2,):
+            for m in (2, 3):
                 ring = RingSpec(m, n)
                 local = {c.vertices: brute_local_v(ring, G, c.vertices)[0]
                          for c in enumerate_cut_sets(G)}
@@ -212,9 +211,9 @@ def test_criterion_12_general_graph_theorems_at_m_2_and_3():
                     bad.append((m, sorted(G.edges)))
     report(
         12,
-        not bad and pairs == 163,
+        not bad and pairs == 274,
         t0,
         60.0,
         f"v at the empty cut set equals gamma_c^* and the class of v matches the oracle, "
-        f"{pairs} (graph, m) pairs, connected non-complete n<=5 at m in {{2,3}} and n=6 at m=2",
+        f"{pairs} (graph, m) pairs, connected non-complete n<=6 at m in {{2,3}}",
     )

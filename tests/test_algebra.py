@@ -55,6 +55,7 @@ from vnum.algebra import (
     _outside_by_lookup,
     _prepare_reducers,
     _reduce_basis,
+    _sub_mul,
     _spoly,
 )
 
@@ -544,32 +545,28 @@ def test_reduce_basis_of_redundant_groebner_basis(c4):
 
 
 def test_birth_reduced_interreduction_matches_the_full_pass(monkeypatch, c4):
-    # _buchberger's finish and brute_local_v's stop test hand _reduce_basis
-    # bases reduced at birth, and it keeps an element as it is when every
-    # kept element below it was born before it.  Every such call must give
-    # exactly the full pass's output and grow the prefix the same way, on
-    # plain bases, powers, tag eliminations and the oracle.  On some of
-    # _buchberger's calls the input itself is not the answer, so a pass that
-    # always keeps the input as it is fails
+    # _buchberger's finish hands _reduce_basis bases reduced at birth, and
+    # it keeps an element as it is when every kept element below it was
+    # born before it.  Every such call must give exactly the full pass's
+    # output, on plain bases, powers, tag eliminations and the oracle's
+    # contexts.  On some calls the input itself is not the answer, so a
+    # pass that always keeps the input as it is fails
     import vnum.algebra as algebra
     from vnum.verify import suite_colon_variable
 
     full = algebra._reduce_basis
-    calls = {"buchberger": 0, "stop test": 0}
-    needed = dict(calls)
+    calls = needed = 0
 
-    def checked(ring, basis, red=None, *, born=False):
+    def checked(ring, basis, *, born=False):
+        nonlocal calls, needed
         if not born:
-            return full(ring, basis, red)
-        caller = "buchberger" if red is None else "stop test"
-        prefix = None if red is None else list(red)
-        want = full(ring, basis, prefix)
-        got = full(ring, basis, red, born=True)
+            return full(ring, basis)
+        want = full(ring, basis)
+        got = full(ring, basis, born=True)
         assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
-        assert red == prefix
         as_given = sorted((g for g in basis if g), key=max, reverse=True)
-        calls[caller] += 1
-        needed[caller] += want != as_given
+        calls += 1
+        needed += want != as_given
         return got
 
     monkeypatch.setattr(algebra, "_reduce_basis", checked)
@@ -588,7 +585,7 @@ def test_birth_reduced_interreduction_matches_the_full_pass(monkeypatch, c4):
     R = RingSpec(2, 4)
     primes = [cut_set_prime(R, P4, c.vertices) for c in enumerate_cut_sets(P4)]
     assert intersect_many(primes).equals(binomial_edge_ideal(R, P4))
-    assert min(calls.values()) > 0 and needed["buchberger"] > 0, (calls, needed)
+    assert calls > 0 and needed > 0, (calls, needed)
 
 
 def degree_first_gm_update(ring, lts, pairs, heap, new_idx, mask=-1, treated=()):
@@ -1058,16 +1055,75 @@ def test_brute_local_v_returns_the_exact_degree():
 def test_brute_local_v_without_witness_is_an_inconsistency(monkeypatch):
     # if (J : f0) fell inside P_T no reduced-basis element could be a
     # witness; prime avoidance rules that out, so the oracle raises.  The
-    # truncated elimination reads A's new basis elements from _colon_basis
-    # at every closed degree: hand back P_T's basis there instead
+    # stop test divides each new t-free element h of J cap (f0) by f0 at
+    # every closed degree: hand back h itself there, which lies in J <= P_T
     import vnum.algebra as algebra
 
     P4 = path_graph(4)
     R = RingSpec(2, 4)
-    inside = list(cut_set_prime(R, P4, [2]).groebner())
-    monkeypatch.setattr(algebra, "_colon_basis", lambda ring, meet, f, red: inside)
+    monkeypatch.setattr(algebra, "poly_divexact", lambda f, g: f)
     with pytest.raises(AssertionError, match="internal inconsistency"):
         brute_local_v(R, P4, [2])
+
+
+def test_oracle_stop_test_reads_any_basis_with_the_same_leading_terms(monkeypatch):
+    # the stop test must give the same answer from the same divisions on
+    # any truncated basis of J cap (f0) with the leading terms of the run's.
+    # A run's t-free elements are born reduced in non-decreasing degree:
+    # no leading term divides another's, and on these families no
+    # witness's quotient has a reducible tail.  So the stop test is fed a
+    # shadow basis: each new t-free h, taken by (degree, lt), plus y * h_k
+    # for the last t-free h_k before it that keeps lt(h) the leading term,
+    # with y the power of x[m,n] that matches the degree (a quotient with
+    # a reducible tail, to be reduced only if it is the witness); and
+    # x[m,n] * h after it (a quotient outside A's reduced basis, whose
+    # leading term a kept one divides, to be skipped undivided)
+    import vnum.algebra as algebra
+
+    real, divide = algebra._buchberger, algebra.poly_divexact
+    divided, changed = [], set()
+    monkeypatch.setattr(
+        algebra, "poly_divexact", lambda f, g: divided.append(f.lt()) or divide(f, g))
+
+    def shadowed(ring, gens, budget, known=(), stop=None, factors=None):
+        if stop is None:
+            return real(ring, gens, budget, known, stop, factors)
+        shadow, copied, earlier = [], 0, []
+
+        def fed(basis):
+            nonlocal copied
+            key = lambda g: (ring.mono_degree(max(g)), max(g))
+            shadow.extend(g for g in basis[copied:] if max(g) >= ring.tag)
+            for g in sorted((g for g in basis[copied:] if max(g) < ring.tag), key=key):
+                (deg, lt), h = key(g), g
+                for k in reversed(earlier):
+                    y = deg - ring.mono_degree(max(k))  # the exponent of x[m,n]
+                    if max(k) + y < lt:
+                        h = _sub_mul(ring, dict(g), k, -1, y)
+                        changed.add(lt)
+                        break
+                shadow.extend((h, {u + 1: c for u, c in h.items()}))
+                earlier.append(g)
+            copied = len(basis)
+            return stop(shadow)
+
+        return real(ring, gens, budget, known, fed, factors)
+
+    reached = 0
+    for m, n in ((2, 5), (3, 4)):
+        R = RingSpec(m, n)
+        for G, _ in closed_graphs(n):
+            for cut in enumerate_cut_sets(G):
+                runs = []
+                for route in (real, shadowed):
+                    monkeypatch.setattr(algebra, "_buchberger", route)
+                    divided.clear()
+                    changed.clear()
+                    d, w = brute_local_v(R, G, cut.vertices)
+                    runs.append((d, poly_to_text(w), len(divided)))
+                assert runs[0] == runs[1], (m, G.edges, cut.vertices)
+                reached += bool(divided) and divided[-1] in changed  # a changed witness
+    assert reached > 0, reached
 
 
 def full_elimination_local_v(ring, G, T):
@@ -1206,6 +1262,31 @@ def test_oracle_pair_budget_pinned():
     brute_local_v(R, P5, [3], GBBudget(max_pairs=7, max_degree=32))
     with pytest.raises(BudgetExceededError):
         brute_local_v(R, P5, [3], GBBudget(max_pairs=6, max_degree=32))
+
+
+def test_budget_errors_say_how_far_the_run_got():
+    # each cap _buchberger enforces keeps its message and adds the pairs
+    # treated, the basis size and the peak lcm degree so far: on the
+    # oracle's pair pin above (fresh ring, so no cached context), and on
+    # the input, lcm and normal-form degree caps of a plain run
+    with pytest.raises(BudgetExceededError) as hit:
+        brute_local_v(RingSpec(2, 5), path_graph(5), [3], GBBudget(max_pairs=6, max_degree=32))
+    assert str(hit.value) == (
+        "S-pair count exceeded budget 6 (pairs treated 6, basis size 11, peak lcm degree 4)")
+    R = RingSpec(1, 3)
+    x1, x2, x3 = (Polynomial.variable(R, 1, j) for j in (1, 2, 3))
+    x2_5 = x2 * x2 * x2 * x2 * x2
+    for gens, cap, want in (
+        ([x1 * x2_5], 5, "input element of degree 6 > budget 5 (pairs treated 0, basis size 0, "
+                         "peak lcm degree 0)"),
+        ([x1 * x1 * x1 + x2 * x2 * x2, x1 * x2 * x2 + x3 * x3 * x3], 4,
+         "S-pair lcm degree 5 > budget 4 (pairs treated 0, basis size 2, peak lcm degree 5)"),
+        ([x1 - x2_5, x1 * x3 - x3], 5,
+         "normal form hit degree 6 > budget 5 (pairs treated 0, basis size 1, peak lcm degree 0)"),
+    ):
+        with pytest.raises(BudgetExceededError) as hit:
+            Ideal(R, gens).groebner(GBBudget(max_pairs=10, max_degree=cap))
+        assert str(hit.value) == want
 
 
 def test_oracle_outputs_pinned(c4, c5):
