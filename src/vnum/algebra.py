@@ -18,19 +18,22 @@ field's high bit, a divides b exactly when ((b | top) - a) & top == top.
 The hot loops (the reducer scan of _nf, the criterion-M scan of
 _gm_update, the chain test of _chain_drops and the leading-term check of
 _reduce_basis) inline that test with b | top formed once per term, and
-_chain_drops the lcm, _gm_update lcm(a, b) / b; the RingSpec methods serve
-the cold callers.  Inside _buchberger the total degree of a packed
-monomial is m % 255: as 256 = 1 (mod 255) this is the byte sum, exact
-while the degree is below 255.  Every monomial a run sees has degree at
-most 2 * max_degree <= 2 * _MAX_EXPONENT = 240, because every term of its
-input is checked exactly at entry, an S-pair's lcm is checked before its
-S-polynomial is formed, and a term is checked before it is reduced.
-There, and on search_power_witness's rows, _nf finds the divisor of a
-term no larger in degree than every leading term by one lookup, not by
-the scan.  On the rows alone, a term one degree above the least leading
-term takes one lookup per variable of the term, and a row whose terms
-these lookups show to have no divisor is its own normal form and skips
-_nf.  RingSpec.mono_degree stays exact for every input.
+_chain_drops the lcm, _gm_update lcm(a, b) / b; the RingSpec methods
+serve the cold callers.  _buchberger reads each leading term once: _nf
+emits its terms in descending order, and _record makes its output monic
+and builds its reducer (lt, tail) in one pass, the element's record, read
+by _spoly, the stop test and the finish.  Inside _buchberger the total
+degree of a packed monomial is m % 255: as 256 = 1 (mod 255) this is the
+byte sum, exact while the degree is below 255.  Every monomial a run sees
+has degree at most 2 * max_degree <= 2 * _MAX_EXPONENT = 240, because
+every term of its input is checked exactly at entry, an S-pair's lcm is
+checked before its S-polynomial is formed, and a term is checked before
+it is reduced.  There, and on search_power_witness's rows, _nf finds the
+divisor of a term no larger in degree than every leading term by one
+lookup, not by the scan.  On the rows alone, a term one degree above the
+least leading term takes one lookup per variable of the term, and a row
+whose terms these lookups show to have no divisor is its own normal form
+and skips _nf.  RingSpec.mono_degree stays exact for every input.
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
@@ -86,6 +89,8 @@ class GBBudget:
     def __post_init__(self):
         if self.max_pairs < 1:
             raise GraphInputError(f"pair budget must be >= 1, got {self.max_pairs}")
+        if self.max_degree < 0:
+            raise GraphInputError(f"degree budget must be >= 0, got {self.max_degree}")
         if self.max_degree > _MAX_EXPONENT:
             # packed exponent fields would overflow silently above the cap
             raise GraphInputError(
@@ -322,7 +327,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        return Polynomial(self.ring, _monic(self.ring, self.terms))
+        return Polynomial(self.ring, _record(self.ring, self.terms, self.lt())[0])
 
     def __repr__(self):
         return f"Polynomial({poly_to_text(self)})"
@@ -358,22 +363,19 @@ def _mul(ring: RingSpec, a: dict, b: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _monic(ring: RingSpec, g: dict) -> dict:
-    """g scaled so that its leading coefficient is 1 (g nonzero)."""
-    inv = ring.inv(g[max(g)])
-    p = ring.p
-    if p is not None:
-        return {m: (c * inv) % p for m, c in g.items()}
-    return {m: c * inv for m, c in g.items()}
+def _record(ring: RingSpec, g: dict, lt: Optional[int] = None) -> tuple:
+    """(monic g, its reducer (lt, tail)) in one pass, for a nonzero g with
+    leading term ``lt``, by default its first key: _nf emits its terms in
+    descending order.  The one helper that makes a polynomial monic."""
+    lt = next(iter(g)) if lt is None else lt
+    inv, p = ring.inv(g[lt]), ring.p
+    tail = tuple([(m, v * inv % p if p else v * inv) for m, v in g.items() if m != lt])
+    return dict(((lt, ring.coeff(1)),) + tail), (lt, tail)
 
 
 def _reducer(g: dict) -> tuple:
-    """The division-loop form (lt, tail items) of a nonzero monic g.
-
-    Every reducer is built from a monic element: a new basis element, a
-    reduced basis or a known monic Groebner basis.  So no inverse of the
-    leading coefficient is needed.
-    """
+    """The reducer (lt, tail items) of a nonzero g that is already monic,
+    as the elements of reduced and known bases are."""
     lt = max(g)
     return lt, tuple((m, c) for m, c in g.items() if m != lt)
 
@@ -492,13 +494,11 @@ def _nf(ring: RingSpec, f: dict, red: list, max_degree: Optional[int] = None, le
     return out
 
 
-def _spoly(ring: RingSpec, f: dict, g: dict) -> dict:
-    """S-polynomial of two monic f and g: their leading terms cancel
-    without any coefficient arithmetic."""
-    ltf, ltg = max(f), max(g)
-    lcm = ring.mono_lcm(ltf, ltg)
-    uf = lcm - ltf
-    return _sub_mul(ring, {m + uf: c for m, c in f.items()}, g, 1, lcm - ltg)
+def _spoly(ring: RingSpec, f: tuple, g: tuple, l: int) -> dict:
+    """S-polynomial of two monic elements given as reducers (lt, tail), l
+    the lcm of their leads: the leads cancel, so only the tails are read."""
+    uf = l - f[0]
+    return _sub_mul(ring, {m + uf: c for m, c in f[1]}, dict(g[1]), 1, l - g[0])
 
 
 def _gm_update(ring, lts: list, heap: list, new_idx: int, mask=-1, treated=()):
@@ -554,7 +554,7 @@ def _chain_drops(top: int, lts: list, i: int, j: int, l: int) -> bool:
     return False
 
 
-def _reduce_basis(ring: RingSpec, basis: list, *, born=False) -> list:
+def _reduce_basis(ring: RingSpec, basis: list, *, born: Sequence[tuple] = ()) -> list:
     """Minimalize and tail-reduce a basis that is already a Groebner basis.
 
     One pass in increasing leading-term order: an element whose leading
@@ -563,26 +563,29 @@ def _reduce_basis(ring: RingSpec, basis: list, *, born=False) -> list:
     earlier one: its leading term is larger than every term of the earlier
     one, and a divisor is never larger than the term it divides.
 
-    With ``born``, ``basis`` is in birth order, each element monic and in
-    normal form against all born before it, as _buchberger adds them.  An
-    element g whose kept predecessors in the pass were all born before it
-    is then kept as it is, since the pass reduces g against them alone.  A
-    later-born element with a larger leading term divides no term of g,
-    and a dropped one acts only through the kept one dividing it; any
-    other g takes the full path.
+    With ``born``, the reducers of ``basis``, which is in birth order, each
+    element monic and in normal form against all born before it, as
+    _buchberger adds them.  An element g whose kept predecessors in the
+    pass were all born before it is then kept as it is, with its reducer,
+    since the pass reduces g against them alone.  A later-born element with
+    a larger leading term divides no term of g, and a dropped one acts only
+    through the kept one dividing it; any other g takes the full path.
     """
     top = ring._top
     out, red = [], []
     newest = -1  # the latest birth among the kept elements so far
-    for lt, i, g in sorted((max(g), i, g) for i, g in enumerate(basis) if g):
-        if not born or newest > i:
+    keyed = ((born[i][0] if born else max(g), i, g) for i, g in enumerate(basis) if g)
+    for lt, i, g in sorted(keyed):
+        if born and newest < i:
+            rd = born[i]
+        else:
             lt_ = lt | top
             if any((lt_ - r[0]) & top == top for r in red):
                 continue
-            g = _monic(ring, _nf(ring, g, red))
+            g, rd = _record(ring, _nf(ring, g, red))
         newest = max(newest, i)
         out.append(g)
-        red.append(_reducer(g))
+        red.append(rd)
     out.reverse()
     return out
 
@@ -600,8 +603,10 @@ def _buchberger(
     Its elements open the basis as they are, and no pair among them is
     ever formed: each such S-polynomial already has a standard
     representation over ``known``, so for criterion M and the chain
-    criterion those pairs count as treated.  Every other basis element is
-    made monic when it is added, so _spoly sees monic elements only.
+    criterion those pairs count as treated.  Each element's record, its
+    reducer (lt, tail), is kept by birth in ``rds``: _record builds it with
+    the monic element in one pass over _nf's output, lead first, and
+    _spoly, the stop test and the finish (_reduce_basis) read it, no max.
 
     Treated pairs.  Some other pairs are never formed either, because
     their S-polynomial has a representation over the basis strictly below
@@ -642,8 +647,8 @@ def _buchberger(
 
     ``stop`` is brute_local_v's truncated elimination on a _TagRing: pairs
     are then ordered by the x-degree of their lcm (the tag t of weight 0;
-    the budget still reads total degree), and ``stop(basis)`` is called at
-    the end and before each new x-degree's first pair _chain_drops keeps.
+    the budget still reads total degree), and ``stop(basis, lts)`` is called
+    at the end and before each new x-degree's first pair _chain_drops keeps.
     """
     mask = -1 if stop is None else ring.tag - 1
     basis: list = list(known)
@@ -657,8 +662,8 @@ def _buchberger(
         d = max(map(ring.mono_degree, g), default=0)
         if d > budget.max_degree:
             raise over(f"input element of degree {d} > budget {budget.max_degree}")
-    lts: list[int] = [max(g) for g in basis]
-    red: list = _prepare_reducers(basis)
+    rds: list = [_reducer(g) for g in basis]  # each element's record, by birth
+    lts, red = [rd[0] for rd in rds], sorted(rds, key=_lead)
     leads = _lead_lookup(red, 2 * budget.max_degree)
     heap: list = []
     owners: dict = {}  # factor index -> basis indices of the products with it
@@ -670,15 +675,15 @@ def _buchberger(
             raise over(e) from None
 
     def add(r: dict, shared=()):
-        r = _monic(ring, r)
-        basis.append(r)
-        lts.append(max(r))
-        rd = _reducer(r)
+        g, rd = _record(ring, r)  # r comes from _nf
+        basis.append(g)
+        rds.append(rd)
+        lts.append(lt := rd[0])
         insort(red, rd, key=_lead)
-        leads[0] = min(leads[0], rd[0] % 255)
-        leads[1][rd[0]] = rd  # leading terms of a run are distinct
+        leads[0] = min(leads[0], lt % 255)
+        leads[1][lt] = rd  # leading terms of a run are distinct
         new = len(basis) - 1
-        treated = range(len(known)) if known and lts[-1] < ring.tag else ()
+        treated = range(len(known)) if known and lt < ring.tag else ()
         if shared:
             treated = {i for a in shared for i in owners.get(a, ())}
             for a in shared:
@@ -691,14 +696,14 @@ def _buchberger(
     ):
         r = nf(g)
         if r:
-            add(r, shared if max(r) == max(g) else ())
+            add(r, shared if next(iter(r)) == max(g) else ())
     closed = -1
     while heap:
         deg_l, l, i, j = heapq.heappop(heap)
         if _chain_drops(ring._top, lts, i, j, l):
             continue
         if stop is not None and deg_l > closed:
-            closed, found = deg_l, stop(basis)
+            closed, found = deg_l, stop(basis, lts)
             if found is not None:
                 return found
         peak = max(peak, l % 255)
@@ -707,10 +712,10 @@ def _buchberger(
         if reductions == budget.max_pairs:
             raise over(f"S-pair count exceeded budget {budget.max_pairs}")
         reductions += 1
-        r = nf(_spoly(ring, basis[i], basis[j]))
+        r = nf(_spoly(ring, rds[i], rds[j], l))
         if r:
             add(r)
-    return _reduce_basis(ring, basis, born=True) if stop is None else stop(basis)
+    return _reduce_basis(ring, basis, born=rds) if stop is None else stop(basis, lts)
 
 
 # ---------------------------------------------------------------------------
@@ -725,13 +730,13 @@ class Ideal:
     coincide, which is what ``equals`` checks.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_red", "_power")
+    __slots__ = ("ring", "gens", "_gb", "_red", "_view", "_power")
 
     def __init__(self, ring: RingSpec, gens: Iterable[Polynomial], _gb=None, _power=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = _gb
-        self._red = None
+        self._red = self._view = None  # _view: _outside_by_lookup's, built once
         self._power = _power  # ideal_power's (lower power, factor indices of each gen)
 
     def groebner(self, budget: GBBudget = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
@@ -1058,13 +1063,13 @@ def verify_witness(
 ) -> bool:
     """Does (I : f) equal the prime P?
 
-    P must be prime (every caller passes a cut-set prime).  (I : f)
-    contains I, so I <= P is checked first.  For f outside P the inclusion
-    f*P <= I decides, by prime avoidance: for any h with h f in I <= P,
-    primeness forces h in P.  Otherwise _colon_route decides.
+    P must be prime (every caller passes a cut-set prime); (I : 0) is the
+    ring, never P.  (I : f) contains I, so I <= P is checked first.  For f
+    outside P, f*P <= I decides by prime avoidance: for any h with h f in
+    I <= P, primeness forces h in P.  Otherwise _colon_route decides.
     """
-    if not all(P.contains(g, budget) for g in I.gens):
-        return False  # (I : f) contains I, so it could never equal P
+    if f.is_zero() or not all(P.contains(g, budget) for g in I.gens):
+        return False  # (I : 0) is the ring; (I : f) contains I, so I <= P
     if not P.contains(f, budget):
         return all(I.contains(f * g, budget) for g in P.gens)
     return _colon_route(I, f, P, budget) is not None
@@ -1085,11 +1090,12 @@ def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Ite
     component, e_j in those of l's and 0 elsewhere is a zero of P_T but
     not of g), and then it is a basis element up to sign.
     """
-    views = []
-    for I in ideals:
-        red, low = I._reducers(), I.ring._top >> 7  # the low bit of every field
-        found = sum(x for x, tail in red if not tail and x & low and x & (x - 1) == 0)
-        views.append((red, low if red[:1] == [(0, ())] else found))
+    for I in ideals:  # each ideal's view is built once and cached on it
+        if I._view is None:
+            red, low = I._reducers(), I.ring._top >> 7  # the low bit of every field
+            found = sum(x for x, tail in red if not tail and x & low and x & (x - 1) == 0)
+            I._view = (red, low if red[:1] == [(0, ())] else found)
+    views = [I._view for I in ideals]
     for g in gs:
         lt, own, avoided = max(g.terms), None, set()
         for k, (red, found) in enumerate(views):
@@ -1097,7 +1103,7 @@ def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Ite
                 continue
             i = bisect_left(red, lt, key=_lead)
             if i < len(red) and red[i][0] == lt:
-                own = own or _reducer(_monic(g.ring, g.terms))
+                own = own or _record(g.ring, g.terms, lt)[1]
                 if red[i] == own:
                     continue
             avoided.add(k)
@@ -1225,17 +1231,17 @@ def brute_local_v(
     A_red: list = []  # reducers of A's kept quotients, all in P_T
     seen = 0  # basis elements the stop test has looked at
 
-    def least_witness(basis: list) -> Optional[Polynomial]:
+    def least_witness(basis: list, lts: list) -> Optional[Polynomial]:
         nonlocal seen
-        new, seen = basis[seen:], len(basis)
-        for _, lh, h in sorted((max(g) % 255, max(g), g) for g in new if max(g) < tag):
+        new, seen = range(seen, len(basis)), len(basis)
+        for _, lh, i in sorted((lh % 255, lh, i) for i in new if (lh := lts[i]) < tag):
             u_ = (lh - lt0) | top
             if any((u_ - r[0]) & top == top for r in A_red):
                 continue
-            a = poly_divexact(Polynomial(ring, h), f0).monic()
-            lt, tail = r = _reducer(a.terms)
-            if not target.contains(a):
-                return Polynomial(ring, {lt: a.terms[lt], **_nf(ring, dict(tail), A_red)})
+            q = poly_divexact(Polynomial(ring, basis[i]), f0)
+            a, r = _record(ring, q.terms, q.lt())
+            if not target.contains(Polynomial(ring, a)):
+                return Polynomial(ring, {r[0]: a[r[0]], **_nf(ring, dict(r[1]), A_red)})
             insort(A_red, r, key=_lead)
         return None
 
@@ -1332,11 +1338,11 @@ def search_power_witness(
             vec[u] = 1
             while (key := max(vec)) >= unit:
                 if key not in pivots:
-                    pivots[key] = _monic(ring, vec)
+                    pivots[key] = _record(ring, vec, key)[0]
                     break
                 _sub_mul(ring, vec, pivots[key], vec[key])
             else:  # only the combination is left: a kernel vector
-                f = Polynomial(ring, _monic(ring, vec))
+                f = Polynomial(ring, _record(ring, vec, key)[0])
                 if verify_witness(Jk, f, P, budget):
                     return {"degree": d, "witness": f, "via": "degree-slice"}
     return None

@@ -50,11 +50,12 @@ from vnum.algebra import (
     _gm_update,
     _lead_lookup,
     _minimal_monomials,
-    _monic,
     _nf,
     _outside_by_lookup,
     _prepare_reducers,
+    _record,
     _reduce_basis,
+    _reducer,
     _sub_mul,
     _spoly,
 )
@@ -146,10 +147,10 @@ def test_ring_laws_of_the_shared_loop(p):
         assert poly_divexact(fg, g) == f
         with pytest.raises(ArithmeticError):
             poly_divexact(fg + Polynomial.one(ring), g)
-        a, b = _monic(ring, f.terms), _monic(ring, g.terms)
-        assert a[max(a)] == b[max(b)] == 1
+        (a, ra), (b, rb) = _record(ring, f.terms, f.lt()), _record(ring, g.terms, g.lt())
+        assert a[max(a)] == b[max(b)] == 1 and (ra, rb) == (_reducer(a), _reducer(b))
         lcm = ring.mono_lcm(max(a), max(b))
-        s = _spoly(ring, a, b)
+        s = _spoly(ring, ra, rb, lcm)
         assert lcm not in s
         ua = ring.mono_exponents(lcm - max(a))
         ub = ring.mono_exponents(lcm - max(b))
@@ -557,12 +558,12 @@ def test_birth_reduced_interreduction_matches_the_full_pass(monkeypatch, c4):
     full = algebra._reduce_basis
     calls = needed = 0
 
-    def checked(ring, basis, *, born=False):
+    def checked(ring, basis, *, born=()):
         nonlocal calls, needed
         if not born:
             return full(ring, basis)
         want = full(ring, basis)
-        got = full(ring, basis, born=True)
+        got = full(ring, basis, born=born)
         assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
         as_given = sorted((g for g in basis if g), key=max, reverse=True)
         calls += 1
@@ -692,6 +693,14 @@ def test_budget_rejects_degree_above_exponent_cap():
 def test_budget_rejects_empty_pair_allowance():
     with pytest.raises(GraphInputError):
         GBBudget(max_pairs=0)
+
+
+def test_budget_rejects_negative_degree():
+    # every non-constant input would fail as a budget overrun, not as input
+    assert GBBudget(max_degree=0).max_degree == 0
+    for d in (-1, -3):
+        with pytest.raises(GraphInputError):
+            GBBudget(max_degree=d)
 
 
 def test_ring_rejects_composite_modulus():
@@ -995,6 +1004,61 @@ def test_minor_lookup_is_the_membership_test():
     assert P.contains(g) and list(_outside_by_lookup([g], [P])) == [{0}]
 
 
+@pytest.mark.parametrize("p", [32003, None])
+def test_nf_emits_descending_keys_and_lookup_views_match_a_fresh_build(monkeypatch, p):
+    # _buchberger's records read the leading term of a new element as the
+    # first key of _nf's output, so _nf must emit its keys in strictly
+    # descending order: on random monic reducers and inputs, with and
+    # without ``leads``, and on every normal form of oracle runs
+    import vnum.algebra as algebra
+
+    rng = random.Random(37)
+    ring = RingSpec(2, 3, p=p)
+    coeff = (lambda: rng.randrange(1, p)) if p else (lambda: Fraction(rng.choice([-3, 1, 5]), 7))
+    for trial in range(300):
+        basis = []
+        for g in (random_poly(ring, rng, terms=4) for _ in range(rng.randrange(1, 6))):
+            lt = g.lt()
+            basis.append({lt: ring.coeff(1), **{m: coeff() for m in g.terms if m != lt}})
+        red = _prepare_reducers(basis)
+        f = random_poly(ring, rng, terms=8, degree=5).terms
+        top = max(map(ring.mono_degree, f))
+        for leads in (None, _lead_lookup(red, top), _lead_lookup(red, top, one_up=True)):
+            keys = list(_nf(ring, f, red, None, leads))
+            assert all(a > b for a, b in zip(keys, keys[1:])), (trial, leads is None)
+    calls = []
+
+    def ordered(ring, f, red, max_degree=None, leads=None):
+        out = _nf(ring, f, red, max_degree, leads)
+        keys = list(out)
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        calls.append(len(keys))
+        return out
+
+    monkeypatch.setattr(algebra, "_nf", ordered)
+    R = RingSpec(2, 5, p=p)
+    for cut in enumerate_cut_sets(path_graph(5)):
+        brute_local_v(R, path_graph(5), cut.vertices)
+    assert len(calls) > 100 and max(calls) > 3, (len(calls), max(calls))
+    # each prime's lookup view is built once, cached on it, and gives the
+    # same sets as a fresh build, at every cut set of the closed graphs
+    # with n <= 5
+    monkeypatch.undo()
+    for n in range(1, 6):
+        R = RingSpec(2, n, p=p)
+        for G, _ in closed_graphs(n):
+            primes = {c.vertices: cut_set_prime(R, G, c.vertices) for c in enumerate_cut_sets(G)}
+            for T, target in primes.items():
+                others = [P for S, P in primes.items() if S != T]
+                gens = [g for g in target.gens if g.degree() in (1, 2)]
+                views = [P._view for P in others]
+                cached = list(_outside_by_lookup(gens, others))
+                fresh = [Ideal(R, P.gens, _gb=P._gb) for P in others]
+                assert cached == list(_outside_by_lookup(gens, fresh)), (G.edges, T)
+                assert [P._view for P in fresh] == [P._view for P in others]
+                assert all(v is None or v is P._view for v, P in zip(views, others))
+
+
 def picked_generators(P: Ideal, f0: Polynomial):
     """The generators of P that f0 is a weighted sum of, read off its terms
     (each variable squared when f0 is a quadric), or None if it is none.
@@ -1090,7 +1154,7 @@ def test_oracle_stop_test_reads_any_basis_with_the_same_leading_terms(monkeypatc
             return real(ring, gens, budget, known, stop, factors)
         shadow, copied, earlier = [], 0, []
 
-        def fed(basis):
+        def fed(basis, lts):
             nonlocal copied
             key = lambda g: (ring.mono_degree(max(g)), max(g))
             shadow.extend(g for g in basis[copied:] if max(g) >= ring.tag)
@@ -1105,7 +1169,7 @@ def test_oracle_stop_test_reads_any_basis_with_the_same_leading_terms(monkeypatc
                 shadow.extend((h, {u + 1: c for u, c in h.items()}))
                 earlier.append(g)
             copied = len(basis)
-            return stop(shadow)
+            return stop(shadow, [max(g) for g in shadow])
 
         return real(ring, gens, budget, known, fed, factors)
 
@@ -1375,6 +1439,18 @@ def test_verify_witness_needs_the_ideal_inside_the_prime():
     assert J.contains(f) and not P.contains(f)
     assert all(J.contains(f * g) for g in P.gens)
     assert not verify_witness(J, f, P)
+
+
+def test_verify_witness_rejects_the_zero_polynomial():
+    # (I : 0) is the whole ring, never a prime; 0 lies in every P, so it
+    # would otherwise reach the monomial colon, which has no leading term
+    R = RingSpec(2, 4)
+    P4 = path_graph(4)
+    J = binomial_edge_ideal(R, P4)
+    for c in enumerate_cut_sets(P4):
+        assert not verify_witness(J, Polynomial.zero(R), cut_set_prime(R, P4, c.vertices))
+    prime = cut_set_prime(R, complete_graph(4), [])
+    assert not verify_witness(prime, Polynomial.zero(R), prime)
 
 
 def test_search_power_witness_trivial_k1():

@@ -181,8 +181,9 @@ def test_power_suite_checks_each_base_witness_once(monkeypatch):
 
 def test_decomposition_sweep_pair_count(monkeypatch):
     # criterion 6's sweep, every connected graph with n <= 5 at m = 2 and 3,
-    # forms at most the 21,458 S-pairs it took before intersect's warm
-    # start; with the quiet pairs it forms 20,005
+    # forms 20,005 S-pairs (21,458 before intersect's warm start and the
+    # quiet pairs); pinned exactly, so a run that forms S-polynomials
+    # without _spoly, which would count 0, fails
     spoly, formed = vnum.algebra._spoly, 0
 
     def counting(*args):
@@ -195,7 +196,7 @@ def test_decomposition_sweep_pair_count(monkeypatch):
         for G in connected_graphs_up_to_iso(n):
             for m in (2, 3):
                 assert [r.status for r in suite_decomposition(G, m)] == ["pass"]
-    assert formed <= 21_458
+    assert formed == 20_005, formed
 
 
 def test_all_suites_pass_on_p5(capsys):
