@@ -40,9 +40,10 @@ order, where brute_local_v's truncated elimination reads the degree
 without the tag t (x-degree); the Gebauer-Moeller update walks the new
 candidates by (lcm / lt, index), which puts every divisor first and keeps
 the smallest index among equal lcms; the chain criterion is tested at pop.
-A tag elimination opens with the cached
-reduced basis of its first ideal in its stored order and pairs no element
-of it with a t-free one (quiet pairs).  The basis of a power from
+A tag elimination opens with the reduced basis of its first ideal in its
+stored order, and pairs a new element only with its own kind, t-free or
+tagged (_buchberger); as two kinds never share an lcm, heap entries that
+index a kind's list pop in the same order.  The basis of a power from
 ideal_power skips the pairs of products that share a factor; the factor
 indices are kept in sets, which decide only whether a pair is queued,
 never the order in which queued pairs are popped, and each seed is
@@ -66,6 +67,7 @@ import functools
 import heapq
 import itertools
 from bisect import bisect_left, insort
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -146,7 +148,7 @@ class RingSpec:
             f"x[{i},{j}]" for i in range(1, m + 1) for j in range(1, n + 1)
         )
         self._init_masks()
-        self._ext: Optional[_TagRing] = None
+        self._ext, self._inv = None, {}  # extended(), and c -> c^(p-2) shared with it
 
     def _init_masks(self):
         top = 0
@@ -202,8 +204,8 @@ class RingSpec:
         return Fraction(c)
 
     def inv(self, c):
-        if self.p is not None:
-            return pow(c, self.p - 2, self.p)
+        if self.p is not None:  # kept: a run meets few coefficients, and at most p
+            return self._inv.get(c) or self._inv.setdefault(c, pow(c, self.p - 2, self.p))
         return Fraction(1) / c
 
     def extended(self) -> "_TagRing":
@@ -232,7 +234,7 @@ class _TagRing(RingSpec):
         self.nvars = base.nvars + 1
         self.names = ("t",) + base.names
         self._init_masks()
-        self._ext = None
+        self._ext, self._inv = None, base._inv
         #: packed tag monomial; base monomials embed unchanged below it
         self.tag = 1 << (_FIELD_BITS * base.nvars)
 
@@ -590,6 +592,16 @@ def _reduce_basis(ring: RingSpec, basis: list, *, born: Sequence[tuple] = ()) ->
     return out
 
 
+#: _buchberger's start on a monic reduced basis: dicts, records, leads, sorted records, top degree
+_Opening = namedtuple("_Opening", "basis rds lts red degree")
+
+
+def _open(ring: RingSpec, known: Sequence[dict]) -> _Opening:
+    rds = [_reducer(g) for g in known]
+    degree = max((ring.mono_degree(m) for g in known for m in g), default=0)
+    return _Opening(list(known), rds, [rd[0] for rd in rds], sorted(rds, key=_lead), degree)
+
+
 def _buchberger(
     ring: RingSpec, gens: Sequence[dict], budget: GBBudget, known: Sequence[dict] = (),
     stop: Optional[Callable[[list], object]] = None,
@@ -598,26 +610,31 @@ def _buchberger(
     """Reduced Groebner basis of the ideal generated by ``known`` and ``gens``,
     or, when ``stop`` is given, the first non-None value ``stop`` returns.
 
-    ``known`` serves tag eliminations on a _TagRing: it is t*GB(I) for the
-    monic reduced basis of an ideal I, and ``gens`` are (1-t)*h for h in H.
+    ``known`` is the monic reduced basis of an ideal, or its _Opening.
     Its elements open the basis as they are, and no pair among them is
     ever formed: each such S-polynomial already has a standard
     representation over ``known``, so for criterion M and the chain
-    criterion those pairs count as treated.  Each element's record, its
-    reducer (lt, tail), is kept by birth in ``rds``: _record builds it with
-    the monic element in one pass over _nf's output, lead first, and
-    _spoly, the stop test and the finish (_reduce_basis) read it, no max.
+    criterion those pairs count as treated.  Every element's record (module
+    docstring) is kept by birth in ``rds``.
 
     Treated pairs.  Some other pairs are never formed either, because
     their S-polynomial has a representation over the basis strictly below
     their lcm.  Like B1's coprime pairs, such a pair counts as treated and
     its lcm stays a criterion-M dominator.  There are two kinds:
 
-    * Quiet pairs, of a known t*g with a new h whose leading term is t-free.
-      Then h is t-free (t is above every x), so it lies in
-      (t*I + (1-t)*H) cap K[x] = I cap H, inside I, and t times a standard
-      representation of S(g, h) over GB(I) is one of S(t*g, h) = t*S(g, h)
-      over ``known``, in every x-degree.  A run without ``known`` has none.
+    * Cross-kind pairs, in a tag elimination on a _TagRing: ``known`` is
+      t*GB(I) and ``gens`` are (1-t)*h for h in H, so a t-free element h
+      lies in (t*I + (1-t)*H) cap K[x] = I cap H, inside I.  With a known
+      t*g, S(t*g, h) = t*S(g, h) has t times a representation over GB(I)
+      (quiet pairs).  With any tagged g and lcm L, (L / lt h)*h = t*u*h
+      with u*h in I, so some known t*g_k has a lead dividing L (likewise
+      for a tagged h, through (L / lt g)*g): in the new element's update
+      g_k's quotient, of smaller index, divides g's, so a cross-kind
+      quotient drops nothing a known one does not, and none is queued.
+      So _gm_update reads only the new element's own kind, t-free or
+      tagged (the known block first; a plain ring has one kind), and for
+      a pair with a t-free lcm, which no tagged lead divides, _chain_drops
+      scans only the later t-free elements.
     * Shared-factor pairs, given ``factors``: then ``gens`` are the k-fold
       products F_k of the generators g_1..g_r of an ideal I,
       ``factors[i]`` holds the indices of the factors of ``gens[i]``, and
@@ -638,35 +655,35 @@ def _buchberger(
       seed whose leading term was reduced, and every S-polynomial result,
       carries no factors.
 
-    Every term of every generator and every known element is checked
-    against ``budget.max_degree`` exactly at entry, even a term a later
-    reduction would cancel; an S-pair's lcm is checked before its
-    S-polynomial is formed, and a term before it is reduced.  So every
-    monomial of the run has degree at most 2 * max_degree < 255, and its
-    degree is read as m % 255 (module docstring).
+    Every input term is checked against ``budget.max_degree`` exactly at
+    entry (the known ones once, in _open), even a term a later reduction
+    would cancel; an S-pair's lcm is checked before its S-polynomial is
+    formed, and a term before it is reduced.  So every monomial of the run
+    has degree at most 2 * max_degree < 255, read as m % 255 (module docstring).
 
     ``stop`` is brute_local_v's truncated elimination on a _TagRing: pairs
     are then ordered by the x-degree of their lcm (the tag t of weight 0;
     the budget still reads total degree), and ``stop(basis, lts)`` is called
     at the end and before each new x-degree's first pair _chain_drops keeps.
     """
+    op = known if isinstance(known, _Opening) else _open(ring, known)
     mask = -1 if stop is None else ring.tag - 1
-    basis: list = list(known)
+    basis, rds, lts, red = list(op.basis), list(op.rds), list(op.lts), list(op.red)
     reductions = peak = 0
 
     def over(why) -> BudgetExceededError:
         return BudgetExceededError(
             f"{why} (pairs treated {reductions}, basis size {len(basis)}, peak lcm degree {peak})")
 
-    for g in itertools.chain(known, gens):
-        d = max(map(ring.mono_degree, g), default=0)
+    for d in [op.degree] + [max(map(ring.mono_degree, g), default=0) for g in gens]:
         if d > budget.max_degree:
             raise over(f"input element of degree {d} > budget {budget.max_degree}")
-    rds: list = [_reducer(g) for g in basis]  # each element's record, by birth
-    lts, red = [rd[0] for rd in rds], sorted(rds, key=_lead)
     leads = _lead_lookup(red, 2 * budget.max_degree)
-    heap: list = []
-    owners: dict = {}  # factor index -> basis indices of the products with it
+    heap: list = []  # (lcm degree, lcm, i, j), i and j indexing the pair's kind
+    owners: dict = {}  # factor index -> kind indices of the products with it
+    # kinds (basis indices, leads): t-free, and the rest (all of a run with one kind)
+    top, tag = ring._top, ring.tag if isinstance(ring, _TagRing) and basis else 0
+    free, rest = ([], []), (list(range(len(basis))), list(lts))
 
     def nf(f: dict) -> dict:
         try:
@@ -682,13 +699,13 @@ def _buchberger(
         insort(red, rd, key=_lead)
         leads[0] = min(leads[0], lt % 255)
         leads[1][lt] = rd  # leading terms of a run are distinct
-        new = len(basis) - 1
-        treated = range(len(known)) if known and lt < ring.tag else ()
-        if shared:
-            treated = {i for a in shared for i in owners.get(a, ())}
-            for a in shared:
-                owners.setdefault(a, []).append(new)
-        _gm_update(ring, lts, heap, new, mask, treated)
+        ids, own = rest if lt >= tag else free
+        ids.append(len(basis) - 1)
+        own.append(lt)
+        treated = {i for a in shared for i in owners.get(a, ())}
+        for a in shared:
+            owners.setdefault(a, []).append(len(own) - 1)
+        _gm_update(ring, own, heap, len(own) - 1, mask, treated)
 
     seeds = zip(gens, factors if factors is not None else itertools.repeat(()))
     for g, shared in sorted(
@@ -700,7 +717,12 @@ def _buchberger(
     closed = -1
     while heap:
         deg_l, l, i, j = heapq.heappop(heap)
-        if _chain_drops(ring._top, lts, i, j, l):
+        if l < tag:  # no tagged lead divides l: scan the later t-free elements
+            dropped, i, j = _chain_drops(top, free[1], i, j, l), free[0][i], free[0][j]
+        else:
+            i, j = rest[0][i], rest[0][j]
+            dropped = _chain_drops(top, lts, i, j, l)
+        if dropped:
             continue
         if stop is not None and deg_l > closed:
             closed, found = deg_l, stop(basis, lts)
@@ -730,13 +752,13 @@ class Ideal:
     coincide, which is what ``equals`` checks.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_red", "_view", "_power")
+    __slots__ = ("ring", "gens", "_gb", "_red", "_view", "_tag", "_power")
 
     def __init__(self, ring: RingSpec, gens: Iterable[Polynomial], _gb=None, _power=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = _gb
-        self._red = self._view = None  # _view: _outside_by_lookup's, built once
+        self._red = self._view = self._tag = None  # _view, _tag: for _outside_by_lookup, _tagged
         self._power = _power  # ideal_power's (lower power, factor indices of each gen)
 
     def groebner(self, budget: GBBudget = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
@@ -901,11 +923,13 @@ def intersect(
 
 
 def _tagged(I: Ideal, gens: Sequence[Polynomial], budget: GBBudget) -> tuple:
-    """Seeds (1-t)*g for g in ``gens`` and known basis t*GB(I) of t*I + (1-t)*(gens)."""
+    """Seeds (1-t)*g for g in ``gens`` and the opening on t*GB(I), built
+    once per ideal, of t*I + (1-t)*(gens)."""
     ring, tag = I.ring, I.ring.extended().tag
-    known = [{m + tag: c for m, c in g.terms.items()} for g in I.groebner(budget)]
-    seeds = [g.terms | {m + tag: ring.coeff(-c) for m, c in g.terms.items()} for g in gens]
-    return seeds, known
+    if I._tag is None:
+        tagged = [{m + tag: c for m, c in g.terms.items()} for g in I.groebner(budget)]
+        I._tag = _open(ring.extended(), tagged)
+    return [g.terms | {m + tag: ring.coeff(-c) for m, c in g.terms.items()} for g in gens], I._tag
 
 
 def intersect_many(
@@ -947,16 +971,10 @@ def colon_poly(
     reduction, not a fresh Buchberger run."""
     if f.is_zero():
         raise GraphInputError("colon by the zero polynomial")
-    meet = intersect(I, Ideal(I.ring, [f]), budget)
-    basis = _colon_basis(I.ring, meet.groebner(budget), f)
+    meet = intersect(I, Ideal(I.ring, [f]), budget).groebner(budget)
+    quot = _reduce_basis(I.ring, [poly_divexact(g, f).terms for g in meet])
+    basis = [Polynomial(I.ring, b) for b in quot]
     return Ideal(I.ring, basis, _gb=tuple(basis))
-
-
-def _colon_basis(ring: RingSpec, meet: Sequence, f: Polynomial) -> list[Polynomial]:
-    """Reduced basis of (I : f) from the reduced basis ``meet`` (Polynomials)
-    of I cap (f): the quotients by f form a Groebner basis, reduced once more."""
-    quot = [poly_divexact(g, f).terms for g in meet]
-    return [Polynomial(ring, b) for b in _reduce_basis(ring, quot)]
 
 
 def ideal_power(I: Ideal, k: int) -> Ideal:
@@ -1064,11 +1082,14 @@ def verify_witness(
     """Does (I : f) equal the prime P?
 
     P must be prime (every caller passes a cut-set prime); (I : 0) is the
-    ring, never P.  (I : f) contains I, so I <= P is checked first.  For f
-    outside P, f*P <= I decides by prime avoidance: for any h with h f in
-    I <= P, primeness forces h in P.  Otherwise _colon_route decides.
+    ring, never P.  (I : f) contains I, so I <= P is checked first, by
+    normal forms only for the generators that the lookups of P's basis, if
+    cached, do not show inside P (_outside_by_lookup, sound for any ideal).
+    For f outside P, f*P <= I decides by prime avoidance: for any h with
+    h f in I <= P, primeness forces h in P.  Otherwise _colon_route decides.
     """
-    if f.is_zero() or not all(P.contains(g, budget) for g in I.gens):
+    todo = _outside_by_lookup(I.gens, [P]) if P.is_known_groebner() else itertools.repeat(1)
+    if f.is_zero() or not all(P.contains(g, budget) for g, out in zip(I.gens, todo) if out):
         return False  # (I : 0) is the ring; (I : f) contains I, so I <= P
     if not P.contains(f, budget):
         return all(I.contains(f * g, budget) for g in P.gens)
@@ -1302,10 +1323,8 @@ def search_power_witness(
     has degree at most d + lift, lift the top degree of P_T's generators,
     and takes _nf's lookups, the one-up lookup included, while that is
     below 255, where m % 255 is exact.  NF(u' * g) is in normal form, so
-    x * NF(u' * g) often is too: _shifted_nf returns it as it is when the
-    lookups show that none of its terms has a dividing lead, and calls _nf
-    only for the other rows (a term with a divisor, or of a degree above
-    the lookups' reach, as at k = 1, where the leads have degree 2).
+    x * NF(u' * g) often is too: _shifted_nf returns such a row as it is,
+    and calls _nf for the rest (a term with a divisor, or past the lookups).
 
     A hit is a verified witness, so its degree is a certified upper bound
     and nothing more.  For k >= 2 no witness lies outside P_T (localize at

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import random
 import sys
+from bisect import insort
 from fractions import Fraction
 
 import pytest
@@ -356,6 +357,17 @@ def test_degree_budget_covers_every_generator():
     with pytest.raises(BudgetExceededError):
         intersect(J, Ideal(J.ring, []), GBBudget(max_degree=2))
     assert intersect(J, Ideal(J.ring, []), GBBudget(max_degree=3)).gens == ()
+
+
+def test_buchberger_opens_with_known_on_a_plain_ring():
+    # a plain ring has one kind of element and no quiet pairs: a run that
+    # opens with P3's reduced basis and adds a generator gives the reduced
+    # basis of both
+    J = binomial_edge_ideal(RingSpec(2, 3), path_graph(3))
+    known = [g.terms for g in J.groebner()]
+    for f in (Polynomial.variable(J.ring, 1, 2), minor(J.ring, (1, 2), (1, 3))):
+        want = Ideal(J.ring, [f, *J.groebner()]).groebner()
+        assert _buchberger(J.ring, [f.terms], DEFAULT_BUDGET, known) == [g.terms for g in want]
 
 
 def test_degree_budget_is_exact_at_and_above_255():
@@ -778,6 +790,112 @@ def test_intersect_matches_elimination_from_raw_generators(c4, c5):
         # the warm start reads I's cached basis: with and without it cached
         assert list(intersect(Ideal(I.ring, I.gens), J).groebner()) == want
         assert list(intersect(I, J).groebner()) == want
+
+
+def full_update_events(ring, gens, known, masked, limit=None):
+    """The popped (lcm, lt_i, lt_j, dropped) entries of a tag elimination
+    whose pair update reads every earlier leading term, with a t-free
+    element's pairs with the known block treated (quiet pairs), and whose
+    chain criterion scans every later element; then the number of
+    candidate quotients the updates formed.  It stops after ``limit`` pops
+    or when no pair is left: the reference for the test below."""
+    mask = ring.tag - 1 if masked else -1
+    rds = [_reducer(g) for g in known]
+    lts, red, heap, events, candidates = [r[0] for r in rds], sorted(rds), [], [], 0
+
+    def add(r):
+        nonlocal candidates
+        rd = _record(ring, r)[1]
+        rds.append(rd)
+        lts.append(rd[0])
+        insort(red, rd)  # by lead: the leads of a run are distinct
+        candidates += len(lts) - 1
+        treated = range(len(known)) if rd[0] < ring.tag else ()
+        _gm_update(ring, lts, heap, len(lts) - 1, mask, treated)
+
+    for g in sorted(gens, key=lambda g: (max(g) % 255, max(g))):
+        if r := _nf(ring, g, red):
+            add(r)
+    while heap and len(events) != limit:
+        _, l, i, j = heapq.heappop(heap)
+        dropped = _chain_drops(ring._top, lts, i, j, l)
+        events.append((l, lts[i], lts[j], dropped))
+        if not dropped and (r := _nf(ring, _spoly(ring, rds[i], rds[j], l), red)):
+            add(r)
+    return events, candidates
+
+
+def test_elimination_pairs_by_kind_match_the_full_update(monkeypatch, c4, c5):
+    # a tag elimination pairs each new element only with its own kind (the
+    # t-free ones, or the tagged ones with the known block first), and
+    # scans only the later t-free elements for a t-free lcm at pop; the
+    # popped entries, read as leading terms, and every chain decision are
+    # those of the full update, on intersections and colons and on the
+    # oracle's truncated runs (compared up to the pop where it stopped)
+    import vnum.algebra as algebra
+
+    real, update, chain = algebra._buchberger, algebra._gm_update, algebra._chain_drops
+    events: list = []
+    run = {"tag": None, "known": ()}
+    seen = collections.Counter()
+
+    def own_kind(ring, lts, heap, new_idx, mask=-1, treated=()):
+        tagged = lts[new_idx] >= ring.tag
+        assert all((a >= ring.tag) == tagged for a in lts[:new_idx])
+        assert not tagged or lts[:len(run["known"])] == run["known"]
+        seen["candidates"] += new_idx
+        return update(ring, lts, heap, new_idx, mask, treated)
+
+    def recorded(top, lts, i, j, l):
+        dropped = chain(top, lts, i, j, l)
+        events.append((l, lts[i], lts[j], dropped))
+        if l < run["tag"]:
+            assert all(h < run["tag"] for h in lts)
+            seen["t-free scans"] += 1
+        seen["drops"] += dropped
+        return dropped
+
+    def checked(ring, gens, budget, known=(), stop=None, factors=None):
+        if not isinstance(known, algebra._Opening):
+            return real(ring, gens, budget, known, stop, factors)
+        events.clear()
+        run.update(tag=ring.tag, known=known.lts)
+        monkeypatch.setattr(algebra, "_gm_update", own_kind)
+        monkeypatch.setattr(algebra, "_chain_drops", recorded)
+        try:
+            out = real(ring, gens, budget, known, stop, factors)
+        finally:
+            monkeypatch.setattr(algebra, "_gm_update", update)
+            monkeypatch.setattr(algebra, "_chain_drops", chain)
+        want, candidates = full_update_events(
+            ring, gens, known.basis, stop is not None, len(events) if stop else None)
+        assert events == want
+        seen["runs"] += 1
+        seen["full candidates"] += candidates
+        return out
+
+    monkeypatch.setattr(algebra, "_buchberger", checked)
+    for G in (c4, c5):
+        R = RingSpec(2, G.n)
+        J = binomial_edge_ideal(R, G)
+        primes = [cut_set_prime(R, G, c.vertices) for c in enumerate_cut_sets(G)]
+        intersect(primes[0], primes[-1])
+        intersect(primes[-1], J)
+        colon_poly(J, Polynomial.variable(R, 1, 2))
+        colon_poly(J, minor(R, (1, 2), (1, 3)))
+    R = RingSpec(2, 4)
+    J2 = ideal_power(binomial_edge_ideal(R, path_graph(4)), 2)
+    for f in (Polynomial.variable(R, 1, 2), Polynomial.variable(R, 2, 3),
+              minor(R, (1, 2), (1, 3)), minor(R, (1, 2), (2, 4))):
+        colon_poly(J2, f)
+    graphs = [(m, G) for m in (2, 3) for n in range(1, 6) for G, _ in closed_graphs(n)]
+    graphs += [(2, G) for n in range(1, 6) for G in connected_graphs_up_to_iso(n)]
+    for m, G in graphs:
+        R = RingSpec(m, G.n)
+        for cut in enumerate_cut_sets(G):
+            brute_local_v(R, G, cut.vertices)
+    assert seen["runs"] == 181 and seen["drops"] > 0 and seen["t-free scans"] > 0, seen
+    assert seen["candidates"] < seen["full candidates"], seen  # cross-kind ones skipped
 
 
 def test_colon_pair_budget_pinned():
@@ -1277,6 +1395,24 @@ def test_oracle_builds_each_graph_once(monkeypatch, c5):
     assert calls == {"enumerate_cut_sets": 2, "binomial_edge_ideal": 2}
 
 
+def test_tag_opening_is_built_once_per_ideal(monkeypatch):
+    # the opening on t*GB(J) (records, sorted reducers, degree) is built
+    # once for all of a graph's cut sets, not per tag elimination
+    import vnum.algebra as algebra
+
+    real, opened = algebra._open, []
+    monkeypatch.setattr(algebra, "_open", lambda ring, known: opened.append(ring) or real(ring, known))
+    G = graph_from_intervals(6, [(1, 2), (2, 4), (3, 5), (5, 6)])
+    ring = RingSpec(2, 6)
+    cuts = enumerate_cut_sets(G)
+    J = binomial_edge_ideal(ring, G)
+    for cut in cuts:
+        d, w = brute_local_v(ring, G, cut.vertices)
+        assert colon_poly(J, w).equals(cut_set_prime(ring, G, cut.vertices))
+    # once for the oracle's J and once for this test's J, over all five cut sets
+    assert len(cuts) == 5 and opened.count(ring.extended()) == 2
+
+
 def test_oracle_context_follows_ring_graph_and_budget(monkeypatch):
     # one slot keyed by the ring object, the graph and the budget
     import vnum.algebra as algebra
@@ -1453,6 +1589,31 @@ def test_verify_witness_rejects_the_zero_polynomial():
     assert not verify_witness(prime, Polynomial.zero(R), prime)
 
 
+def test_verify_witness_reads_the_lookups_before_normal_forms(monkeypatch):
+    # I <= P is read from the lookup view of P's cached basis first; a
+    # generator the view cannot show, such as a sum of two minors inside
+    # P_T, and every generator against a prime whose basis is not cached
+    # yet, take a normal form
+    R, G = RingSpec(2, 5), path_graph(5)
+    J, P = binomial_edge_ideal(R, G), cut_set_prime(R, G, [3])
+    _, w = brute_local_v(R, G, [3])
+    inside = minor(R, (1, 2), (1, 2)) + minor(R, (1, 2), (4, 5))
+    outside = minor(R, (1, 2), (1, 4))
+    real, tested = Ideal.contains, []
+    monkeypatch.setattr(
+        Ideal, "contains", lambda I, g, *a: (I is Q and tested.append(g)) or real(I, g, *a))
+    for Q, I, want, normal_forms in (
+        (P, J, True, []),
+        (P, Ideal(R, [*J.gens, inside]), True, [inside]),
+        (P, Ideal(R, [*J.gens, outside]), False, [outside]),
+        (Ideal(R, P.gens), J, True, list(J.gens)),
+    ):
+        tested.clear()
+        assert verify_witness(I, w, Q) == want
+        assert tested[:len(normal_forms)] == normal_forms
+    assert P.contains(inside) and not P.contains(outside)
+
+
 def test_search_power_witness_trivial_k1():
     R = RingSpec(2, 4)
     res = search_power_witness(R, path_graph(4), [2], 1, d_max=2)
@@ -1590,6 +1751,18 @@ def test_generalized_minor_alternating():
 
 
 # -- rational mode --------------------------------------------------------------
+
+def test_inverse_table_holds_true_inverses():
+    # RingSpec.inv keeps c^(p-2) per ring, shared with its extended ring
+    R = RingSpec(1, 2, 101)
+    assert all(R.inv(c) * c % 101 == 1 for c in range(1, 101))
+    assert all(R.extended().inv(c) * c % 101 == 1 for c in range(1, 101))
+    S = RingSpec(2, 2)
+    sample = random.Random(32003).sample(range(1, 32003), 500)
+    assert all(S.inv(c) * c % 32003 == 1 for c in sample + sample)
+    assert S.extended()._inv is S._inv and len(S._inv) == 500
+    assert RingSpec(1, 1, None).inv(Fraction(3, 4)) == Fraction(4, 3)
+
 
 def test_rational_field_mode():
     R = RingSpec(2, 3, p=None)
