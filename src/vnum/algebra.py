@@ -59,6 +59,12 @@ Sums, scalings, products, S-polynomials, exact division and the power
 sweep's pivot elimination share one coefficient update, _sub_mul
 (acc - c * x^u * b); _nf keeps an inline copy, as each new key it makes
 goes onto its heap.
+
+Two exact rules skip steps whose outcome is fixed.  A proper divisor has
+lower degree, so _minimal_monomials tests division only by lower degrees,
+and _colon_route's certificate, where no lower one can divide, only looks
+up equal ones.  A product that is a generator of I lies in I, so the
+inclusions f*Q <= I and f*P <= I take no normal form for it (_is_gen).
 """
 
 from __future__ import annotations
@@ -752,13 +758,13 @@ class Ideal:
     coincide, which is what ``equals`` checks.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_red", "_view", "_tag", "_power")
+    __slots__ = ("ring", "gens", "_gb", "_red", "_view", "_tag", "_keys", "_power")
 
     def __init__(self, ring: RingSpec, gens: Iterable[Polynomial], _gb=None, _power=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = _gb
-        self._red = self._view = self._tag = None  # _view, _tag: for _outside_by_lookup, _tagged
+        self._red = self._view = self._tag = self._keys = None  # lazily built caches
         self._power = _power  # ideal_power's (lower power, factor indices of each gen)
 
     def groebner(self, budget: GBBudget = DEFAULT_BUDGET) -> tuple[Polynomial, ...]:
@@ -1011,16 +1017,19 @@ def _gens_are_groebner(I: Ideal, budget: GBBudget) -> bool:
 
 
 def _minimal_monomials(ring: RingSpec, monos: Iterable[int]) -> list[int]:
-    top = ring._top
-    out: list[int] = []
-    for m in sorted(set(monos)):  # a divisor is never larger: walked first
+    """The minimal generators of (monos), ascending, walked by (degree, m)
+    deduplicated: a proper divisor has lower degree, so lower levels only."""
+    top, lower, level, d0 = ring._top, [], [], None
+    for d, m in sorted((ring.mono_degree(m), m) for m in set(monos)):
+        if d != d0:
+            lower, level, d0 = lower + level, [], d
         mt = m | top
-        for g in out:
+        for g in lower:
             if (mt - g) & top == top:
                 break
         else:
-            out.append(m)
-    return out
+            level.append(m)
+    return sorted(lower + level)
 
 
 def monomial_ideal_power(ring: RingSpec, monos: Sequence[int], k: int) -> list[int]:
@@ -1032,11 +1041,8 @@ def monomial_ideal_colon(ring: RingSpec, monos: Sequence[int], u: int) -> list[i
     return _minimal_monomials(ring, [m - ring.mono_gcd(m, u) for m in monos])
 
 
-def monomial_ideals_equal(
-    ring: RingSpec, a: Sequence[int], b: Sequence[int]
-) -> bool:
-    amin, bmin = _minimal_monomials(ring, a), _minimal_monomials(ring, b)
-    return amin == bmin
+def monomial_ideals_equal(ring: RingSpec, a: Sequence[int], b: Sequence[int]) -> bool:
+    return _minimal_monomials(ring, a) == _minimal_monomials(ring, b)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,17 +1062,17 @@ def _colon_route(
     (ini I : ini f).  When that monomial colon lands inside ini(Q), the
     chain ini(Q) <= ini(I : f) <= (ini I : ini f) <= ini(Q) collapses, and
     an inclusion of ideals with equal initial ideals is an equality.  When
-    it does not, the exact tag-elimination colon decides.
+    it does not, the exact tag-elimination colon decides.  A product f*g
+    that is a generator of I (each of a power peel's is) takes no normal
+    form.  Given the inclusion, ini(Q) <= (ini I : ini f), so a minimal
+    generator q of the latter lies in ini(Q) only as a leading term of Q's
+    basis: a divisor in ini(Q) of lower degree would make q not minimal, and
+    one of equal degree is q.  So a set lookup decides each q, no division.
     """
-    if not all(I.contains(f * g, budget) for g in Q.gens):
+    if not all(_is_gen(I, h := f * g) or I.contains(h, budget) for g in Q.gens):
         return None
-    ring = I.ring
-    ini_I = [g.lt() for g in I.groebner(budget)]
-    ini_Q = [g.lt() for g in Q.groebner(budget)]
-    if all(
-        any(ring.mono_divides(g, q) for g in ini_Q)
-        for q in monomial_ideal_colon(ring, ini_I, f.lt())
-    ):
+    ini_I, ini_Q = [g.lt() for g in I.groebner(budget)], {g.lt() for g in Q.groebner(budget)}
+    if ini_Q.issuperset(monomial_ideal_colon(I.ring, ini_I, f.lt())):
         return "monomial colon"
     if colon_poly(I, f, budget).equals(Q, budget):
         return "tag elimination"
@@ -1086,14 +1092,21 @@ def verify_witness(
     normal forms only for the generators that the lookups of P's basis, if
     cached, do not show inside P (_outside_by_lookup, sound for any ideal).
     For f outside P, f*P <= I decides by prime avoidance: for any h with
-    h f in I <= P, primeness forces h in P.  Otherwise _colon_route decides.
+    h f in I <= P, primeness forces h in P; f*g for a generator g of P that
+    is one of I too lies in I, and is not formed.  Otherwise _colon_route decides.
     """
     todo = _outside_by_lookup(I.gens, [P]) if P.is_known_groebner() else itertools.repeat(1)
     if f.is_zero() or not all(P.contains(g, budget) for g, out in zip(I.gens, todo) if out):
         return False  # (I : 0) is the ring; (I : f) contains I, so I <= P
     if not P.contains(f, budget):
-        return all(I.contains(f * g, budget) for g in P.gens)
+        return all(_is_gen(I, g) or I.contains(f * g, budget) for g in P.gens)
     return _colon_route(I, f, P, budget) is not None
+
+
+def _is_gen(I: Ideal, g: Polynomial) -> bool:
+    """Is g, term by term, a generator of I?  I's set of gens is built once."""
+    I._keys = I._keys or frozenset(I.gens)
+    return g in I._keys
 
 
 def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Iterable[set]:
@@ -1124,7 +1137,9 @@ def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Ite
                 continue
             i = bisect_left(red, lt, key=_lead)
             if i < len(red) and red[i][0] == lt:
-                own = own or _record(g.ring, g.terms, lt)[1]
+                if own is None:  # a minor from _minors is monic, its lead first
+                    head, *tail = g.terms.items()
+                    own = (lt, tuple(tail)) if head == (lt, 1) else _record(g.ring, g.terms, lt)[1]
                 if red[i] == own:
                     continue
             avoided.add(k)

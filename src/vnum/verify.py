@@ -322,11 +322,10 @@ def suite_powers(
                 gk = gk * g
             chain = all(peel(j) for j in range(2, k + 1))
             for i, (cut, value, w, P) in enumerate(bases()):
-                f = gk * w
-                if f.degree() != value + 2 * (k - 1):
+                if gk.degree() + w.degree() != value + 2 * (k - 1):  # deg(gk * w): a domain
                     T = closed.input_labels(cut.vertices)
                     return False, f"degree bookkeeping off at T={T}"
-                if not (base_holds(i) if chain else verify_witness(powers[k], f, P, budget)):
+                if not (base_holds(i) if chain else verify_witness(powers[k], gk * w, P, budget)):
                     return False, f"witness fails at T={closed.input_labels(cut.vertices)}"
             return True, f"all {len(bases())} cut sets"
 

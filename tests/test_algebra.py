@@ -968,6 +968,50 @@ def test_power_and_initial():
         assert monomial_ideals_equal(R, got, monomial_ideal_power(R, iniJ, k))
 
 
+def packed_minimal_monomials(ring, monos):
+    """The walk in packed order: each monomial against every kept one (a
+    divisor is never larger as an integer, so it is kept first)."""
+    out = []
+    for m in sorted(set(monos)):
+        if not any(ring.mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def test_minimal_monomials_matches_the_packed_walk():
+    # the walk by degree level tests each monomial only against kept ones of
+    # lower degree; the packed-order walk against every kept one is the
+    # reference, on mixed degrees, duplicates, divisor chains, the unit
+    # monomial, degrees past 255 (where m % 255 is no degree) and no input
+    rng = random.Random(33)
+    assert _minimal_monomials(RingSpec(2, 3), []) == []
+    cases = past_255 = 0
+    for ring in (RingSpec(2, 3), RingSpec(3, 4), RingSpec(2, 5, p=None), RingSpec(4, 4)):
+        nv = ring.nvars
+        for trial in range(60):
+            top = (1, 2, 4, 120)[trial % 4]
+            monos = [mono_from_exponents([rng.choice((0, 0, rng.randint(0, top)))
+                                          for _ in range(nv)])
+                     for _ in range(rng.randint(1, 25))]
+            for m in rng.sample(monos, min(3, len(monos))):  # divisor chains
+                for _ in range(rng.randint(1, 4)):
+                    e = list(ring.mono_exponents(m))
+                    i = rng.randrange(nv)
+                    e[i] = min(e[i] + rng.randint(1, 2), 127)
+                    m = mono_from_exponents(e)
+                    monos.append(m)
+            monos += rng.choices(monos, k=rng.randint(0, 5))  # duplicates
+            if trial % 7 == 0:
+                monos.append(0)
+            rng.shuffle(monos)
+            want = packed_minimal_monomials(ring, monos)
+            assert _minimal_monomials(ring, monos) == want, (ring, monos)
+            assert _minimal_monomials(ring, iter(monos)) == want
+            cases += len(want) < len(set(monos)) < len(monos)
+            past_255 += max(map(ring.mono_degree, monos)) >= 255
+    assert cases > 100 and past_255 > 20
+
+
 def test_ideal_power_products_and_links():
     # each k-fold product is the (k-1)-fold one times a generator, in
     # combinations_with_replacement order; the chain links down only
@@ -1120,6 +1164,25 @@ def test_minor_lookup_is_the_membership_test():
     P = cut_set_prime(R, path_graph(3), [])
     g = minor(R, (1, 2), (1, 2)) + minor(R, (1, 2), (2, 3))
     assert P.contains(g) and list(_outside_by_lookup([g], [P])) == [{0}]
+
+
+@pytest.mark.parametrize("p", [32003, None])
+def test_minor_lookup_takes_no_record_of_a_monic_minor(monkeypatch, p):
+    # a minor from _minors is monic with its lead first, so the view compares
+    # it with the basis element as it is; a scaled minor, or one whose lead
+    # is not its first key, is made monic first and is still found inside
+    import vnum.algebra as algebra
+
+    R, G = RingSpec(2, 5, p=p), path_graph(5)
+    J, P = binomial_edge_ideal(R, G), cut_set_prime(R, G, [3])
+    records, real = [], algebra._record
+    monkeypatch.setattr(algebra, "_record", lambda *a: records.append(a) or real(*a))
+    assert list(_outside_by_lookup(J.gens, [P])) == [set()] * 4 and records == []
+    g = minor(R, (1, 2), (1, 2))
+    scaled, reordered = g.scale(3), Polynomial(R, dict(reversed(g.terms.items())))
+    assert reordered == g and list(reordered.terms) != list(g.terms)
+    assert list(_outside_by_lookup([scaled, reordered], [P])) == [set(), set()]
+    assert len(records) == 2
 
 
 @pytest.mark.parametrize("p", [32003, None])

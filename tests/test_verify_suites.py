@@ -20,10 +20,11 @@ from vnum.algebra import (
     witness_polynomial,
     _colon_route,
 )
-from vnum.enumeration import cm_closed_graphs, connected_graphs_up_to_iso
+from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
     build_graph,
     check_closed_labeling,
+    complete_graph,
     cut_set_from_vertices,
     enumerate_cut_sets,
     find_closed_labeling,
@@ -126,6 +127,106 @@ def test_peel_helper_certifies_only_what_the_monomial_colon_pins(edges, peel_hol
     # inclusion g*(1) <= J^2, false as g has degree 2, refuses it
     assert not J2.contains(g)
     assert _colon_route(J2, g, Ideal(ring, [Polynomial.one(ring)]), POWER_BUDGET) is None
+
+
+def reference_colon_route(I, f, Q, budget):
+    """_colon_route with every product reduced and every generator of the
+    monomial colon, minimal or not, scanned against every lead of Q."""
+    if not all(I.contains(f * g, budget) for g in Q.gens):
+        return None
+    ring, ini_Q = I.ring, [g.lt() for g in Q.groebner(budget)]
+    colon = [m - ring.mono_gcd(m, f.lt()) for m in (g.lt() for g in I.groebner(budget))]
+    if all(any(ring.mono_divides(a, q) for a in ini_Q) for q in colon):
+        return "monomial colon"
+    return "tag elimination" if colon_poly(I, f, budget).equals(Q, budget) else None
+
+
+def test_power_peel_inclusion_takes_no_normal_form(monkeypatch):
+    # every product g*h of the peel (J^k : g) = J^(k-1) on K4 is a generator
+    # of J^k, so the inclusion reduces none of them; the reference reduces
+    # each one
+    ring = RingSpec(2, 4)
+    g = minor(ring, (1, 2), (1, 2))
+    powers = {3: ideal_power(binomial_edge_ideal(ring, complete_graph(4)), 3)}
+    powers[2] = powers[3].lower_power
+    powers[1] = powers[2].lower_power
+    real, reduced = Ideal.contains, []
+    monkeypatch.setattr(Ideal, "contains", lambda I, h, *a: reduced.append(h) or real(I, h, *a))
+    for k in (2, 3):
+        I, Q = powers[k], powers[k - 1]
+        reduced.clear()
+        route = _colon_route(I, g, Q, POWER_BUDGET)
+        assert reduced == [], k
+        assert route == reference_colon_route(I, g, Q, POWER_BUDGET) == "monomial colon"
+        assert len(reduced) == len(Q.gens)
+
+
+def test_colon_route_matches_the_reference_that_scans_every_divisor(monkeypatch):
+    # once f*Q <= I holds, ini(Q) lies in (ini I : ini f), so a minimal
+    # generator of that colon inside ini(Q) is a lead of Q's basis: the set
+    # lookup decides what the divisor scan does.  Every (I, f, Q) of the
+    # colon suites on the connected graphs with n <= 4 at m = 2, 3, each also
+    # against Q = I, and of the power suite on the CM closed graphs with n <= 4
+    import vnum.verify
+
+    calls, real = [], vnum.verify._colon_route
+    monkeypatch.setattr(vnum.verify, "_colon_route", lambda *a: calls.append(a) or real(*a))
+    for n in range(2, 5):
+        for G in connected_graphs_up_to_iso(n):
+            for m in (2, 3):
+                run_suites(G, m=m, scope="colon")
+        for G, cs in cm_closed_graphs(n):
+            suite_powers(G, cs, 3)
+    calls += [(I, f, I, budget) for I, f, _, budget in calls]
+    routes = collections.Counter()
+    for I, f, Q, budget in calls:
+        route = _colon_route(I, f, Q, budget)
+        assert route == reference_colon_route(I, f, Q, budget), (I, f, Q)
+        routes[route] += 1
+    assert len(routes) == 3 and min(routes.values()) > 50, routes
+
+
+def test_prime_avoidance_reduces_only_products_outside_the_generators(monkeypatch):
+    # for w outside P_T, verify_witness(J, w, P_T) decides w*P_T <= J by prime
+    # avoidance; a generator of P_T that is one of J too gives a product in
+    # J, so only the others are reduced, in order, up to the first outside
+    # J.  Each cut set's witness, 1 and each x[1,v] are tried at every
+    # cut-set prime of the closed graphs with n <= 5, and every verdict
+    # matches the same check with the generator rule off, which reduces
+    # every product
+    real, reduced = Ideal.contains, []
+    monkeypatch.setattr(
+        Ideal, "contains", lambda I, h, *a: (I is J and reduced.append(h)) or real(I, h, *a))
+    verdicts, shared, outside, failed_early = collections.Counter(), 0, 0, 0
+    for n in range(2, 6):
+        for G, cs in closed_graphs(n):
+            ring = RingSpec(2, n)
+            J = binomial_edge_ideal(ring, G)
+            cuts = enumerate_cut_sets(G, cs)
+            ws = []
+            for cut in cuts:
+                spec = local_v_number(G, cs, cut, 2).witness
+                ws.append(witness_polynomial(ring, spec.minor_blocks, spec.isolated_vars))
+            ws += [Polynomial.one(ring)] + [Polynomial.variable(ring, 1, v) for v in G.vertices()]
+            for cut in cuts:
+                P = cut_set_prime(ring, G, cut.vertices)
+                for w in ws:
+                    reduced.clear()
+                    got, tested = verify_witness(J, w, P), list(reduced)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(vnum.algebra, "_is_gen", lambda I, h: False)
+                        assert got == verify_witness(J, w, P), (G.edges, cut.vertices)
+                    verdicts[got] += 1
+                    if real(P, w):
+                        continue
+                    want = [w * h for h in P.gens if h not in J.gens]
+                    assert tested == want[:len(tested)]
+                    assert len(tested) == len(want) if got else not real(J, tested[-1])
+                    failed_early += len(tested) < len(want)
+                    shared += len(P.gens) - len(want)
+                    outside += 1
+    assert verdicts[True] > 50 and verdicts[False] > 200
+    assert outside > 200 and failed_early > 100 and shared > 500
 
 
 def test_power_suite_runs_no_tag_elimination(monkeypatch):
