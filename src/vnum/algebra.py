@@ -60,11 +60,13 @@ sweep's pivot elimination share one coefficient update, _sub_mul
 (acc - c * x^u * b); _nf keeps an inline copy, as each new key it makes
 goes onto its heap.
 
-Two exact rules skip steps whose outcome is fixed.  A proper divisor has
+Exact rules skip steps whose outcome is fixed.  A proper divisor has
 lower degree, so _minimal_monomials tests division only by lower degrees,
 and _colon_route's certificate, where no lower one can divide, only looks
 up equal ones.  A product that is a generator of I lies in I, so the
-inclusions f*Q <= I and f*P <= I take no normal form for it (_is_gen).
+inclusions f*Q <= I and f*P <= I take no normal form for it (_is_gen, a
+lookup by leading term).  search_power_witness builds rows only for row
+contents that can hold a witness, one per row permutation.
 """
 
 from __future__ import annotations
@@ -1104,9 +1106,12 @@ def verify_witness(
 
 
 def _is_gen(I: Ideal, g: Polynomial) -> bool:
-    """Is g, term by term, a generator of I?  I's set of gens is built once."""
-    I._keys = I._keys or frozenset(I.gens)
-    return g in I._keys
+    """Is g, term by term, a generator of I?  Looked up by leading term."""
+    if I._keys is None:
+        I._keys = {}
+        for h in I.gens:
+            I._keys.setdefault(h.lt(), []).append(h.terms)
+    return any(h == g.terms for h in I._keys.get(g.lt(), ()))
 
 
 def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Iterable[set]:
@@ -1328,46 +1333,65 @@ def search_power_witness(
     m + (gi + 1) * 2^(8 nvars), and each row carries its monomial
     combination under the keys u' themselves, below every vector key, so
     pivots are vector keys and a row reduced to its combination alone is a
-    kernel vector f: f * P_T lies in J^k, and f is reported once
-    verify_witness certifies (J^k : f) = P_T.  The rows of degree d - 1 are reused: with x the
-    largest variable dividing u = x * u', NF(u * g) = NF(x * NF(u' * g)),
-    as normal forms against a Groebner basis are unique.
+    kernel vector f: f * P_T lies in J^k.  f is refuted if x * f is in J^k
+    for a variable x outside P_T (so (J^k : f) != P_T), else reported once
+    verify_witness certifies (J^k : f) = P_T.
+
+    J^k and P_T are multigraded by (row content, column content), so a key
+    fixes gi and u's block, and blocks never mix.  A witness is an element
+    of (J^k : P_T) outside the ideal J^k R_P cap R, so a block's kernel
+    holds one iff one of its basis vectors is one.  Two exact rules skip
+    blocks.  (1) Row permutations map J^k, P_T and the witnesses onto
+    themselves: only u whose row content a (a_r, u's degree in row r) is
+    non-increasing are swept, in the full sweep's order.  (2) For nonzero f
+    in a block's kernel and g in P_T, f * g is nonzero in J^k, so some lead
+    of J^k's basis has row content <= a + rowc(g): else a has no kernel.  A
+    row is built on demand from u / x, x the smallest variable dividing u
+    (in u's last nonzero row, so u / x keeps rule (1)), as normal forms
+    against a Groebner basis are unique: NF(u * g) = NF(x * NF(u / x * g)).
 
     J^k is homogeneous, so its reduced basis is (Becker and Weispfenning,
     Groebner Bases, 1993): reduction keeps a term's degree, so a slice-d row
     has degree at most d + lift, lift the top degree of P_T's generators,
     and takes _nf's lookups, the one-up lookup included, while that is
-    below 255, where m % 255 is exact.  NF(u' * g) is in normal form, so
-    x * NF(u' * g) often is too: _shifted_nf returns such a row as it is,
-    and calls _nf for the rest (a term with a divisor, or past the lookups).
+    below 255, where m % 255 is exact.  NF(u / x * g) is in normal form, so
+    its shift often is too: _shifted_nf returns such a row as it is, and
+    calls _nf for the rest (a term with a divisor, or past the lookups).
 
     A hit is a verified witness, so its degree is a certified upper bound
     and nothing more.  For k >= 2 no witness lies outside P_T (localize at
-    P_T: P_T R_P <= P_T^k R_P contradicts Nakayama), and a slice whose
-    witnesses are only combinations of kernel basis vectors is passed
-    over.  A miss is reported as None, never as a lower bound.  The sweep
-    needs a prime-field ring; any other ring raises GraphInputError.
+    P_T: P_T R_P <= P_T^k R_P contradicts Nakayama); by the block argument
+    no slice has witnesses that are only combinations of kernel basis
+    vectors.  A miss is None, never a lower bound.  A ring that is not a
+    prime field raises GraphInputError.
     """
     if ring.p is None:
         raise GraphInputError("the power witness search needs a prime-field ring")
-    unit = 1 << _FIELD_BITS * ring.nvars
-    J = binomial_edge_ideal(ring, G)
-    Jk = ideal_power(J, k)
+    unit, n = 1 << _FIELD_BITS * ring.nvars, ring.n
+    Jk = ideal_power(binomial_edge_ideal(ring, G), k)
     red = Jk._reducers(budget)
     P = cut_set_prime(ring, G, T)
     lift = max((g.degree() for g in P.gens), default=0)
     variables = [ring.var_mono(i) for i in range(ring.nvars)]
-    rows: dict = {}
+    outside = [x for x in variables if all(g.terms.keys() != {x} for g in P.gens)]
+    by_row = [variables[i:i + n] for i in range(0, ring.nvars, n)]
+    def rowc(u):  # u's degree in each row
+        return tuple(map(sum, zip(*[iter(ring.mono_exponents(u))] * n)))
+    lead_c, gen_c = {rowc(r[0]) for r in red}, {rowc(g.lt()) for g in P.gens}
+    rows = {0: [_nf(ring, g.terms, red) for g in P.gens]}  # u -> its NF(u * g), once built
     for d in range(d_max + 1):
-        prev, rows, pivots = rows, {}, {}
-        leads = _lead_lookup(red, d + lift, one_up=True)
-        monos = {sum(c) for c in itertools.combinations_with_replacement(variables, d)}
+        pivots, leads = {}, _lead_lookup(red, d + lift, one_up=True)
+        kept = [a for a in itertools.combinations_with_replacement(range(d, -1, -1), ring.m)
+                if sum(a) == d and all(any(all(l <= x + y for l, x, y in zip(L, a, b))
+                                           for L in lead_c) for b in gen_c)]
+        monos = {sum(map(sum, c)) for a in kept
+                 for c in itertools.product(*map(itertools.combinations_with_replacement, by_row, a))}
         for u in sorted(monos, reverse=True):
-            if d:
-                x = 1 << (u.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
-                rows[u] = [_shifted_nf(ring, r, x, red, leads) for r in prev[u - x]]
-            else:
-                rows[u] = [_nf(ring, g.terms, red, None, leads) for g in P.gens]
+            chain = [u]  # down by the smallest variable to a built row, then back up
+            while (v := chain[-1]) not in rows:
+                chain.append(v - (1 << ((v & -v).bit_length() - 1) // _FIELD_BITS * _FIELD_BITS))
+            for v, w in itertools.pairwise(reversed(chain)):
+                rows[w] = [_shifted_nf(ring, r, w - v, red, leads) for r in rows[v]]
             vec = {m + (gi + 1) * unit: c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
             vec[u] = 1
             while (key := max(vec)) >= unit:
@@ -1377,7 +1401,8 @@ def search_power_witness(
                 _sub_mul(ring, vec, pivots[key], vec[key])
             else:  # only the combination is left: a kernel vector
                 f = Polynomial(ring, _record(ring, vec, key)[0])
-                if verify_witness(Jk, f, P, budget):
+                if all(_nf(ring, {m + x: c for m, c in f.terms.items()}, red, None, leads)
+                       for x in outside) and verify_witness(Jk, f, P, budget):
                     return {"degree": d, "witness": f, "via": "degree-slice"}
     return None
 

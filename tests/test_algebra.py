@@ -45,6 +45,7 @@ from vnum.algebra import (
     separating_element,
     verify_witness,
     witness_polynomial,
+    _FIELD_BITS,
     _MAX_EXPONENT,
     _buchberger,
     _chain_drops,
@@ -57,9 +58,11 @@ from vnum.algebra import (
     _record,
     _reduce_basis,
     _reducer,
+    _shifted_nf,
     _sub_mul,
     _spoly,
 )
+from vnum.vnumbers import local_v_number
 
 
 def mono_from_exponents(exps) -> int:
@@ -1778,9 +1781,99 @@ def test_power_sweep_rows_are_normal_forms(monkeypatch):
     assert rows["two above"] == 0 and 0 < rows["through _nf"] < rows["rows"] // 2, rows
     # P5 at T = {3}: the minors of P_T are edges, so the rows stop one
     # degree above; at T = {2} the minor on {3, 5} reaches two above
-    for m, T, degree in ((2, [3], 2), (3, [3], 2), (2, [2], 3)):
+    for m, T, degree in ((2, [3], 2), (3, [3], 2), (2, [2], 3), (3, [2], 3)):
         assert search_power_witness(RingSpec(m, 5), path_graph(5), T, 1, 3)["degree"] == degree
     assert rows["two above"] > 300, rows
+
+
+def reference_power_sweep(ring, G, T, k, d_max):
+    """search_power_witness before its row rules: a row for every monomial
+    of every degree slice, built from u / x with x the largest variable
+    dividing u, and every kernel vector goes to verify_witness.  The
+    reference for the tests below."""
+    unit = 1 << _FIELD_BITS * ring.nvars
+    Jk = ideal_power(binomial_edge_ideal(ring, G), k)
+    red = Jk._reducers(ELIMINATION_BUDGET)
+    P = cut_set_prime(ring, G, T)
+    lift = max((g.degree() for g in P.gens), default=0)
+    variables = [ring.var_mono(i) for i in range(ring.nvars)]
+    rows: dict = {}
+    for d in range(d_max + 1):
+        prev, rows, pivots = rows, {}, {}
+        leads = _lead_lookup(red, d + lift, one_up=True)
+        monos = {sum(c) for c in itertools.combinations_with_replacement(variables, d)}
+        for u in sorted(monos, reverse=True):
+            if d:
+                x = 1 << (u.bit_length() - 1) // _FIELD_BITS * _FIELD_BITS
+                rows[u] = [_shifted_nf(ring, r, x, red, leads) for r in prev[u - x]]
+            else:
+                rows[u] = [_nf(ring, g.terms, red, None, leads) for g in P.gens]
+            vec = {m + (gi + 1) * unit: c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
+            vec[u] = 1
+            while (key := max(vec)) >= unit:
+                if key not in pivots:
+                    pivots[key] = _record(ring, vec, key)[0]
+                    break
+                _sub_mul(ring, vec, pivots[key], vec[key])
+            else:
+                f = Polynomial(ring, _record(ring, vec, key)[0])
+                if verify_witness(Jk, f, P):
+                    return d, poly_to_text(f)
+    return None
+
+
+def test_power_sweep_matches_the_sweep_over_every_row():
+    # the row rules (one row content per row permutation, none where no
+    # lead of J^k fits) and the refutation by a variable outside P_T skip
+    # only rows and kernel vectors that hold no witness, or mirror one:
+    # the degree and the witness text are the full sweep's, with d_max the
+    # shift bound v_T + 2(k - 1)
+    checked = 0
+    for n in range(2, 5):
+        for G, cs in closed_graphs(n):
+            for cut in enumerate_cut_sets(G, cs):
+                for m in (2, 3):
+                    for k in (1, 2):
+                        R = RingSpec(m, n)
+                        d_max = local_v_number(G, cs, cut, m).value + 2 * (k - 1)
+                        res = search_power_witness(R, G, cut.vertices, k, d_max)
+                        got = res and (res["degree"], poly_to_text(res["witness"]))
+                        want = reference_power_sweep(R, G, cut.vertices, k, d_max)
+                        assert got == want, (cs.cliques, cut.vertices, m, k)
+                        checked += want is not None
+    assert checked == 56
+
+
+def permute_rows(f, sigma):
+    """f with row i of the variables moved to row sigma[i] (0-based)."""
+    ring, n = f.ring, f.ring.n
+    out = {}
+    for u, c in f.terms.items():
+        e = ring.mono_exponents(u)
+        moved = [0] * ring.nvars
+        for i in range(ring.m):
+            moved[sigma[i] * n:sigma[i] * n + n] = e[i * n:i * n + n]
+        out[mono_from_exponents(moved)] = c
+    return Polynomial(ring, out)
+
+
+def test_power_remark_witnesses_hold_under_every_row_permutation():
+    # J and P_T are generated over all row pairs, so a row permutation
+    # maps the witnesses at T onto themselves: the sweep keeps one row
+    # content per permutation class.  The probes' witnesses are 3-minors,
+    # fixed up to sign; the k = 2 witness on cliques {1,2,3},{2,3,4} at
+    # T = {2,3} is x[1,1] times a 3-minor, with six images
+    cases = [(build_graph(max(map(max, edges)), edges), T) for edges, T, _, _ in POWER_REMARK_PROBES]
+    cases.append((graph_from_intervals(4, [(1, 3), (2, 4)]), [2, 3]))
+    images = []
+    for G, T in cases:
+        R = RingSpec(3, G.n)
+        w = search_power_witness(R, G, T, 2, 4)["witness"]
+        Jk, P = ideal_power(binomial_edge_ideal(R, G), 2), cut_set_prime(R, G, T)
+        moved = [permute_rows(w, sigma) for sigma in itertools.permutations(range(3))]
+        assert all(verify_witness(Jk, f, P) for f in moved), (G.edges, T)
+        images.append(len({poly_to_text(f) for f in moved}))
+    assert images == [2] * 5 + [6]
 
 
 def test_search_power_witness_rejects_rational_ring():
