@@ -31,9 +31,8 @@ checked before its S-polynomial is formed, and a term is checked before
 it is reduced.  There, and on search_power_witness's rows, _nf finds the
 divisor of a term no larger in degree than every leading term by one
 lookup, not by the scan.  On the rows alone, a term one degree above the
-least leading term takes one lookup per variable of the term, and a row
-whose terms these lookups show to have no divisor is its own normal form
-and skips _nf.  RingSpec.mono_degree stays exact for every input.
+least leading term takes one lookup per variable of the term.
+RingSpec.mono_degree stays exact for every input.
 
 Determinism: S-pairs are processed in ascending (lcm degree, lcm, i, j)
 order, where brute_local_v's truncated elimination reads the degree
@@ -1090,15 +1089,13 @@ def verify_witness(
     """Does (I : f) equal the prime P?
 
     P must be prime (every caller passes a cut-set prime); (I : 0) is the
-    ring, never P.  (I : f) contains I, so I <= P is checked first, by
-    normal forms only for the generators that the lookups of P's basis, if
-    cached, do not show inside P (_outside_by_lookup, sound for any ideal).
-    For f outside P, f*P <= I decides by prime avoidance: for any h with
-    h f in I <= P, primeness forces h in P; f*g for a generator g of P that
-    is one of I too lies in I, and is not formed.  Otherwise _colon_route decides.
+    ring, never P.  (I : f) contains I, so I <= P is checked first, by a
+    normal form of every generator of I.  For f outside P, f*P <= I
+    decides by prime avoidance: for any h with h f in I <= P, primeness
+    forces h in P; f*g for a generator g of P that is one of I too lies in
+    I, and is not formed.  Otherwise _colon_route decides.
     """
-    todo = _outside_by_lookup(I.gens, [P]) if P.is_known_groebner() else itertools.repeat(1)
-    if f.is_zero() or not all(P.contains(g, budget) for g, out in zip(I.gens, todo) if out):
+    if f.is_zero() or not all(P.contains(g, budget) for g in I.gens):
         return False  # (I : 0) is the ring; (I : f) contains I, so I <= P
     if not P.contains(f, budget):
         return all(_is_gen(I, g) or I.contains(f * g, budget) for g in P.gens)
@@ -1116,7 +1113,8 @@ def _is_gen(I: Ideal, g: Polynomial) -> bool:
 
 def _outside_by_lookup(gs: Iterable[Polynomial], ideals: Sequence[Ideal]) -> Iterable[set]:
     """For each nonzero g of ``gs``, the indices of the ``ideals`` that
-    lookups in their reduced bases do not show to contain g.
+    lookups in their reduced bases do not show to contain g: what each
+    generator avoids, for separating_element's greedy cover (its caller).
 
     A variable x lies in I exactly when 1 or x is a basis element: only 1
     and x divide x, and the tail of a basis element x + tail is the normal
@@ -1295,27 +1293,6 @@ def brute_local_v(
     return w.degree(), w
 
 
-def _shifted_nf(ring: RingSpec, r: dict, x: int, red: list, leads: Optional[list]) -> dict:
-    """_nf of x * r for a monomial x, as search_power_witness shifts its rows.
-
-    A polynomial no term of which has a dividing lead is its own normal
-    form, with the same items in the same (descending, for r from _nf)
-    order.  The lookups of ``leads`` decide that for every term of degree
-    at most one above the least lead degree; a row with a term above that,
-    or with a term that has a divisor, goes through _nf.
-    """
-    row = {m + x: c for m, c in r.items()}
-    if leads is not None:
-        low, by_lead, _ = leads
-        for m in row:
-            d = m % 255
-            if d > low + 1 or (by_lead.get(m) if d <= low else _one_up(m, by_lead)):
-                break
-        else:
-            return row
-    return _nf(ring, row, red, None, leads)
-
-
 def search_power_witness(
     ring: RingSpec,
     G: SimpleGraph,
@@ -1345,18 +1322,13 @@ def search_power_witness(
     themselves: only u whose row content a (a_r, u's degree in row r) is
     non-increasing are swept, in the full sweep's order.  (2) For nonzero f
     in a block's kernel and g in P_T, f * g is nonzero in J^k, so some lead
-    of J^k's basis has row content <= a + rowc(g): else a has no kernel.  A
-    row is built on demand from u / x, x the smallest variable dividing u
-    (in u's last nonzero row, so u / x keeps rule (1)), as normal forms
-    against a Groebner basis are unique: NF(u * g) = NF(x * NF(u / x * g)).
+    of J^k's basis has row content <= a + rowc(g): else a has no kernel.
 
     J^k is homogeneous, so its reduced basis is (Becker and Weispfenning,
     Groebner Bases, 1993): reduction keeps a term's degree, so a slice-d row
-    has degree at most d + lift, lift the top degree of P_T's generators,
-    and takes _nf's lookups, the one-up lookup included, while that is
-    below 255, where m % 255 is exact.  NF(u / x * g) is in normal form, so
-    its shift often is too: _shifted_nf returns such a row as it is, and
-    calls _nf for the rest (a term with a divisor, or past the lookups).
+    NF(u * g) has degree at most d + lift, lift the top degree of P_T's
+    generators, and is one _nf with that degree's lookups, the one-up
+    lookup included, while that is below 255, where m % 255 is exact.
 
     A hit is a verified witness, so its degree is a certified upper bound
     and nothing more.  For k >= 2 no witness lies outside P_T (localize at
@@ -1378,7 +1350,6 @@ def search_power_witness(
     def rowc(u):  # u's degree in each row
         return tuple(map(sum, zip(*[iter(ring.mono_exponents(u))] * n)))
     lead_c, gen_c = {rowc(r[0]) for r in red}, {rowc(g.lt()) for g in P.gens}
-    rows = {0: [_nf(ring, g.terms, red) for g in P.gens]}  # u -> its NF(u * g), once built
     for d in range(d_max + 1):
         pivots, leads = {}, _lead_lookup(red, d + lift, one_up=True)
         kept = [a for a in itertools.combinations_with_replacement(range(d, -1, -1), ring.m)
@@ -1387,12 +1358,8 @@ def search_power_witness(
         monos = {sum(map(sum, c)) for a in kept
                  for c in itertools.product(*map(itertools.combinations_with_replacement, by_row, a))}
         for u in sorted(monos, reverse=True):
-            chain = [u]  # down by the smallest variable to a built row, then back up
-            while (v := chain[-1]) not in rows:
-                chain.append(v - (1 << ((v & -v).bit_length() - 1) // _FIELD_BITS * _FIELD_BITS))
-            for v, w in itertools.pairwise(reversed(chain)):
-                rows[w] = [_shifted_nf(ring, r, w - v, red, leads) for r in rows[v]]
-            vec = {m + (gi + 1) * unit: c for gi, nf in enumerate(rows[u]) for m, c in nf.items()}
+            rows = [_nf(ring, {m + u: c for m, c in g.terms.items()}, red, None, leads) for g in P.gens]
+            vec = {m + (gi + 1) * unit: c for gi, nf in enumerate(rows) for m, c in nf.items()}
             vec[u] = 1
             while (key := max(vec)) >= unit:
                 if key not in pivots:
