@@ -178,12 +178,6 @@ class RingSpec:
         """Does a divide b (componentwise a <= b)?"""
         return ((b | self._top) - a) & self._top == self._top
 
-    def mono_lcm(self, a: int, b: int) -> int:
-        d = (a | self._top) - b
-        sel = d & self._top
-        full = (sel >> 7) * 0xFF
-        return b + (d & full & ~self._top)
-
     def mono_gcd(self, a: int, b: int) -> int:
         d = (a | self._top) - b
         sel = d & self._top

@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -81,11 +82,14 @@ def _emit(record: dict, fmt: str, table: str) -> None:
 
 def cmd_check_closed(args) -> int:
     G = _load_graph(args.input)
-    if not G.is_connected():
+    try:
+        closed = find_closed_labeling(G)
+    except GraphInputError:
+        if G.n == 0:  # the empty graph stays an input error
+            raise
         record = {"command": "check-closed", "connected": False, "closed": None}
         _emit(record, args.format, "graph is disconnected; check components separately")
         return EXIT_OK
-    closed = find_closed_labeling(G)
     if closed is None:
         _emit(
             {"command": "check-closed", "connected": True, "closed": False},
@@ -286,6 +290,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache  # argparse reads the terminal size on every add_argument
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vnum",

@@ -326,8 +326,10 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
     and breaking ties towards the end of the previous one; G is closed iff
     the third sweep is a closed labeling (Corneil 2004).  It is turned into
     the lexicographically first one, which the one-pass check validates, so
-    a present answer is always correct.  A disconnected G raises
-    GraphInputError; components are searched only before returning None.
+    a present answer is always correct.  That labeling also decides
+    connectivity: it is connected iff r_i > i for every i < n, as otherwise
+    no vertex up to i meets one above i.  So a disconnected G raises
+    GraphInputError, and G is flooded only when no closed labeling is found.
     """
     if G.n == 0:
         raise GraphInputError("empty graph has no closed structure")
@@ -343,8 +345,6 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
         reach = _closed_reach(H)
         if reach is None and G.is_connected():
             return None
-    # a closed labeling is connected iff r_i > i for all i < n (else no
-    # vertex up to i meets one above i)
     if reach is None or any(reach[i] == i for i in range(1, G.n)):
         raise GraphInputError(
             "closed-structure extraction needs a connected graph; "

@@ -404,7 +404,12 @@ def run_suites(
     if budget_pairs is not None:  # replaces the pair caps, keeps the degree caps
         power_budget = GBBudget(budget_pairs, POWER_BUDGET.max_degree)
         remark_budget = GBBudget(budget_pairs, ELIMINATION_BUDGET.max_degree)
-    closed = find_closed_labeling(G) if G.is_connected() else None
+    try:
+        closed = find_closed_labeling(G)
+    except GraphInputError:
+        if G.n == 0:  # the empty graph stays an input error
+            raise
+        closed = None  # G is disconnected
     results: list[CheckResult] = []
     want = SCOPES if scope == "all" else (scope,)
     for s in want:

@@ -357,13 +357,23 @@ def v_number(
     cone over a non-complete base -> 1; anything else falls back to the
     exact ideal-arithmetic oracle when the component has at most
     ``oracle_n_limit`` vertices.  Components add up, and so do their cut
-    sets: a vertex's neighbours all lie in its own component.
+    sets: a vertex's neighbours all lie in its own component.  Connectivity
+    is decided by find_closed_labeling, which floods G only when it finds
+    no closed labeling; after the complete case (every G with n <= 1) it
+    raises GraphInputError exactly when G is disconnected.
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
-    if not G.is_connected():
+    if G.is_complete():
+        return VNumberResult(0, PROVED, "complete", cut_set_from_vertices(G, ()),
+                             WitnessSpec((), ()))
+    try:
+        closed, comps = find_closed_labeling(G), ()
+    except GraphInputError:
+        closed, comps = None, G.components()
+    if comps:
         parts, union = [], []
-        for comp in G.components():
+        for comp in comps:
             H, back = G.induced(comp)
             parts.append(v_number(H, m, oracle_n_limit))
             union.extend(back[v] for v in parts[-1].cut_set.vertices)
@@ -375,7 +385,30 @@ def v_number(
             witness=None,
             parts=tuple(parts),
         )
-    return _v_number_connected(G, m, oracle_n_limit)
+    if closed is not None:
+        return _to_original_result(closed, _v_number_closed(closed.graph, closed, m))
+    cone = is_cone(G)
+    if cone is not None:
+        return VNumberResult(
+            value=1,
+            status=PROVED,
+            regime="cone",
+            cut_set=cut_set_from_vertices(G, ()),
+            witness=WitnessSpec((), (cone[0],)),
+        )
+    if G.n > oracle_n_limit:
+        raise UnsupportedRegimeError(
+            f"component with {G.n} vertices is neither closed nor a cone; "
+            f"the exact oracle is limited to {oracle_n_limit} vertices"
+        )
+    value, cut = _least_oracle_value(G, m, enumerate_cut_sets(G))
+    return VNumberResult(
+        value=value,
+        status=PROVED,
+        regime="generic-oracle",
+        cut_set=cut,
+        witness=None,
+    )
 
 
 def _to_original_result(closed: ClosedStructure, res: VNumberResult) -> VNumberResult:
@@ -391,43 +424,6 @@ def _to_original_result(closed: ClosedStructure, res: VNumberResult) -> VNumberR
     cut = CutSet(tuple(closed.input_labels(res.cut_set.vertices)))
     return VNumberResult(res.value, res.status, res.regime + "-relabeled", cut,
                          res.witness.relabel(back), anchor_graph=L)
-
-
-def _v_number_connected(G: SimpleGraph, m: int, oracle_n_limit: int) -> VNumberResult:
-    if G.is_complete():
-        return VNumberResult(
-            value=0,
-            status=PROVED,
-            regime="complete",
-            cut_set=cut_set_from_vertices(G, ()),
-            witness=WitnessSpec((), ()),
-        )
-    closed = find_closed_labeling(G)
-    if closed is not None:
-        return _to_original_result(closed, _v_number_closed(closed.graph, closed, m))
-    cone = is_cone(G)
-    if cone is not None:
-        apex, base_complete = cone
-        return VNumberResult(
-            value=1,
-            status=PROVED,
-            regime="cone",
-            cut_set=cut_set_from_vertices(G, ()),
-            witness=WitnessSpec((), (apex,)),
-        )
-    if G.n > oracle_n_limit:
-        raise UnsupportedRegimeError(
-            f"component with {G.n} vertices is neither closed nor a cone; "
-            f"the exact oracle is limited to {oracle_n_limit} vertices"
-        )
-    value, cut = _least_oracle_value(G, m, enumerate_cut_sets(G))
-    return VNumberResult(
-        value=value,
-        status=PROVED,
-        regime="generic-oracle",
-        cut_set=cut,
-        witness=None,
-    )
 
 
 def _least_oracle_value(

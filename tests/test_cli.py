@@ -14,7 +14,7 @@ from vnum.cli import main
 from vnum.errors import BudgetExceededError
 from vnum.verify import CheckResult
 from vnum.graphs import (
-    complete_graph, enumerate_cut_sets, find_closed_labeling, format_graph,
+    SimpleGraph, complete_graph, enumerate_cut_sets, find_closed_labeling, format_graph,
     graph_from_intervals, path_graph,
 )
 from vnum.vnumbers import build_anchor_graph, minimal_slice_partition, v_number
@@ -81,6 +81,36 @@ def test_check_closed_k4(capsys, tmp_path):
     p.write_text(json.dumps({"n": 4, "edges": [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]}))
     rc, out, _ = run(capsys, "check-closed", str(p), "--format", "structured")
     assert rc == 0 and json.loads(out)["cliques"] == [[1, 4]]
+
+
+@pytest.mark.parametrize("text", [
+    "n 4\ne 1 2\ne 3 4\n",  # closed as given, with a gap in the reach
+    "n 6\ne 1 3\ne 2 3\ne 4 5\ne 4 6\ne 5 6\n",  # P3 + K3, not closed as given
+])
+def test_check_closed_on_a_disconnected_graph(capsys, tmp_path, text):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    rc, out, _ = run(capsys, "check-closed", str(p), "--format", "structured")
+    assert rc == 0
+    assert json.loads(out) == {"command": "check-closed", "connected": False, "closed": None}
+    rc, out, _ = run(capsys, "check-closed", str(p))
+    assert (rc, out) == (0, "graph is disconnected; check components separately\n")
+
+
+def test_check_closed_recognises_without_a_flood(capsys, monkeypatch, g27_file):
+    floods, real = [], SimpleGraph._component_masks
+    monkeypatch.setattr(SimpleGraph, "_component_masks",
+                        lambda self, *args: floods.append(1) or real(self, *args))
+    rc, out, _ = run(capsys, "check-closed", g27_file, "--format", "structured")
+    assert rc == 0 and json.loads(out)["spine"] == SPINE_27 and not floods
+
+
+@pytest.mark.parametrize("command", ["check-closed", "verify"])
+def test_the_empty_graph_is_an_input_error(capsys, tmp_path, command):
+    p = tmp_path / "empty.txt"
+    p.write_text("n 0\n")
+    rc, out, err = run(capsys, command, str(p))
+    assert (rc, out, err) == (2, "", "error: empty graph has no closed structure\n")
 
 
 def test_vnumber_27_m3(capsys, g27_file):
@@ -160,7 +190,16 @@ def test_vnumber_power_finds_the_labeling_once(capsys, monkeypatch, tmp_path):
     rec = json.loads(out)
     assert rec["regime"] == "cm-closed-relabeled"
     assert rec["power"] == {"k": 2, "value": rec["value"] + 2}
-    assert len(calls) <= 1
+    assert len(calls) == 1
+
+
+def test_the_parser_is_built_once_and_keeps_no_answer(capsys, p5_file):
+    # one parser per process; a flag of one call does not leak into the next
+    assert vnum.cli.build_parser() is vnum.cli.build_parser()
+    rc, out, _ = run(capsys, "vnumber", p5_file, "--k", "2", "--format", "structured")
+    assert rc == 0 and json.loads(out)["power"]["k"] == 2
+    rc, out, _ = run(capsys, "vnumber", p5_file, "--format", "structured")
+    assert rc == 0 and "power" not in json.loads(out)
 
 
 def test_local_42(capsys, tmp_path, g42):

@@ -22,6 +22,7 @@ from vnum.algebra import (
 )
 from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_up_to_iso
 from vnum.graphs import (
+    SimpleGraph,
     build_graph,
     check_closed_labeling,
     complete_graph,
@@ -39,6 +40,7 @@ from vnum.verify import (
     suite_decomposition,
     suite_power_remark,
     suite_powers,
+    suite_witness,
 )
 from vnum.vnumbers import local_v_number
 
@@ -67,6 +69,48 @@ def test_suites_skip_where_hypotheses_fail(c4):
     G = graph_from_intervals(5, [(1, 3), (2, 5)])
     res = suite_powers(G, find_closed_labeling(G), 2)
     assert res[0].status == "skip"
+
+
+def test_run_suites_recognises_once_and_skips_a_disconnected_graph(monkeypatch):
+    # find_closed_labeling alone decides connectivity: a closed input
+    # (shuffled, so the sweeps run) is never flooded, and on P3 + K3 each
+    # closed scope skips
+    calls = collections.Counter()
+    real_connected, real_find = SimpleGraph.is_connected, find_closed_labeling
+
+    def connected(self):
+        calls["flood"] += 1
+        return real_connected(self)
+
+    def find(G):
+        calls["recognition"] += 1
+        return real_find(G)
+
+    monkeypatch.setattr(SimpleGraph, "is_connected", connected)
+    monkeypatch.setattr("vnum.verify.find_closed_labeling", find)
+    res = run_suites(path_graph(5).relabel((3, 1, 4, 2, 5)), m=2, scope="quadratic-gb")
+    assert [r.status for r in res] == ["pass"] and calls == {"recognition": 1}
+    G = path_graph(3).disjoint_union(complete_graph(3))
+    for scope in ("quadratic-gb", "witness", "brute-vs-formula", "powers", "power-remark"):
+        assert [(r.name, r.status, r.detail) for r in run_suites(G, m=2, scope=scope)] == [
+            (scope, "skip", "not a connected closed graph")]
+
+
+def test_witness_suite_fails_where_j_leaves_the_prime(monkeypatch):
+    # an end-to-end negative control for verify_witness's I <= P check:
+    # J on P5 gets the minor on columns 1, 5 as its last generator.  It
+    # lies outside P_T exactly when T separates 1 from 5, so every nonempty
+    # cut set's record fails; at T = {} it lies in P_{} = J_{K_5}, the
+    # colon is still P_{}, and that record passes
+    G = path_graph(5)
+    monkeypatch.setattr("vnum.verify.binomial_edge_ideal", lambda ring, G: Ideal(
+        ring, [*binomial_edge_ideal(ring, G).gens, minor(ring, (1, 2), (1, 5))]))
+    for m in (2, 3):
+        res = suite_witness(G, find_closed_labeling(G), m)
+        assert [(r.name, r.status) for r in res] == [
+            (f"witness[m={m},T={T}]", "fail" if T else "pass")
+            for T in ([], [2], [3], [4], [2, 4])
+        ]
 
 
 def test_peel_chain_matches_direct_route():

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -358,6 +360,54 @@ def test_v_number_disjoint_union():
     res = v_number(G, 2)
     assert res.value == 1 and res.regime == "disjoint-union"
     assert len(res.parts) == 2
+
+
+def test_v_number_recognises_a_closed_graph_once(monkeypatch, g27, g42):
+    # the closed labeling decides connectivity: no flood, one recognition
+    counts = {"floods": 0, "recognitions": 0}
+    real_masks, real_find = SimpleGraph._component_masks, find_closed_labeling
+
+    def masks(self, *args):
+        counts["floods"] += 1
+        return real_masks(self, *args)
+
+    def find(G):
+        counts["recognitions"] += 1
+        return real_find(G)
+
+    monkeypatch.setattr(SimpleGraph, "_component_masks", masks)
+    monkeypatch.setattr("vnum.vnumbers.find_closed_labeling", find)
+    for G, m, want in ((g27, 2, cm_v_formula(2, 14)), (g27, 3, 8), (g42, 2, 9), (g42, 3, 8)):
+        counts.update(floods=0, recognitions=0)
+        assert v_number(G, m).value == want
+        assert counts == {"floods": 0, "recognitions": 1}, (G.n, m)
+
+
+def test_v_number_splits_exactly_the_disconnected_graphs():
+    # every labeled graph with n <= 4, plus K2 + K2 and P3 + K3 (the latter
+    # also relabeled, so that recognition runs its sweeps before it floods):
+    # 'disjoint-union' exactly when G is disconnected, the components add
+    # up, and every record hashes as under the flood-first dispatch
+    graphs = [
+        build_graph(n, es)
+        for n in range(5)
+        for size in range(n * (n - 1) // 2 + 1)
+        for es in itertools.combinations(itertools.combinations(range(1, n + 1), 2), size)
+    ]
+    graphs += [complete_graph(2).disjoint_union(complete_graph(2)),
+               path_graph(3).disjoint_union(complete_graph(3)),
+               path_graph(3).relabel((2, 1, 3)).disjoint_union(complete_graph(3))]
+    h = hashlib.sha256()
+    for m in (2, 3):
+        for G in graphs:
+            res = v_number(G, m)
+            assert (res.regime == "disjoint-union") == (not G.is_connected()), G
+            if res.parts:
+                parts = [v_number(G.induced(c)[0], m) for c in G.components()]
+                assert res.parts == tuple(parts) and res.value == sum(p.value for p in parts)
+            h.update(json.dumps(res.to_record(), sort_keys=True).encode())
+    assert len(graphs) == 79
+    assert h.hexdigest().startswith("6b1bac16f6eb2640")
 
 
 def test_v_number_additivity_sampled():
