@@ -9,8 +9,8 @@ A graph is *closed under the identity labeling* when for all i < j < k,
 {i,k} being an edge forces {i,j} and {j,k} to be edges.  Equivalently the
 maximal cliques are integer intervals [a,b].  A graph is *closed* when some
 relabeling makes it closed; closed graphs coincide with proper interval
-graphs, so the exact three-sweep LBFS recognition of proper interval
-graphs (Corneil 2004) decides closedness for every n.
+graphs, so three LBFS sweeps (Corneil 2004), each a partition refinement
+over vertex bitmasks, decide closedness exactly for every n.
 """
 
 from __future__ import annotations
@@ -281,22 +281,34 @@ def _structure_from_identity(G: SimpleGraph, order: tuple, reach: tuple) -> Clos
     )
 
 
-def _lbfs(G: SimpleGraph, start: int, tiebreak: Sequence[int]) -> list[int]:
-    """Lexicographic BFS; ties are broken by earliest position in ``tiebreak``."""
-    pos = {v: i for i, v in enumerate(tiebreak)}
-    labels = {v: [] for v in G.vertices()}
-    labels[start] = [G.n + 1]
-    visited = []
-    remaining = set(G.vertices())  # as a mask: 1,000-vertex recognition took 2x as long
-    while remaining:
-        v = max(remaining, key=lambda u: (labels[u], -pos[u]))
-        visited.append(v)
-        remaining.remove(v)
-        rank = G.n - len(visited)
-        for w in _bits(G._mask[v]):
-            if w in remaining:
-                labels[w].append(rank)
-    return visited
+def _lbfs(nbrs: Sequence[Sequence[int]], tiebreak: Sequence[int]) -> list[int]:
+    """Lexicographic BFS from tiebreak[0] through its component: ``nbrs[v]``
+    lists the neighbours of v, and ties go to the earliest in ``tiebreak``.
+
+    By partition refinement (Habib, McConnell, Paul and Viennot 2000), with
+    tiebreak[i] as bit i: the unvisited vertices are class masks of equal
+    labels (the decreasing ranks of the earlier picks met), in decreasing
+    label order.  A pick v, the lowest bit of the first class, splits each
+    class c into c & N(v), then c & ~N(v): its rank is below all earlier
+    ones, so L + [it] sorts below each label above L.  A pick costs an AND
+    per class.  It ends when ``rest``, the unlabeled but tiebreak[0], is first.
+    """
+    bit = {v: 1 << i for i, v in enumerate(tiebreak)}
+    adj = [sum(map(bit.__getitem__, nbrs[v])) for v in tiebreak]
+    classes, rest, order = [(1 << len(tiebreak)) - 1], (1 << len(tiebreak)) - 2, []
+    while classes and classes[0] != rest:
+        i = (classes[0] & -classes[0]).bit_length() - 1
+        order.append(tiebreak[i])
+        classes[0] ^= 1 << i
+        nb, refined = adj[i], []
+        rest &= ~nb
+        for c in classes:
+            if a := c & nb:
+                refined.append(a)
+            if c ^ a:
+                refined.append(c ^ a)
+        classes = refined
+    return order
 
 
 def _lex_first_order(G: SimpleGraph, order: Sequence[int]) -> tuple[int, ...]:
@@ -326,25 +338,27 @@ def find_closed_labeling(G: SimpleGraph) -> Optional[ClosedStructure]:
     and breaking ties towards the end of the previous one; G is closed iff
     the third sweep is a closed labeling (Corneil 2004).  It is turned into
     the lexicographically first one, which the one-pass check validates, so
-    a present answer is always correct.  That labeling also decides
-    connectivity: it is connected iff r_i > i for every i < n, as otherwise
-    no vertex up to i meets one above i.  So a disconnected G raises
-    GraphInputError, and G is flooded only when no closed labeling is found.
+    a present answer is always correct.  No flood decides connectivity: an
+    identity-closed G is connected iff r_i > i for every i < n, as otherwise
+    no vertex up to i meets one above i, and any other G iff the first sweep
+    visits every vertex.  A disconnected G raises GraphInputError.
     """
     if G.n == 0:
         raise GraphInputError("empty graph has no closed structure")
     H, order = G, tuple(G.vertices())
     reach = _closed_reach(G)
     if reach is None:
-        sweep1 = _lbfs(G, 1, list(G.vertices()))
-        sweep2 = _lbfs(G, sweep1[-1], sweep1[::-1])
-        sweep3 = _lbfs(G, sweep2[-1], sweep2[::-1])
-        # swapping twins and reversing neither make nor break closedness
-        order = _lex_first_order(G, sweep3)
-        H = G.relabel(order)
-        reach = _closed_reach(H)
-        if reach is None and G.is_connected():
-            return None
+        nbrs = [list(_bits(mask)) for mask in G._mask]
+        sweep = _lbfs(nbrs, G.vertices())
+        if len(sweep) == G.n:
+            for _ in range(2):
+                sweep = _lbfs(nbrs, sweep[::-1])
+            # swapping twins and reversing neither make nor break closedness
+            order = _lex_first_order(G, sweep)
+            H = G.relabel(order)
+            reach = _closed_reach(H)
+            if reach is None:
+                return None
     if reach is None or any(reach[i] == i for i in range(1, G.n)):
         raise GraphInputError(
             "closed-structure extraction needs a connected graph; "
@@ -581,15 +595,16 @@ def reduced_connected_domination_number(
 ) -> int:
     """gamma_c^*(G) for connected G.
 
-    With a ClosedStructure the greedy chain gives the answer directly;
-    otherwise vertex masks are searched by increasing cardinality against
-    the reduced-connected-domination test, up to DEFAULT_SUBSET_BUDGET
-    vertices.
+    With the ClosedStructure of G, which already shows that G is connected,
+    the greedy chain gives the answer directly; otherwise vertex masks are
+    searched by increasing cardinality against the reduced-connected-
+    domination test, up to DEFAULT_SUBSET_BUDGET vertices.
     """
+    if closed is not None:
+        _check_own_structure(G, closed)
+        return max(len(spine_chain(closed)) - 2, 0)
     if not G.is_connected():
         raise GraphInputError("reduced connected domination needs a connected graph")
-    if closed is not None:
-        return max(len(spine_chain(closed)) - 2, 0)
     if G.n > DEFAULT_SUBSET_BUDGET:
         raise InstanceTooLargeError(
             f"domination search needs n <= {DEFAULT_SUBSET_BUDGET}, got {G.n}"

@@ -357,10 +357,9 @@ def v_number(
     cone over a non-complete base -> 1; anything else falls back to the
     exact ideal-arithmetic oracle when the component has at most
     ``oracle_n_limit`` vertices.  Components add up, and so do their cut
-    sets: a vertex's neighbours all lie in its own component.  Connectivity
-    is decided by find_closed_labeling, which floods G only when it finds
-    no closed labeling; after the complete case (every G with n <= 1) it
-    raises GraphInputError exactly when G is disconnected.
+    sets: a vertex's neighbours all lie in its own component.  Past the
+    complete case (every G with n <= 1), find_closed_labeling raises
+    GraphInputError, with no flood, exactly when G is disconnected.
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
@@ -562,7 +561,8 @@ def classify_small_v(G: SimpleGraph, m: int) -> str:
         return "0"
     if is_cone(G) is not None:
         return "1"
-    gamma = reduced_connected_domination_number(G, find_closed_labeling(G))
+    closed = find_closed_labeling(G)
+    gamma = reduced_connected_domination_number(closed.graph if closed else G, closed)
     if gamma == 2 or _pair_cut_set(G) is not None:
         return "2"
     return ">2"

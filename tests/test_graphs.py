@@ -117,6 +117,90 @@ def test_heuristic_recognizes_shuffled_large_closed(g42):
     assert cs.t == 16
 
 
+def reference_lbfs(G, start, tiebreak):
+    """Lexicographic BFS over label lists, the reference for graphs._lbfs.
+
+    Each pick is a vertex of greatest label, the earliest in ``tiebreak``
+    among equals, and appends a falling rank to the labels of its unvisited
+    neighbours.  It visits every vertex, the component of ``start`` first.
+    """
+    pos = {v: i for i, v in enumerate(tiebreak)}
+    labels = {v: [] for v in G.vertices()}
+    labels[start] = [G.n + 1]
+    visited = []
+    remaining = set(G.vertices())
+    while remaining:
+        v = max(remaining, key=lambda u: (labels[u], -pos[u]))
+        visited.append(v)
+        remaining.remove(v)
+        rank = G.n - len(visited)
+        for w in G.neighbors(v):
+            if w in remaining:
+                labels[w].append(rank)
+    return visited
+
+
+def neighbour_lists(G):
+    return [sorted(G.neighbors(v)) for v in range(G.n + 1)]
+
+
+def random_closed_profile(rng, n, cm=False):
+    """The seeded maximal cliques [a, b] of a connected closed graph on
+    1..n; with ``cm`` consecutive cliques share exactly one vertex."""
+    profile = [(1, min(n, rng.randint(2, 5)))]
+    while profile[-1][1] < n:
+        a, b = profile[-1]
+        start = b if cm else rng.randint(a + 1, b)
+        profile.append((start, rng.randint(b + 1, min(n, b + 4))))
+    return profile
+
+
+def shuffled(rng, G):
+    order = list(G.vertices())
+    rng.shuffle(order)
+    return G.relabel(order)
+
+
+def test_lbfs_matches_the_label_list_reference(g42):
+    # every labeled graph with n <= 5, from every start, with the other
+    # vertices in identity and in shuffled order: the refinement visits the
+    # component of the start, in the order in which the label lists visit it
+    rng = random.Random(37)
+    cases = 0
+    for G in labeled_graphs(5):
+        nbrs, comps = neighbour_lists(G), G.components()
+        for start in G.vertices():
+            comp = next(c for c in comps if start in c)
+            others = [v for v in G.vertices() if v != start]
+            tiebreaks = [[start] + others, [start] + rng.sample(others, len(others))]
+            for tiebreak in tiebreaks:
+                got = graphs._lbfs(nbrs, tiebreak)
+                assert set(got) == comp, (G, tiebreak)
+                assert got == reference_lbfs(G, start, tiebreak)[: len(comp)], (G, tiebreak)
+                cases += 1
+    assert cases == 2 * (1 * 1 + 2 * 2 + 8 * 3 + 64 * 4 + 1024 * 5)
+    # recognition's three sweeps on seeded shuffles of closed graphs up to
+    # n = 60, and of the 42-vertex example
+    pool = [graph_from_intervals(n, random_closed_profile(rng, n)) for n in range(2, 61)]
+    for G in [shuffled(rng, H) for H in pool + [g42]]:
+        nbrs, tiebreak = neighbour_lists(G), list(G.vertices())
+        for _ in range(3):
+            got = graphs._lbfs(nbrs, tiebreak)
+            assert got == reference_lbfs(G, tiebreak[0], tiebreak), G
+            tiebreak = got[::-1]
+
+
+def test_recognition_of_a_shuffled_2000_vertex_cm_graph():
+    from vnum.vnumbers import cm_v_formula, v_number
+
+    profile = random_closed_profile(random.Random(2000), 2000, cm=True)
+    H = shuffled(random.Random(1), graph_from_intervals(2000, profile))
+    cs = find_closed_labeling(H)
+    assert check_closed_labeling(cs.graph) and cs.is_cm
+    assert cs.t == len(profile)
+    assert v_number(H, 3).value == cm_v_formula(3, len(profile))
+
+
 def maximal_cliques(G: SimpleGraph) -> list[frozenset]:
     """Generic Bron-Kerbosch maximal-clique enumeration (pivotless; small n)."""
     out = []
@@ -327,6 +411,8 @@ def test_closed_structure_of_another_graph_rejected():
         cut_set_from_vertices(P5, [2], cs4)
     with pytest.raises(GraphInputError):
         enumerate_cut_sets(P5, cs4)
+    with pytest.raises(GraphInputError):
+        reduced_connected_domination_number(P5, cs4)
 
 
 def full_subset_cut_sets(G, is_cut_mask=graphs._is_cut_mask) -> list[tuple[int, ...]]:

@@ -24,6 +24,7 @@ from vnum.enumeration import closed_graphs, cm_closed_graphs, connected_graphs_u
 from vnum.graphs import (
     CutSet,
     SimpleGraph,
+    _lbfs,
     _runs,
     build_graph,
     complete_graph,
@@ -383,9 +384,48 @@ def test_v_number_recognises_a_closed_graph_once(monkeypatch, g27, g42):
         assert counts == {"floods": 0, "recognitions": 1}, (G.n, m)
 
 
+def test_a_disconnected_graph_stops_recognition_at_the_first_sweep(monkeypatch):
+    # a shuffled 300-vertex path plus a disjoint K3: the first sweep, from
+    # vertex 1, ends inside one component, so recognition raises with no
+    # flood and no further sweep; v_number then sweeps only the path
+    order = list(range(1, 304))
+    random.Random(36).shuffle(order)
+    G = path_graph(300).disjoint_union(complete_graph(3)).relabel(order)
+    counts = {"sweeps": 0, "floods": 0}
+    real_lbfs, real_masks = _lbfs, SimpleGraph._component_masks
+
+    def lbfs(*args):
+        counts["sweeps"] += 1
+        return real_lbfs(*args)
+
+    def masks(self, *args):
+        counts["floods"] += 1
+        return real_masks(self, *args)
+
+    monkeypatch.setattr("vnum.graphs._lbfs", lbfs)
+    monkeypatch.setattr(SimpleGraph, "_component_masks", masks)
+    with pytest.raises(GraphInputError, match="needs a connected graph"):
+        find_closed_labeling(G)
+    assert counts == {"sweeps": 1, "floods": 0}
+    counts["sweeps"] = 0
+    res = v_number(G, 3)
+    assert res.regime == "disjoint-union" and res.value == cm_v_formula(3, 299)
+    assert counts["sweeps"] == 4
+
+
+def test_domination_with_a_closed_structure_skips_the_flood(monkeypatch):
+    P8 = path_graph(8)
+    cs = find_closed_labeling(P8)
+    floods, real = [], SimpleGraph._component_masks
+    monkeypatch.setattr(SimpleGraph, "_component_masks",
+                        lambda self, *a: floods.append(1) or real(self, *a))
+    assert local_v_number(P8, cs, [], 2).value == 6
+    assert floods == []
+
+
 def test_v_number_splits_exactly_the_disconnected_graphs():
     # every labeled graph with n <= 4, plus K2 + K2 and P3 + K3 (the latter
-    # also relabeled, so that recognition runs its sweeps before it floods):
+    # also relabeled, so that recognition rejects it after its first sweep):
     # 'disjoint-union' exactly when G is disconnected, the components add
     # up, and every record hashes as under the flood-first dispatch
     graphs = [
