@@ -139,7 +139,7 @@ def cmd_vnumber(args) -> int:
         record["power"] = {"k": args.k, "value": pw}
         lines.append(f"v-number of the {args.k}-th power: {pw}")
     if args.oracle:
-        if not G.is_connected():
+        if res.regime == "disjoint-union":  # v_number's own verdict: G is disconnected
             raise UnsupportedRegimeError("--oracle needs a connected graph")
         own = res.regime == "generic-oracle"
         if own:

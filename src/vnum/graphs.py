@@ -1,9 +1,10 @@
 """Simple graphs on vertex set 1..n and the closed-graph machinery.
 
-Everything here is immutable after construction, so values can be shared
-freely across threads.  Exhaustive searches (generic cut-set enumeration,
-connected domination on arbitrary graphs) are guarded by an explicit
-vertex budget and raise InstanceTooLargeError when asked to go beyond it.
+A graph keeps its adjacency once, as one bitmask per vertex (graphs derived
+from valid ones skip the per-edge checks), and is immutable, so values can
+be shared freely across threads.  Exhaustive searches (generic cut-set
+enumeration, connected domination on arbitrary graphs) are guarded by an
+explicit vertex budget and raise InstanceTooLargeError when asked to go beyond it.
 
 A graph is *closed under the identity labeling* when for all i < j < k,
 {i,k} being an edge forces {i,j} and {j,k} to be edges.  Equivalently the
@@ -30,30 +31,32 @@ class SimpleGraph:
     """Undirected simple graph on vertices 1..n, no loops, no multi-edges.
 
     Adjacency is kept once, as int bitmasks: bit v of ``_mask[u]`` is set
-    iff {u,v} is an edge.  ``neighbors`` builds its frozenset from the mask;
-    the closed labeling, the components, the cut-set test and domination
-    all read the masks directly.  ``edges`` defines equality.
+    iff {u,v} is an edge, and ``_size`` counts the edges.  ``neighbors``
+    and ``edges`` are derived: ``edges`` builds a frozenset from the masks
+    on each access, in O(E), so code inside vnum reads the masks.
     """
 
-    __slots__ = ("n", "edges", "_mask")
+    __slots__ = ("n", "_mask", "_size")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphInputError(f"vertex count must be non-negative, got {n}")
-        canon = set()
+        mask = [0] * (n + 1)
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphInputError(f"edge ({u},{v}) has an endpoint outside 1..{n}")
             if u == v:
                 raise GraphInputError(f"loop edge at vertex {u} rejected")
-            canon.add((u, v) if u < v else (v, u))
-        self.n = n
-        self.edges = frozenset(canon)
-        mask = [0] * (n + 1)
-        for u, v in canon:
             mask[u] |= 1 << v
             mask[v] |= 1 << u
-        self._mask = tuple(mask)
+        self.n, self._mask, self._size = n, tuple(mask), sum(map(int.bit_count, mask)) // 2
+
+    @classmethod
+    def _from_masks(cls, n: int, mask: Sequence[int]) -> "SimpleGraph":
+        """A graph derived from valid ones, from its masks: only n is checked."""
+        G = cls(n, ())
+        G._mask, G._size = tuple(mask), sum(map(int.bit_count, mask)) // 2
+        return G
 
     # -- basic queries ----------------------------------------------------
 
@@ -69,21 +72,28 @@ class SimpleGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 < u <= self.n and v > 0 and self._mask[u] >> v & 1 == 1
 
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(self.edge_list())
+
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(u, v) for u in self.vertices() for v in _bits(self._mask[u] >> u << u)]
+
+    def edge_count(self) -> int:
+        return self._size
 
     def __eq__(self, other) -> bool:
         return other is self or (
             isinstance(other, SimpleGraph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self._mask == other._mask
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._mask))
 
     def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
+        return f"SimpleGraph(n={self.n}, edges={self.edge_list()})"
 
     # -- structure --------------------------------------------------------
 
@@ -111,7 +121,7 @@ class SimpleGraph:
             yield start ^ left
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return self._size == self.n * (self.n - 1) // 2
 
     def induced(self, vs: Iterable[int]) -> tuple["SimpleGraph", dict[int, int]]:
         """Induced subgraph on ``vs`` relabeled to 1..k preserving order.
@@ -119,26 +129,31 @@ class SimpleGraph:
         Returns the subgraph and the map new-label -> original vertex.
         """
         ordered = sorted(set(vs))
-        back = {i + 1: v for i, v in enumerate(ordered)}
-        fwd = {v: i + 1 for i, v in enumerate(ordered)}
-        es = [
-            (fwd[u], fwd[v])
-            for (u, v) in self.edges
-            if u in fwd and v in fwd
-        ]
-        return SimpleGraph(len(ordered), es), back
+        back, keep = dict(enumerate(ordered, 1)), _mask_of(self, ordered)
+        bit = {v: 1 << i for i, v in back.items()}
+        mask = [0] + [sum(map(bit.__getitem__, _bits(self._mask[v] & keep)))
+                      if 0 < v <= self.n else 0 for v in ordered]
+        return SimpleGraph._from_masks(len(ordered), mask), back
 
     def relabel(self, order: Sequence[int]) -> "SimpleGraph":
         """Graph under the labeling that puts ``order[k-1]`` at position k."""
         if sorted(order) != list(self.vertices()):
             raise GraphInputError("labeling must be a permutation of 1..n")
-        newpos = {v: i + 1 for i, v in enumerate(order)}
-        return SimpleGraph(self.n, [(newpos[u], newpos[v]) for (u, v) in self.edges])
+        bit, mask = [0] * (self.n + 1), [0]
+        for i, v in enumerate(order, 1):
+            bit[v] = 1 << i
+        for v in order:  # each vertex's neighbours, moved to their places
+            m, out = self._mask[v], 0
+            while m:
+                low = m & -m
+                out |= bit[low.bit_length() - 1]
+                m ^= low
+            mask.append(out)
+        return SimpleGraph._from_masks(self.n, mask)
 
     def disjoint_union(self, other: "SimpleGraph") -> "SimpleGraph":
-        shift = self.n
-        es = list(self.edges) + [(u + shift, v + shift) for (u, v) in other.edges]
-        return SimpleGraph(self.n + other.n, es)
+        return SimpleGraph._from_masks(
+            self.n + other.n, self._mask + tuple(m << self.n for m in other._mask[1:]))
 
 
 def _mask_of(G: SimpleGraph, vs: Iterable[int]) -> int:
@@ -160,21 +175,23 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> SimpleGraph:
 
 
 def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, [(i, i + 1) for i in range(1, n)])
+    return graph_from_intervals(n, [(i, i + 1) for i in range(1, n)])
 
 
 def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    return graph_from_intervals(n, [(1, n)] if n > 0 else [])
 
 
 def graph_from_intervals(n: int, intervals: Iterable[Sequence[int]]) -> SimpleGraph:
     """Union of interval cliques [a,b]; the standard way closed graphs are given."""
-    es = []
+    mask = [0] * (n + 1)
     for a, b in intervals:
         if not (1 <= a <= b <= n):
             raise GraphInputError(f"interval [{a},{b}] outside 1..{n}")
-        es.extend((u, v) for u in range(a, b + 1) for v in range(u + 1, b + 1))
-    return SimpleGraph(n, es)
+        clique = (2 << b) - (1 << a)
+        for v in range(a, b + 1):
+            mask[v] |= clique
+    return SimpleGraph._from_masks(n, [m & ~(1 << v) for v, m in enumerate(mask)])
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +520,9 @@ def completion_graph(G: SimpleGraph, v: int) -> SimpleGraph:
     """Join all pairs of neighbors of v."""
     if not (1 <= v <= G.n):
         raise GraphInputError(f"vertex {v} outside 1..{G.n}")
-    return SimpleGraph(G.n, [*G.edges, *itertools.combinations(_bits(G._mask[v]), 2)])
+    near = G._mask[v]
+    return SimpleGraph._from_masks(
+        G.n, [m | near & ~(1 << u) if near >> u & 1 else m for u, m in enumerate(G._mask)])
 
 
 def is_reduced_connected_dominating_set(G: SimpleGraph, D: Iterable[int]) -> bool:

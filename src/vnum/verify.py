@@ -264,7 +264,7 @@ def suite_powers(
     """
     if not closed.is_cm:
         return [CheckResult("powers", "skip", "needs one-vertex clique overlaps", 0.0)]
-    if not G.edges:
+    if not G.edge_count():
         return [CheckResult("powers", "skip", "needs an edge", 0.0)]
     ring = RingSpec(2, G.n)
     J = binomial_edge_ideal(ring, G)

@@ -555,13 +555,14 @@ def classify_small_v(G: SimpleGraph, m: int) -> str:
     """
     if m < 2:
         raise GraphInputError(f"clique size parameter must be >= 2, got {m}")
-    if not G.is_connected():
-        raise GraphInputError("classification needs a connected graph")
     if G.is_complete():
         return "0"
     if is_cone(G) is not None:
         return "1"
-    closed = find_closed_labeling(G)
+    try:  # past the two cases above, recognition raises exactly when G is disconnected
+        closed = find_closed_labeling(G)
+    except GraphInputError:
+        raise GraphInputError("classification needs a connected graph") from None
     gamma = reduced_connected_domination_number(closed.graph if closed else G, closed)
     if gamma == 2 or _pair_cut_set(G) is not None:
         return "2"
@@ -588,7 +589,7 @@ def v_number_of_power(closed: ClosedStructure, k: int) -> int:
 
 def _power_needs_an_edge(G: SimpleGraph) -> None:
     """The shift formulas start from an edge: on the one-vertex graph J = 0."""
-    if not G.edges:
+    if not G.edge_count():
         raise UnsupportedRegimeError("power values need an edge: J = 0 on the one-vertex graph")
 
 

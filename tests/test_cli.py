@@ -489,6 +489,16 @@ def test_vnumber_oracle_needs_a_connected_graph(capsys, tmp_path):
     assert rc == 2 and out == "" and "error: --oracle needs a connected graph" in err
 
 
+def test_vnumber_oracle_reads_connectivity_from_v_number(capsys, monkeypatch, p5_file,
+                                                         shuffled_p5_file):
+    calls, real = [], SimpleGraph.is_connected
+    monkeypatch.setattr(SimpleGraph, "is_connected", lambda G: calls.append(G.n) or real(G))
+    for path in (p5_file, shuffled_p5_file):
+        rc, out, _ = run(capsys, "vnumber", path, "--oracle")
+        assert rc == 0 and "oracle cross-check: 2 (agrees)" in out
+    assert calls == []
+
+
 def _forced_fail(G, closed, m):
     return [CheckResult(f"quadratic-gb[m={m}]", "fail", "forced", 0.0)]
 

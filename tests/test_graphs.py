@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from typing import Iterable
 
 import pytest
@@ -46,6 +47,80 @@ def test_build_graph_dedupes_and_validates():
     with pytest.raises(GraphInputError):
         build_graph(3, [(1, 4)])
 
+
+
+def check_against_edge_list(G: SimpleGraph, n: int, pairs: list) -> None:
+    """G, however it was built, is SimpleGraph(n, pairs), and its edge views
+    are those of the frozenset of (min, max) pairs that a graph once stored."""
+    want = frozenset((min(u, v), max(u, v)) for u, v in pairs)
+    ref = SimpleGraph(n, pairs)
+    assert G == ref and hash(G) == hash(ref), (G, sorted(want))
+    assert G.edges == want and G.edge_list() == sorted(want)
+    assert G.edge_count() == len(want)
+    assert G.is_complete() == (len(want) == n * (n - 1) // 2)
+    assert repr(G) == f"SimpleGraph(n={n}, edges={sorted(want)})"
+
+
+def test_mask_built_graphs_match_the_edge_list_constructor():
+    # every labeled graph with n <= 5, then seeded random ones up to n = 40:
+    # each graph vnum derives from masks equals the one the validating
+    # constructor builds from the derived edge list
+    rng = random.Random(38)
+    samples = list(labeled_edge_lists(5))
+    samples += [(n, [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < q])
+                for n in range(6, 41) for q in (0.1, 0.3, 0.8)]
+    for n, es in samples:
+        G = SimpleGraph(n, es)
+        check_against_edge_list(G, n, es)
+        check_against_edge_list(SimpleGraph(n, es[::-1] + [(v, u) for u, v in es]), n, es)
+        assert G != SimpleGraph(n + 1, es) and (not es or G != SimpleGraph(n, es[1:]))
+        intervals = es[:2 * n] + [(v, v) for v in range(1, n + 1, 2)]  # cliques [u, v]
+        check_against_edge_list(
+            graph_from_intervals(n, intervals), n,
+            [p for a, b in intervals for p in itertools.combinations(range(a, b + 1), 2)])
+        for v in G.vertices() if n <= 5 else rng.sample(range(1, n + 1), 2):
+            check_against_edge_list(
+                completion_graph(G, v), n, es + list(itertools.combinations(G.neighbors(v), 2)))
+        keep = [v for v in G.vertices() if rng.random() < 0.6]
+        H, back = G.induced(keep[::-1])
+        fwd = {v: i for i, v in back.items()}
+        assert back == {i: v for i, v in enumerate(keep, 1)}
+        check_against_edge_list(H, len(keep),
+                                [(fwd[u], fwd[v]) for u, v in es if u in fwd and v in fwd])
+        k, other = samples[rng.randrange(len(samples))]
+        check_against_edge_list(G.disjoint_union(SimpleGraph(k, other)), n + k,
+                                es + [(u + n, v + n) for u, v in other])
+        orders = (itertools.permutations(G.vertices()) if n <= 4
+                  else [rng.sample(range(1, n + 1), n)])
+        for order in orders:
+            pos = {v: i for i, v in enumerate(order, 1)}
+            check_against_edge_list(G.relabel(order), n, [(pos[u], pos[v]) for u, v in es])
+    for n in range(41):
+        check_against_edge_list(path_graph(n), n, [(i, i + 1) for i in range(1, n)])
+        check_against_edge_list(complete_graph(n), n,
+                                list(itertools.combinations(range(1, n + 1), 2)))
+
+
+def test_graph_input_errors_keep_their_texts():
+    P3 = path_graph(3)
+    cases = [
+        (lambda: SimpleGraph(-1, [(2, 2)]), "vertex count must be non-negative, got -1"),
+        (lambda: SimpleGraph(3, [(1, 4)]), "edge (1,4) has an endpoint outside 1..3"),
+        (lambda: build_graph(3, [(0, 2)]), "edge (0,2) has an endpoint outside 1..3"),
+        (lambda: SimpleGraph(3, [(4, 4)]), "edge (4,4) has an endpoint outside 1..3"),
+        (lambda: SimpleGraph(3, [(1, 2), (2, 2), (1, 4)]), "loop edge at vertex 2 rejected"),
+        (lambda: path_graph(-1), "vertex count must be non-negative, got -1"),
+        (lambda: complete_graph(-2), "vertex count must be non-negative, got -2"),
+        (lambda: graph_from_intervals(-1, []), "vertex count must be non-negative, got -1"),
+        (lambda: graph_from_intervals(-1, [(1, 1)]), "interval [1,1] outside 1..-1"),
+        (lambda: graph_from_intervals(3, [(1, 2), (3, 2)]), "interval [3,2] outside 1..3"),
+        (lambda: P3.relabel([1, 1, 2]), "labeling must be a permutation of 1..n"),
+        (lambda: completion_graph(P3, 4), "vertex 4 outside 1..3"),
+    ]
+    for make, text in cases:
+        with pytest.raises(GraphInputError) as exc:
+            make()
+        assert str(exc.value) == text
 
 def test_example_27_graph(g27):
     cs = find_closed_labeling(g27)
@@ -201,6 +276,21 @@ def test_recognition_of_a_shuffled_2000_vertex_cm_graph():
     assert v_number(H, 3).value == cm_v_formula(3, len(profile))
 
 
+
+def test_a_2000_vertex_closed_graph_is_built_in_little_memory():
+    # sliding 40-cliques, 77,220 edges: the masks are all a graph keeps, and
+    # no edge list is built on the way (12.7 MB kept, 148 MB peak with one)
+    assert "edges" not in SimpleGraph.__slots__
+    tracemalloc.start()
+    try:
+        G = graph_from_intervals(2000, [(i, i + 39) for i in range(1, 1962)])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 2**20 and peak < 8 * 2**20, (kept, peak)
+    assert G.edge_count() == 77220
+    assert find_closed_labeling(G).t == 1961
+
 def maximal_cliques(G: SimpleGraph) -> list[frozenset]:
     """Generic Bron-Kerbosch maximal-clique enumeration (pivotless; small n)."""
     out = []
@@ -225,13 +315,19 @@ def test_cliques_match_generic_enumerator():
             assert generic == set(maximal_cliques(G))
 
 
-def labeled_graphs(n_max: int):
-    """Every labeled graph on 1..n for n <= n_max."""
+def labeled_edge_lists(n_max: int):
+    """(n, edge list) of every labeled graph on 1..n for n <= n_max."""
     for n in range(n_max + 1):
         pairs = list(itertools.combinations(range(1, n + 1), 2))
         for size in range(len(pairs) + 1):
             for es in itertools.combinations(pairs, size):
-                yield build_graph(n, es)
+                yield n, list(es)
+
+
+def labeled_graphs(n_max: int):
+    """Every labeled graph on 1..n for n <= n_max."""
+    for n, es in labeled_edge_lists(n_max):
+        yield build_graph(n, es)
 
 
 def reference_check_closed(G) -> bool:

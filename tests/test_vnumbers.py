@@ -601,6 +601,20 @@ def test_classify_closed_graphs_above_the_subset_budget():
         assert classify_small_v(G, 2) == (str(v) if v <= 2 else ">2")
 
 
+def test_classification_leaves_connectivity_to_recognition(monkeypatch, g27, c4):
+    # recognition raises exactly on a disconnected input, so classification
+    # floods nothing first; a disconnected input keeps its error text
+    calls, real = [], SimpleGraph.is_connected
+    monkeypatch.setattr(SimpleGraph, "is_connected", lambda G: calls.append(G.n) or real(G))
+    assert classify_small_v(g27, 2) == ">2"
+    assert classify_small_v(path_graph(4).relabel([2, 4, 1, 3]), 2) == "2"
+    assert calls == []
+    for G in (path_graph(2).disjoint_union(path_graph(2)), c4.disjoint_union(path_graph(1))):
+        with pytest.raises(GraphInputError) as exc:
+            classify_small_v(G, 2)
+        assert str(exc.value) == "classification needs a connected graph"
+
+
 # -- powers -------------------------------------------------------------------------
 
 def test_power_formula():
